@@ -16,7 +16,8 @@ from .freemod import (GradedSet, HomogeneousElement, MorphismMatrix,
 from .presentation import (Presentation, CriticalGrades, ParseError,
                            GradeOrderViolation, parse, serialize,
                            relation_matrix, minimize, critical_grades,
-                           shift_presentation, box_interval)
+                           shift_presentation, restrict_diagonal,
+                           box_interval)
 from .onedim import (Interval, PersistenceDiagram, Multibijection,
                      NotOneParameter, barcode, interval_bottleneck,
                      matching_feasible, bottleneck_candidates,
@@ -25,8 +26,8 @@ from .interleave import (InterleavingProblem, InterleavingWitness,
                          UnsupportedField, BudgetExceeded, DEFAULT_BUDGET,
                          constraint_space, check_closure, is_interleaved,
                          export_quadratic_system)
-from .distance import (CandidateSet, candidate_set, interleaving_distance,
-                       is_isomorphic)
+from .distance import (CandidateSet, candidate_set, diagonal_lower_bound,
+                       interleaving_distance, is_isomorphic)
 from .characterize import (CompatiblePair, InvalidWitness,
                            compatible_presentations, induced_presentations,
                            verify_compatible, serialize_pair,

@@ -6,16 +6,21 @@ differences across the two modules and half-differences within each.
 Feasibility ("are they e-interleaved?") is monotone in e, so a binary
 search over the sorted candidates finds the least feasible value, and
 that value is d_I exactly (no infimum slack: feasibility at the
-distance itself holds for finitely presented modules).
+distance itself holds for finitely presented modules). The search
+starts at a lower bound read off the modules' restrictions to diagonal
+lines, where the distance is a one-parameter bottleneck distance.
 """
 
 import math
+from bisect import bisect_left
 from fractions import Fraction
 
+from .scalars import FieldMismatch
 from .grading import DimensionMismatch
-from .presentation import critical_grades, minimize
+from .presentation import CriticalGrades, minimize, restrict_diagonal
+from .onedim import barcode, diagram_bottleneck, matching_feasible
 from .interleave import (InterleavingProblem, is_interleaved,
-                         BudgetExceeded, DEFAULT_BUDGET)
+                         BudgetExceeded, UnsupportedField, DEFAULT_BUDGET)
 
 INF = math.inf
 
@@ -27,7 +32,10 @@ class CandidateSet:
 
     def __init__(self, values):
         self.values = tuple(sorted(set(values)))
-        assert self.values and self.values[0] == 0 and self.values[-1] == INF
+        if not (self.values and self.values[0] == 0
+                and self.values[-1] == INF):
+            raise ValueError(f"a candidate set must hold 0 and inf, got "
+                             f"{list(self.values)}")
 
     def finite(self):
         return [v for v in self.values if v != INF]
@@ -53,10 +61,15 @@ def candidate_set(P_M, P_N):
     """
     if P_M.n != P_N.n:
         raise DimensionMismatch(f"n={P_M.n} vs n={P_N.n}")
-    UM = critical_grades(P_M).axes
-    UN = critical_grades(P_N).axes
+    return _candidates(minimize(P_M), minimize(P_N))
+
+
+def _candidates(Pm, Pn):
+    """candidate_set of two minimal presentations with the same n."""
+    UM = CriticalGrades.of(Pm).axes
+    UN = CriticalGrades.of(Pn).axes
     vals = {Fraction(0), INF}
-    for i in range(P_M.n):
+    for i in range(Pm.n):
         for x in UM[i]:
             for y in UN[i]:
                 vals.add(abs(x - y))
@@ -67,48 +80,89 @@ def candidate_set(P_M, P_N):
     return CandidateSet(vals)
 
 
+def diagonal_lower_bound(P_M, P_N):
+    """A lower bound on d_I from the restrictions to diagonal lines.
+
+    Restricting to a line of slope (1, ..., 1) commutes with diagonal
+    shifts, so an e-interleaving of two modules restricts to one of
+    their restrictions, and d_B(M|L, N|L) <= d_I(M, N) for every such
+    line L. The bound is the max of d_B over the lines through every
+    generator and relation grade of the two presentations (pass minimal
+    ones, whose grades are the modules'), each line taken once, named
+    by its point with first coordinate 0. A line whose restrictions
+    already match within the bound found so far cannot raise it and
+    costs one matching test; the loop stops once the bound is inf.
+    For n = 1 there is one line and the bound is d_I itself.
+    """
+    grades = [*P_M.generators.grades, *(el.grade for el in P_M.relations),
+              *P_N.generators.grades, *(el.grade for el in P_N.relations)]
+    lines = dict.fromkeys(tuple(c - u.coords[0] for c in u.coords)
+                          for u in grades)
+    bound = Fraction(0)
+    for x in lines:
+        D1 = barcode(restrict_diagonal(P_M, x))
+        D2 = barcode(restrict_diagonal(P_N, x))
+        if not matching_feasible(D1, D2, bound)[0]:
+            bound = diagram_bottleneck(D1, D2)
+            if bound == INF:
+                break
+    return bound
+
+
 def interleaving_distance(P_M, P_N, budget=DEFAULT_BUDGET, threads=1):
     """(d_I, witness at d_I) — witness is None when the distance is inf.
 
-    Binary search over the finite candidates for the least feasible
-    one; if even the largest finite candidate fails, the distance is
-    infinite (it must lie in the candidate set, and only inf is left).
-    Probes at most ceil(log2(#finite candidates)) + 1 times.
-
     Both presentations are minimized once up front; the answer depends
-    only on the presented modules.
+    only on the presented modules. The distance lies in the finite
+    candidate set or is inf, and is at least LB = diagonal_lower_bound.
+    The search first probes the least candidate >= LB, which settles
+    the answer when the bound is tight (always for n = 1); after a No
+    it binary-searches the candidates above for the least feasible one,
+    and the distance is inf if none is. When LB is inf or above every
+    finite candidate the answer is inf without any probe. At most
+    ceil(log2(#finite candidates)) + 1 probes are made, and the witness
+    is the one is_interleaved finds at the distance.
+
+    The inputs are checked before any work, as the first probe would
+    check them: DimensionMismatch when n differs, FieldMismatch when
+    the fields do, and UnsupportedField over Q. BudgetExceeded from a
+    probe carries bracket = (lo, hi) with lo <= d_I <= hi: lo is the
+    least candidate >= LB above every No so far, hi the least candidate
+    confirmed Yes, or inf.
     """
-    cands = candidate_set(P_M, P_N)
-    finite = cands.finite()
+    if P_M.n != P_N.n:
+        raise DimensionMismatch(f"n={P_M.n} vs n={P_N.n}")
+    if P_M.field != P_N.field:
+        raise FieldMismatch(f"{P_M.field} vs {P_N.field}")
+    if P_M.field.is_rationals:
+        raise UnsupportedField(
+            "enumeration needs a finite field; over Q only witness "
+            "verification and system export are available")
     Pm = minimize(P_M)
     Pn = minimize(P_N)
+    finite = _candidates(Pm, Pn).finite()
 
-    status = {}
-
-    def probe(i, known_below):
-        prob = InterleavingProblem(Pm, Pn, finite[i])
-        try:
-            status[i] = is_interleaved(prob, budget, threads)
-        except BudgetExceeded as exc:
-            last_no = finite[known_below - 1] if known_below > 0 \
-                else Fraction(0)
-            raise BudgetExceeded(exc.required, exc.budget,
-                                 bracket=(last_no, finite[i])) from exc
-        return status[i]
-
-    lo, hi = 0, len(finite) - 1
+    # d_I is in finite[lo:hi], or else it is finite[hi] (answered Yes),
+    # or inf when hi == len(finite); every candidate below lo is below
+    # the bound or answered No
+    lo, hi = bisect_left(finite, diagonal_lower_bound(Pm, Pn)), len(finite)
+    mid, witness = lo, None
     while lo < hi:
-        mid = (lo + hi) // 2
-        if probe(mid, lo) is not None:
-            hi = mid
-        else:
+        prob = InterleavingProblem(Pm, Pn, finite[mid])
+        try:
+            w = is_interleaved(prob, budget, threads)
+        except BudgetExceeded as exc:
+            upper = finite[hi] if hi < len(finite) else INF
+            raise BudgetExceeded(exc.required, exc.budget,
+                                 bracket=(finite[lo], upper)) from exc
+        if w is None:
             lo = mid + 1
-    if lo not in status:
-        probe(lo, lo)
-    witness = status[lo]
-    if witness is None:
+        else:
+            hi, witness = mid, w
+        mid = (lo + hi) // 2
+    if hi == len(finite):
         return INF, None
-    return finite[lo], witness
+    return finite[hi], witness
 
 
 def is_isomorphic(P_M, P_N, budget=DEFAULT_BUDGET, threads=1):

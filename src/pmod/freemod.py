@@ -33,9 +33,13 @@ class BasisMismatch(Exception):
 
 
 class GradedSet:
-    """An ordered list of (name, grade). Order fixes matrix indexing."""
+    """An ordered list of (name, grade). Order fixes matrix indexing.
 
-    __slots__ = ("names", "grades", "_pos")
+    Graded sets are small and live as long as every matrix over them,
+    so they hold the two tuples only; position() scans the names.
+    """
+
+    __slots__ = ("names", "grades")
 
     def __init__(self, items):
         items = list(items)
@@ -46,7 +50,6 @@ class GradedSet:
         for g in self.grades[1:]:
             if len(g) != len(self.grades[0]):
                 raise DimensionMismatch("mixed grade dimensions in graded set")
-        self._pos = {name: i for i, name in enumerate(self.names)}
 
     def __len__(self):
         return len(self.names)
@@ -55,7 +58,9 @@ class GradedSet:
         return iter(zip(self.names, self.grades))
 
     def position(self, name):
-        return self._pos[name]
+        if name not in self.names:
+            raise KeyError(name)
+        return self.names.index(name)
 
     def __eq__(self, other):
         return (isinstance(other, GradedSet)
@@ -143,7 +148,7 @@ class MorphismMatrix:
         from fractions import Fraction
         self.domain = domain
         self.codomain = codomain
-        self.shift = Fraction(shift)
+        self.shift = shift if type(shift) is Fraction else Fraction(shift)
         entries = [list(row) for row in entries]
         if len(entries) != len(codomain):
             raise BasisMismatch(

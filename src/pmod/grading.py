@@ -16,10 +16,12 @@ class DimensionMismatch(Exception):
 class Grade:
     """A point of the parameter space: an n-tuple of exact rationals."""
 
-    __slots__ = ("coords",)
+    __slots__ = ("coords", "__weakref__")
 
     def __init__(self, coords):
-        self.coords = tuple(Fraction(c) for c in coords)
+        # Fractions are immutable, so one given as a coordinate is kept
+        self.coords = tuple(c if type(c) is Fraction else Fraction(c)
+                            for c in coords)
 
     def __len__(self):
         return len(self.coords)

@@ -32,9 +32,6 @@ depends on the presented module, which is checked as a property test
 elsewhere (a presentation and its minimization give equal answers).
 """
 
-import threading
-from concurrent.futures import ThreadPoolExecutor
-
 from .scalars import FieldMismatch
 from .grading import grade_leq, grade_shift, check_epsilon, DimensionMismatch
 from .freemod import (MorphismMatrix, compose, make_element,
@@ -292,8 +289,9 @@ class _Side:
                               for (i, jj) in self.free])
         Z = nullspace(zrows, len(self.free), field)
         U = _complement(V, Z, len(self.free), field)
-        assert len(U) + len(Z) == len(V), \
-            "translation space not inside the constraint space"
+        if len(U) + len(Z) != len(V):
+            raise AssertionError(
+                "translation space not inside the constraint space")
         self.U = [[c.value for c in u] for u in U]
 
         # static data for the per-candidate linear solve of the partner
@@ -369,15 +367,26 @@ class _Side:
         return _int_solve_rows(rows, len(yfree), rhs, p)
 
     def materialize(self, F, y):
-        """Lift an (int F, int y) hit into Scalar morphism matrices."""
+        """Lift an (int F, int y) hit into Scalar morphism matrices.
+
+        Scalars are immutable, so the matrices share one per distinct
+        residue; a witness a caller keeps holds a handful, not one per
+        entry.
+        """
         field = self.prob.field
-        f_entries = [[field.scalar(x) for x in row] for row in F]
+        lifted = {}
+
+        def lift(x):
+            if x not in lifted:
+                lifted[x] = field.scalar(x)
+            return lifted[x]
+
+        f_entries = [[lift(x) for x in row] for row in F]
         F_mat = MorphismMatrix(self.src.generators, self.tgt.generators,
                                f_entries, self.prob.e, field)
-        y_entries = [[field.zero()] * self._ntgt
-                     for _ in range(self._nsrc)]
+        y_entries = [[lift(0)] * self._ntgt for _ in range(self._nsrc)]
         for (i, j), c in zip(self.yfree, y):
-            y_entries[i][j] = field.scalar(c)
+            y_entries[i][j] = lift(c)
         Y_mat = MorphismMatrix(self.tgt.generators, self.src.generators,
                                y_entries, self.prob.e, field)
         return F_mat, Y_mat
@@ -412,7 +421,8 @@ def is_interleaved(prob, budget=DEFAULT_BUDGET, threads=1):
             w = InterleavingWitness(F_mat, Y_mat)
         else:
             w = InterleavingWitness(Y_mat, F_mat)
-        assert check_closure(w.A, w.B, prob)
+        if not check_closure(w.A, w.B, prob):
+            raise AssertionError("found witness fails the closure check")
         return w
 
     if threads <= 1 or total == 1:
@@ -422,6 +432,11 @@ def is_interleaved(prob, budget=DEFAULT_BUDGET, threads=1):
             if y is not None:
                 return witness_from(F, y)
         return None
+
+    # imported here: concurrent.futures costs about 0.8 MB and most
+    # callers never ask for threads
+    import threading
+    from concurrent.futures import ThreadPoolExecutor
 
     lock = threading.Lock()
     best = {"index": None, "pair": None}

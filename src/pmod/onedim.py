@@ -13,8 +13,10 @@ deaths (two essential classes cost nothing to match).
 """
 
 import math
+from bisect import bisect_right
 from collections import Counter, deque
 from fractions import Fraction
+from itertools import chain
 
 from .scalars import inv
 
@@ -191,7 +193,14 @@ def interval_bottleneck(I1, I2):
 
 
 def _hopcroft_karp(adj, nleft, nright):
-    """Maximum bipartite matching. Returns (size, left_match)."""
+    """Maximum bipartite matching. Returns (size, left_match).
+
+    The augmenting depth-first search keeps its own stack of (vertex,
+    next edge) frames rather than recursing: an augmenting path can be
+    longer than the interpreter's recursion limit. It tries the edges in
+    the same order a recursive search would, so it finds the same
+    matching.
+    """
     match_l = [-1] * nleft
     match_r = [-1] * nright
     while True:
@@ -214,21 +223,84 @@ def _hopcroft_karp(adj, nleft, nright):
         if not reachable_free:
             break
 
-        def augment(i):
-            for j in adj[i]:
-                w = match_r[j]
-                if w == -1 or (dist[w] == dist[i] + 1 and augment(w)):
-                    match_l[i] = j
-                    match_r[j] = i
-                    return True
-            dist[i] = -1
-            return False
-
-        for i in range(nleft):
-            if match_l[i] == -1:
-                augment(i)
+        for root in range(nleft):
+            if match_l[root] != -1:
+                continue
+            path, edge = [root], [0]
+            while path:
+                i = path[-1]
+                k = edge[-1]
+                if k == len(adj[i]):
+                    dist[i] = -1  # dead end for the rest of this phase
+                    path.pop()
+                    edge.pop()
+                    continue
+                edge[-1] = k + 1
+                w = match_r[adj[i][k]]
+                if w == -1:
+                    for i, k in zip(path, edge):
+                        j = adj[i][k - 1]
+                        match_l[i] = j
+                        match_r[j] = i
+                    break
+                if dist[w] == dist[i] + 1:
+                    path.append(w)
+                    edge.append(0)
     size = sum(1 for j in match_l if j != -1)
     return size, match_l
+
+
+class _Costs:
+    """Everything the matching graph of two diagrams is built from,
+    computed once per diagram pair.
+
+    L1, L2 list each diagram's intervals with multiplicity. values is
+    the sorted candidate list: 0, inf, every halfwidth and every
+    pairwise interval_bottleneck. The costs are stored as indices into
+    values, so whether an edge exists at tolerance values[t] is an int
+    comparison with t.
+    """
+
+    __slots__ = ("L1", "L2", "values", "cost", "half1", "half2")
+
+    def __init__(self, D1, D2):
+        self.L1 = [i for i, m in D1.pairs() for _ in range(m)]
+        self.L2 = [j for j, m in D2.pairs() for _ in range(m)]
+        cost = [[interval_bottleneck(I, J) for J in self.L2]
+                for I in self.L1]
+        half1 = [I.halfwidth() for I in self.L1]
+        half2 = [J.halfwidth() for J in self.L2]
+        self.values = sorted({Fraction(0), INF, *half1, *half2,
+                              *chain.from_iterable(cost)})
+        rank = {v: t for t, v in enumerate(self.values)}
+        self.cost = [[rank[c] for c in row] for row in cost]
+        self.half1 = [rank[h] for h in half1]
+        self.half2 = [rank[h] for h in half2]
+
+    def matching(self, t):
+        """Left side of a perfect matching of the dummy-augmented graph
+        at tolerance values[t], or None when there is none.
+
+        Side 1 holds the intervals of D1 plus one dummy per interval of
+        D2, side 2 symmetrically. An interval pair is an edge when its
+        cost is <= the tolerance; dummies accept any interval whose
+        halfwidth is (it goes to the diagonal) and each other.
+        """
+        m, k = len(self.L1), len(self.L2)
+        # left nodes: 0..m-1 real, m..m+k-1 dummy
+        # right nodes: 0..k-1 real, k..k+m-1 dummy
+        dummies2 = range(k, k + m)
+        adj = []
+        for row, h in zip(self.cost, self.half1):
+            a = [b for b, c in enumerate(row) if c <= t]
+            if h <= t:
+                a.extend(dummies2)
+            adj.append(a)
+        diag2 = [b for b, h in enumerate(self.half2) if h <= t]
+        diag2.extend(dummies2)
+        adj.extend(diag2 for _ in range(k))  # read only: one list serves all
+        size, match_l = _hopcroft_karp(adj, m + k, k + m)
+        return match_l if size == m + k else None
 
 
 def matching_feasible(D1, D2, e):
@@ -236,34 +308,21 @@ def matching_feasible(D1, D2, e):
 
     Matched pairs must have interval_bottleneck <= e; an interval may
     instead go unmatched (to the diagonal) when its halfwidth <= e.
-    Decided by perfect matching on the dummy-augmented bipartite graph:
-    side 1 holds the intervals of D1 plus one dummy per interval of D2,
-    side 2 symmetrically; dummies accept any diagonal-eligible interval
-    and each other. Returns (feasible, Multibijection or None).
+    Decided by perfect matching on the dummy-augmented bipartite graph
+    (_Costs.matching). Returns (feasible, Multibijection or None); the
+    witness is re-checked against both diagrams before it is returned.
     """
     if e != INF and e < 0:
         raise ValueError(f"negative tolerance {e}")
-    L1 = [i for i, m in D1.pairs() for _ in range(m)]
-    L2 = [j for j, m in D2.pairs() for _ in range(m)]
-    m, k = len(L1), len(L2)
-    # left nodes: 0..m-1 real, m..m+k-1 dummy
-    # right nodes: 0..k-1 real, k..k+m-1 dummy
-    adj = [[] for _ in range(m + k)]
-    for a, I in enumerate(L1):
-        for b, J in enumerate(L2):
-            if interval_bottleneck(I, J) <= e:
-                adj[a].append(b)
-        if I.halfwidth() <= e:
-            adj[a].extend(range(k, k + m))
-    diag2 = [b for b, J in enumerate(L2) if J.halfwidth() <= e]
-    for t in range(k):
-        adj[m + t].extend(diag2)
-        adj[m + t].extend(range(k, k + m))
-
-    size, match_l = _hopcroft_karp(adj, m + k, k + m)
-    if size < m + k:
+    costs = _Costs(D1, D2)
+    # every cost is a candidate value, so cost <= e exactly when it is
+    # <= the largest candidate value <= e
+    match_l = costs.matching(bisect_right(costs.values, e) - 1)
+    if match_l is None:
         return False, None
 
+    L1, L2 = costs.L1, costs.L2
+    m, k = len(L1), len(L2)
     matched = Counter()
     un1 = Counter()
     un2 = Counter()
@@ -278,31 +337,34 @@ def matching_feasible(D1, D2, e):
         if j < k:
             un2[L2[j]] += 1
     witness = Multibijection(matched, un1, un2)
-    assert witness.check_against(D1, D2)
+    if not witness.check_against(D1, D2):
+        raise AssertionError("matching witness does not reproduce the "
+                             "diagrams")
     return True, witness
 
 
 def bottleneck_candidates(D1, D2):
-    cands = {Fraction(0), INF}
-    for I in D1.support():
-        cands.add(I.halfwidth())
-    for J in D2.support():
-        cands.add(J.halfwidth())
-    for I in D1.support():
-        for J in D2.support():
-            cands.add(interval_bottleneck(I, J))
-    return sorted(cands)
+    """Sorted values the bottleneck distance could take: 0, inf, every
+    halfwidth and every pairwise interval_bottleneck."""
+    return _Costs(D1, D2).values
 
 
 def diagram_bottleneck(D1, D2):
     """Least e at which a feasible multibijection exists.
 
-    The optimum is always one of: 0, an endpoint distance between two
-    intervals, or a halfwidth; scanning that finite list in order gives
-    the exact infimum.
+    The optimum is always one of bottleneck_candidates: 0, an endpoint
+    distance between two intervals, or a halfwidth. Feasibility is
+    monotone in e and always holds at inf, so a binary search over that
+    sorted list finds the exact minimum. The pairwise costs are
+    computed once; each step of the search runs one perfect-matching
+    test on them.
     """
-    for c in bottleneck_candidates(D1, D2):
-        ok, _ = matching_feasible(D1, D2, c)
-        if ok:
-            return c
-    raise AssertionError("infinite tolerance must always be feasible")
+    costs = _Costs(D1, D2)
+    lo, hi = 0, len(costs.values) - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if costs.matching(mid) is not None:
+            hi = mid
+        else:
+            lo = mid + 1
+    return costs.values[lo]

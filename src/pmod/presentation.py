@@ -20,11 +20,22 @@ coordinates, stable within ties), so parse and serialize are mutually
 inverse on the nose.
 """
 
+import sys
+import weakref
+
 from .scalars import FieldSpec, parse_scalar_literal, inv
 from .grading import (Grade, grade_leq, grade_shift, check_epsilon,
                       parse_grade, format_grade, DimensionMismatch)
 from .freemod import (GradedSet, make_element, span_membership,
                       BasisMismatch)
+
+
+# Grades and names are immutable, and a caller may keep many parsed
+# modules alive (a distance matrix keeps a witness per pair, and each
+# witness holds its modules' generators). So parse hands out one Grade
+# object per distinct grade while any is alive, and interns generator
+# names.
+_PARSED_GRADES = weakref.WeakValueDictionary()
 
 
 class ParseError(Exception):
@@ -108,6 +119,20 @@ class CriticalGrades:
         for a in self.axes:
             assert list(a) == sorted(set(a))
 
+    @classmethod
+    def of(cls, P):
+        """Per-axis coordinates of P's grades, P taken as given.
+
+        critical_grades minimizes first; call this directly only on a
+        presentation that is already minimal.
+        """
+        axes = []
+        for i in range(P.n):
+            coords = {g.coords[i] for g in P.generators.grades}
+            coords.update(el.grade.coords[i] for el in P.relations)
+            axes.append(sorted(coords))
+        return cls(axes)
+
     def __eq__(self, other):
         return isinstance(other, CriticalGrades) and self.axes == other.axes
 
@@ -163,9 +188,10 @@ def parse(text):
 
     def parse_grade_here(textpart, lineno):
         try:
-            return parse_grade(textpart, n)
+            g = parse_grade(textpart, n)
         except (ValueError, DimensionMismatch) as exc:
             fail(str(exc), lineno)
+        return _PARSED_GRADES.setdefault(g.coords, g)
 
     for lineno, body in significant[3:]:
         kind = body.split(None, 1)[0]
@@ -179,7 +205,8 @@ def parse(text):
             if gname in gen_lines:
                 fail(f"duplicate generator {gname!r}", lineno)
             gen_lines[gname] = lineno
-            gen_items.append((gname, parse_grade_here(gradepart, lineno)))
+            gen_items.append((sys.intern(gname),
+                              parse_grade_here(gradepart, lineno)))
         elif kind == "rel":
             rest = body[len("rel"):].strip()
             if "@" not in rest or "=" not in rest:
@@ -194,6 +221,7 @@ def parse(text):
             fail(f"unrecognized directive {kind!r}", lineno)
 
     gens = GradedSet(gen_items)
+    position = {gname: j for j, gname in enumerate(gens.names)}
     pairs = []
     seen = set()
     for rname, rgrade, terms, lineno in rel_lines:
@@ -207,14 +235,14 @@ def parse(text):
                 if "*" not in piece:
                     fail(f"expected '<coeff>*<gen>' in term {piece!r}", lineno)
                 ctext, gname = (s.strip() for s in piece.rsplit("*", 1))
-                if gname not in gens._pos:
+                if gname not in position:
                     fail(f"unknown generator {gname!r} in relation {rname!r}",
                          lineno)
                 try:
                     c = parse_scalar_literal(ctext, field)
                 except ValueError as exc:
                     fail(str(exc), lineno)
-                j = gens.position(gname)
+                j = position[gname]
                 coeffs[j] = coeffs[j] + c
         # make_element raises PatternViolation on a bad relation grade;
         # let that escape as-is, it is a semantic error not a syntax one
@@ -309,16 +337,7 @@ def minimize(P):
 
 def critical_grades(P):
     """Per-axis coordinate sets of the minimized presentation's grades."""
-    Pm = minimize(P)
-    axes = []
-    for i in range(Pm.n):
-        coords = set()
-        for g in Pm.generators.grades:
-            coords.add(g.coords[i])
-        for el in Pm.relations:
-            coords.add(el.grade.coords[i])
-        axes.append(sorted(coords))
-    return CriticalGrades(axes)
+    return CriticalGrades.of(minimize(P))
 
 
 def shift_presentation(P, e, direction):
@@ -338,6 +357,32 @@ def shift_presentation(P, e, direction):
         pairs.append((nm, make_element(gens, grade_shift(el.grade, delta),
                                        el.coeffs, P.field)))
     return Presentation(P.field, P.n, gens, pairs, P.name)
+
+
+def restrict_diagonal(P, x):
+    """Presentation of the restriction of P's module to a diagonal line.
+
+    The line is {x + t(1, ..., 1) : t real}, and the restriction is the
+    one-parameter module t -> M(x + t(1, ..., 1)). The free module
+    generated at u restricts to the free module generated at the least
+    t with u <= x + t(1, ..., 1), which is max_i(u_i - x_i).
+    Restriction is exact, so P's matrix with every generator and
+    relation grade mapped that way presents the restriction.
+    """
+    if not isinstance(x, Grade):
+        x = Grade(x)
+    if len(x) != P.n:
+        raise DimensionMismatch(
+            f"line through a {len(x)}-parameter point for a {P.n}-parameter "
+            f"presentation")
+
+    def on_line(u):
+        return Grade((max(a - b for a, b in zip(u.coords, x.coords)),))
+
+    gens = GradedSet([(nm, on_line(g)) for nm, g in P.generators])
+    pairs = [(nm, make_element(gens, on_line(el.grade), el.coeffs, P.field))
+             for nm, el in P.rel_pairs()]
+    return Presentation(P.field, 1, gens, pairs, P.name)
 
 
 def box_interval(field, lower, uppers, name="M"):

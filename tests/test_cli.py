@@ -184,3 +184,16 @@ def test_threads_flag_accepted(runner, files):
     r = runner.invoke(main, ["distance", m, n, "--threads", "3"])
     assert r.exit_code == 0
     assert r.output == "d_I = 1\n"
+
+
+def test_distance_inf_needs_no_search(runner, tmp_path):
+    # the diagonal-line bound is inf here, so no search runs and even a
+    # budget that refuses every search gets the answer
+    free = tmp_path / "free.pmod"
+    free.write_text("module F\nfield F2\nparams 2\ngen a @ (0, 1/2)\n")
+    zero = tmp_path / "zero.pmod"
+    zero.write_text("module Z\nfield F2\nparams 2\n")
+    r = runner.invoke(main, ["distance", str(free), str(zero),
+                             "--budget", "0"])
+    assert r.exit_code == 0
+    assert r.output == "d_I = inf\n"

@@ -3,12 +3,14 @@ import pytest
 from fractions import Fraction
 
 import pmod.distance as distance_mod
-from pmod import (INF, BudgetExceeded, DimensionMismatch, FieldSpec,
-                  InterleavingProblem, barcode, box_interval, candidate_set,
-                  check_closure, diagram_bottleneck, interleaving_distance,
-                  is_isomorphic, minimize, parse)
+from pmod import (INF, BudgetExceeded, CandidateSet, DimensionMismatch,
+                  FieldMismatch, FieldSpec, InterleavingProblem,
+                  UnsupportedField, barcode, box_interval, candidate_set,
+                  check_closure, diagonal_lower_bound, diagram_bottleneck,
+                  interleaving_distance, is_interleaved, is_isomorphic,
+                  minimize, parse)
 
-from conftest import F2, F5, random_presentation, rng_for
+from conftest import F2, F3, F5, random_presentation, rng_for
 
 M_TEXT = "module M\nfield F5\nparams 1\ngen a @ 0\nrel r1 @ 3 = 1*a\n"
 N_TEXT = "module N\nfield F5\nparams 1\ngen b @ 1\nrel s1 @ 3 = 1*b\n"
@@ -88,7 +90,6 @@ def test_distance_is_a_candidate_and_closure_holds():
                 below = [c for c in candidate_set(P, Q).finite() if c < d]
                 if below:
                     probe = InterleavingProblem(Pm, Qm, below[-1])
-                    from pmod import is_interleaved
                     assert is_interleaved(probe) is None
 
 
@@ -123,6 +124,8 @@ def test_distance_budget_propagates_with_bracket():
     lo, hi = err.value.bracket
     assert 0 <= lo < hi
     assert "bracketed" in str(err.value)
+    d, _ = interleaving_distance(parse(M_TEXT), parse(N_TEXT))
+    assert lo <= d <= hi
 
 
 def test_distance_agrees_with_bottleneck_on_barcodes():
@@ -156,3 +159,180 @@ def test_distance_symmetry_small():
         d1, _ = interleaving_distance(P, Q)
         d2, _ = interleaving_distance(Q, P)
         assert d1 == d2
+
+
+def _probe_log(monkeypatch, fail_after=None):
+    """Route interleaving_distance's probes through a recorder.
+
+    Returns the list of probed eps values. With fail_after = k, every
+    probe after the k-th raises BudgetExceeded instead of searching.
+    """
+    log = []
+
+    def recording(prob, budget, threads):
+        if fail_after is not None and len(log) >= fail_after:
+            raise BudgetExceeded(2, 1)
+        log.append(prob.e)
+        return is_interleaved(prob, budget, threads)
+
+    monkeypatch.setattr(distance_mod, "is_interleaved", recording)
+    return log
+
+
+# a pair where the diagonal-line bound (2) is below d_I (3): the search
+# probes 2, 10/3, 3, 11/4, in that order
+LOOSE_M = ("module M\nfield F2\nparams 3\n"
+           "gen g1 @ (2, 2, 4)\ngen g2 @ (3, 11/4, 2/3)\n"
+           "gen g3 @ (10/3, 1, 2)\n"
+           "rel r1 @ (10/3, 11/4, 4) = 1*g2 + 1*g3\n")
+LOOSE_N = ("module N\nfield F2\nparams 3\n"
+           "gen g1 @ (10/3, 4, 1/4)\ngen g2 @ (0, 0, 2)\n")
+
+
+def test_loose_bound_search(monkeypatch):
+    P, Q = parse(LOOSE_M), parse(LOOSE_N)
+    assert diagonal_lower_bound(P, Q) == 2
+    log = _probe_log(monkeypatch)
+    d, w = interleaving_distance(P, Q)
+    assert d == 3 and w is not None
+    assert log == [2, Fraction(10, 3), 3, Fraction(11, 4)]
+    bound = math.ceil(math.log2(len(candidate_set(P, Q).finite()))) + 1
+    assert len(log) <= bound
+
+
+def test_search_from_any_bound_within_probe_limit(monkeypatch):
+    """With the bound anywhere at or below the distance, the search
+    finds the least Yes candidate (or inf) and never probes below the
+    bound or more than ceil(log2(#finite)) + 1 times."""
+    P, Q = parse(LOOSE_M), parse(LOOSE_N)
+    finite = candidate_set(P, Q).finite()
+    limit = math.ceil(math.log2(len(finite))) + 1
+    bounds = finite + [(a + b) / 2 for a, b in zip(finite, finite[1:])]
+    for first_yes in range(len(finite) + 1):
+        d = finite[first_yes] if first_yes < len(finite) else INF
+        for lb in bounds:
+            if lb > d:
+                continue
+            probed = []
+
+            def threshold(prob, budget, threads):
+                probed.append(prob.e)
+                return "yes" if prob.e >= d else None
+
+            monkeypatch.setattr(distance_mod, "is_interleaved", threshold)
+            monkeypatch.setattr(distance_mod, "diagonal_lower_bound",
+                                lambda Pm, Pn, lb=lb: lb)
+            got = interleaving_distance(P, Q)
+            assert got == ((d, "yes") if d != INF else (INF, None))
+            assert len(probed) <= limit
+            assert all(e >= lb for e in probed)
+            assert probed[0] == min(e for e in finite if e >= lb)
+
+
+def test_bracket_holds_the_distance_after_earlier_probes(monkeypatch):
+    """A budget hit on any probe brackets d_I: the lower end is the
+    least candidate >= the bound above every No, the upper end the
+    least confirmed Yes, or inf."""
+    P, Q = parse(LOOSE_M), parse(LOOSE_N)
+    brackets = []
+    for k in range(4):
+        _probe_log(monkeypatch, fail_after=k)
+        with pytest.raises(BudgetExceeded) as err:
+            interleaving_distance(P, Q)
+        brackets.append(err.value.bracket)
+    # No at 2; Yes at 10/3; Yes at 3; the fourth probe would settle it
+    q = Fraction(11, 4)
+    assert brackets == [(2, INF), (q, INF), (q, Fraction(10, 3)), (q, 3)]
+
+
+def test_lower_bound_below_distance_n2_and_n3():
+    """LB <= d_I, checked without the seeded search: the modules are
+    not interleaved at the largest candidate below LB (by monotonicity
+    that is every eps < LB)."""
+    rng = rng_for(807)
+    for n, count in ((2, 50), (3, 20)):
+        for _ in range(count):
+            P = minimize(random_presentation(rng, F2, n, name="M"))
+            Q = minimize(random_presentation(rng, F2, n, name="N"))
+            lb = diagonal_lower_bound(P, Q)
+            below = [c for c in candidate_set(P, Q).finite() if c < lb]
+            if below:
+                prob = InterleavingProblem(P, Q, below[-1])
+                assert is_interleaved(prob) is None, (n, lb, below[-1])
+
+
+def test_lower_bound_is_the_distance_for_n1(monkeypatch):
+    rng = rng_for(808)
+    for field in (F2, F3):
+        for _ in range(15):
+            P = random_presentation(rng, field, 1, name="M")
+            Q = random_presentation(rng, field, 1, name="N")
+            lb = diagonal_lower_bound(minimize(P), minimize(Q))
+            dB = diagram_bottleneck(barcode(P), barcode(Q))
+            log = _probe_log(monkeypatch)
+            d, _ = interleaving_distance(P, Q)
+            assert lb == dB == d
+            # a tight bound settles the search with one Yes, or none at inf
+            assert len(log) == (0 if d == INF else 1)
+
+
+def test_infinite_distance_needs_no_probe(monkeypatch):
+    free = parse("module M\nfield F2\nparams 2\ngen a @ (0, 0)\n")
+    Z = parse("module Z\nfield F2\nparams 2\n")
+    log = _probe_log(monkeypatch)
+    # budget 0 refuses every search, so this answer comes from the bound
+    assert interleaving_distance(free, Z, budget=0) == (INF, None)
+    assert log == []
+
+
+def test_input_checks_come_before_the_bound():
+    M2 = box_interval(F2, [0, 0], [[1, 1]])
+    with pytest.raises(DimensionMismatch):
+        interleaving_distance(parse(M_TEXT), M2)
+    F2_M = parse(M_TEXT.replace("F5", "F2"))
+    with pytest.raises(FieldMismatch):
+        interleaving_distance(F2_M, parse(N_TEXT))
+    Q_free = parse("module M\nfield Q\nparams 1\ngen a @ 0\n")
+    Q_zero = parse("module Z\nfield Q\nparams 1\n")
+    with pytest.raises(UnsupportedField):
+        interleaving_distance(Q_free, Q_zero)
+
+
+def test_witness_is_the_search_at_the_distance():
+    rng = rng_for(809)
+    for n in (1, 2):
+        for _ in range(15):
+            P = random_presentation(rng, F2, n, name="M")
+            Q = random_presentation(rng, F2, n, name="N")
+            d, w = interleaving_distance(P, Q)
+            if d == INF:
+                continue
+            want = is_interleaved(
+                InterleavingProblem(minimize(P), minimize(Q), d))
+            assert w.A == want.A and w.B == want.B
+
+
+def test_every_candidate_probed_is_monotone():
+    """Probing every finite candidate gives No...No Yes...Yes, and the
+    first Yes is the distance (inf when there is none)."""
+    rng = rng_for(810)
+    for n in (1, 2):
+        for _ in range(12):
+            P = minimize(random_presentation(rng, F2, n, max_gens=2,
+                                             name="M"))
+            Q = minimize(random_presentation(rng, F2, n, max_gens=2,
+                                             name="N"))
+            finite = candidate_set(P, Q).finite()
+            yes = [is_interleaved(InterleavingProblem(P, Q, e)) is not None
+                   for e in finite]
+            assert yes == sorted(yes)
+            d, _ = interleaving_distance(P, Q)
+            assert d == (finite[yes.index(True)] if any(yes) else INF)
+
+
+def test_candidate_set_invariant():
+    with pytest.raises(ValueError):
+        CandidateSet([1, 2])
+    with pytest.raises(ValueError):
+        CandidateSet([0, 1])
+    assert list(CandidateSet([INF, 1, 0, 1])) == [0, 1, INF]

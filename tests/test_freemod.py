@@ -23,6 +23,8 @@ B1 = _basis(F5, [("a", 0), ("b", 1), ("c", 2)])
 def test_graded_set_invariants():
     assert len(B1) == 3
     assert B1.position("b") == 1
+    with pytest.raises(KeyError):
+        B1.position("d")
     assert B1.names == ("a", "b", "c")
     with pytest.raises(ValueError):
         GradedSet([("a", Grade([0])), ("a", Grade([1]))])

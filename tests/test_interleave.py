@@ -1,5 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from fractions import Fraction
+
+import pmod
 
 from pmod import (BudgetExceeded, DimensionMismatch, FieldMismatch,
                   FieldSpec, InterleavingProblem, MorphismMatrix,
@@ -232,3 +239,69 @@ def test_export_solvability_matches_search():
         checked += 1
         want = is_interleaved(prob) is not None
         assert brute_system_solvable(text, 2) == want, text
+
+
+# Run under python -O, where assert statements are stripped: every
+# certificate check must still refuse a bad answer.
+OPTIMIZED_SCRIPT = """
+import pmod.interleave
+from pmod import (CandidateSet, InterleavingProblem, Multibijection,
+                  diagram_of, Interval, is_interleaved, matching_feasible,
+                  parse)
+
+if __debug__:
+    raise SystemExit("not running under python -O")
+try:
+    CandidateSet([1, 2])
+except ValueError:
+    pass
+else:
+    raise SystemExit("CandidateSet([1, 2]) was accepted")
+
+M = parse("module M\\nfield F5\\nparams 1\\ngen a @ 0\\nrel r1 @ 3 = 1*a\\n")
+pmod.interleave.check_closure = lambda A, B, prob: False
+try:
+    w = is_interleaved(InterleavingProblem(M, M, 0))
+except AssertionError:
+    pass
+else:
+    raise SystemExit("a witness failing the closure check was returned")
+
+Multibijection.check_against = lambda self, D1, D2: False
+D = diagram_of([Interval(0, 1)])
+try:
+    matching_feasible(D, D, 0)
+except AssertionError:
+    pass
+else:
+    raise SystemExit("a matching failing its check was returned")
+print("ok")
+"""
+
+
+def test_certificate_checks_survive_python_O():
+    src = str(Path(pmod.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    done = subprocess.run([sys.executable, "-O", "-c", OPTIMIZED_SCRIPT],
+                          env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert done.stdout.strip() == "ok"
+
+
+def test_witness_shares_one_scalar_per_residue():
+    # callers keep witnesses (a distance matrix keeps hundreds), so the
+    # matrices share Scalar objects rather than hold one per entry
+    rng = rng_for(240)
+    entries = 0
+    while entries < 8:
+        P = random_presentation(rng, F5, 2, min_gens=2, name="M")
+        Q = random_presentation(rng, F5, 2, min_gens=2, name="N")
+        w = is_interleaved(InterleavingProblem(P, Q, 2))
+        if w is None:
+            continue
+        values = [x for mat in (w.A, w.B) for row in mat.entries for x in row]
+        entries = len(values)
+        assert len({id(x) for x in values}) == len({x.value for x in values})

@@ -1,11 +1,15 @@
 import math
+import random
 import pytest
 from fractions import Fraction
+
+from hypothesis import given, settings, strategies as st
 
 from pmod import (INF, Interval, NotOneParameter, PersistenceDiagram,
                   barcode, bottleneck_candidates, box_interval,
                   diagram_bottleneck, diagram_of, format_extended,
                   interval_bottleneck, matching_feasible, parse)
+from pmod.onedim import _hopcroft_karp
 
 from conftest import (F2, F5, brute_bottleneck, dim_at, random_diagram,
                       random_presentation, rng_for)
@@ -191,3 +195,81 @@ def test_diagram_bottleneck_is_pseudometric_on_samples():
         dcb = diagram_bottleneck(C, B)
         assert dab <= dac + dcb
         assert diagram_bottleneck(A, A) == 0
+
+
+_quarters = st.integers(0, 16).map(lambda k: Fraction(k, 4))
+_intervals = st.builds(
+    lambda b, w, infinite: Interval(b, INF if infinite else b + w),
+    _quarters, _quarters, st.booleans())
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_intervals, max_size=4), st.lists(_intervals, max_size=4))
+def test_diagram_bottleneck_is_brute_force_minimum(L1, L2):
+    D1, D2 = diagram_of(L1), diagram_of(L2)
+    assert diagram_bottleneck(D1, D2) == brute_bottleneck(D1, D2)
+
+
+def test_hopcroft_karp_long_augmenting_path():
+    # the last left vertex can only be matched by shifting every other
+    # one along, an augmenting path of length 3000
+    n = 3000
+    adj = [[i, i + 1] for i in range(n - 1)] + [[0]]
+    size, match_l = _hopcroft_karp(adj, n, n)
+    assert size == n
+    assert match_l == [i + 1 for i in range(n - 1)] + [0]
+
+
+def _recursive_hopcroft_karp(adj, nleft, nright):
+    """Reference: the textbook formulation with a recursive search."""
+    match_l = [-1] * nleft
+    match_r = [-1] * nright
+    while True:
+        dist = [-1] * nleft
+        layer = [i for i in range(nleft) if match_l[i] == -1]
+        for i in layer:
+            dist[i] = 0
+        reachable_free = False
+        while layer:
+            nxt = []
+            for i in layer:
+                for j in adj[i]:
+                    w = match_r[j]
+                    if w == -1:
+                        reachable_free = True
+                    elif dist[w] == -1:
+                        dist[w] = dist[i] + 1
+                        nxt.append(w)
+            layer = nxt
+        if not reachable_free:
+            break
+
+        def augment(i):
+            for j in adj[i]:
+                w = match_r[j]
+                if w == -1 or (dist[w] == dist[i] + 1 and augment(w)):
+                    match_l[i] = j
+                    match_r[j] = i
+                    return True
+            dist[i] = -1
+            return False
+
+        for i in range(nleft):
+            if match_l[i] == -1:
+                augment(i)
+    return sum(1 for j in match_l if j != -1), match_l
+
+
+def test_hopcroft_karp_matches_recursive_reference():
+    """The iterative search finds the very matching the recursive one
+    does, so matching witnesses do not change."""
+    rng = random.Random(605)
+    for _ in range(300):
+        nleft, nright = rng.randint(0, 12), rng.randint(0, 12)
+        density = rng.random()
+        adj = [[j for j in range(nright) if rng.random() < density]
+               for _ in range(nleft)]
+        for a in adj:
+            rng.shuffle(a)
+        assert _hopcroft_karp(adj, nleft, nright) == \
+            _recursive_hopcroft_karp(adj, nleft, nright)

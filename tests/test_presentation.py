@@ -1,13 +1,15 @@
 import pytest
 from fractions import Fraction
 
-from pmod import (FieldMismatch, Grade, GradeOrderViolation, GradedSet,
-                  ParseError, PatternViolation, Presentation, box_interval,
-                  critical_grades, make_element, minimize, parse,
-                  relation_matrix, serialize, shift_presentation)
+from pmod import (DimensionMismatch, FieldMismatch, Grade,
+                  GradeOrderViolation, GradedSet, Interval, ParseError,
+                  PatternViolation, Presentation, barcode, box_interval,
+                  critical_grades, diagram_of, make_element, minimize, parse,
+                  relation_matrix, restrict_diagonal, serialize,
+                  shift_presentation)
 
-from conftest import (F2, F5, inject_redundancy, random_presentation,
-                      rng_for)
+from conftest import (F2, F5, inject_redundancy, local_rank_mod_p,
+                      rand_grade, random_presentation, rng_for)
 
 PAIR_M = """module M
 field F5
@@ -65,6 +67,17 @@ def test_rel_lines_may_precede_gen_lines():
     # collection is two-phase, so forward references are fine
     P = parse("module M\nfield F2\nparams 1\nrel r @ 1 = 1*a\ngen a @ 0\n")
     assert P.rel_names == ("r",)
+
+
+def test_parse_shares_grades_and_names():
+    # callers keep many parsed modules alive through their witnesses, so
+    # equal grades and generator names are one object each
+    P, Q = parse(TWO_PARAM), parse(TWO_PARAM.replace("module X", "module Y"))
+    assert P.generators == Q.generators
+    for a, b in zip(P.generators.grades, Q.generators.grades):
+        assert a is b
+    for a, b in zip(P.generators.names, Q.generators.names):
+        assert a is b
 
 
 def test_round_trip_random():
@@ -195,6 +208,51 @@ def test_shift_presentation():
         shift_presentation(P, Fraction(1), 0)
     with pytest.raises(ValueError):
         shift_presentation(P, Fraction(-1), 1)
+
+
+def test_restrict_diagonal_box():
+    box = box_interval(F2, [0, 0], [[2, 0], [0, 2]])
+    # through the corner: t in [0, 2) stays inside the box
+    assert barcode(restrict_diagonal(box, [0, 0])) == \
+        diagram_of([Interval(0, 2)])
+    # the line through (0, 1) leaves the box through its top side at t = 1
+    line = restrict_diagonal(box, [0, 1])
+    assert line.n == 1 and line.field == F2
+    assert barcode(line) == diagram_of([Interval(0, 1)])
+    with pytest.raises(DimensionMismatch):
+        restrict_diagonal(box, [0])
+
+
+def _dim_at_point(P, point):
+    """dim of the presented module at a point, counted directly."""
+    def below(g):
+        return all(a <= b for a, b in zip(g.coords, point))
+    alive = [i for i, g in enumerate(P.generators.grades) if below(g)]
+    rows = [[el.coeffs[i].value for i in alive]
+            for el in P.relations if below(el.grade)]
+    return len(alive) - local_rank_mod_p(rows, len(alive), P.field.p)
+
+
+def test_restrict_diagonal_pointwise_dimension():
+    """The restriction's bars count dim M at x + t(1, ..., 1), read off
+    the n-parameter presentation itself."""
+    rng = rng_for(231)
+    for n in (2, 3):
+        for _ in range(25):
+            P = random_presentation(rng, rng.choice((F2, F5)), n)
+            x = rand_grade(rng, n)
+            D = barcode(restrict_diagonal(P, x))
+            grades = [*P.generators.grades,
+                      *(el.grade for el in P.relations)]
+            ts = {max(a - b for a, b in zip(u.coords, x.coords))
+                  for u in grades}
+            samples = {t + dt for t in ts
+                       for dt in (Fraction(-1, 8), 0, Fraction(1, 8))}
+            for t in samples:
+                point = [c + t for c in x.coords]
+                bars = sum(m for iv, m in D.pairs()
+                           if iv.birth <= t < iv.death)
+                assert bars == _dim_at_point(P, point)
 
 
 def test_box_interval():
