@@ -35,16 +35,8 @@ def combined_basis(W1, W2):
     entries, in W2 order.
     """
     used = set(W1.names)
-    items = list(W1)
-    w2_names = []
-    for name, g in W2:
-        nm = name
-        while nm in used:
-            nm = nm + "_2"
-        used.add(nm)
-        w2_names.append(nm)
-        items.append((nm, g))
-    return GradedSet(items), tuple(w2_names)
+    w2_names = tuple(_unique(name, used) for name in W2.names)
+    return GradedSet([*W1, *zip(w2_names, W2.grades)]), w2_names
 
 
 def _unique(name, used):
@@ -176,7 +168,7 @@ def induced_presentations(pair, field, n, names=("M", "N")):
             build(gens_N, rels_N, names[1]))
 
 
-def verify_compatible(pair, P_M, P_N, budget=DEFAULT_BUDGET, threads=1):
+def verify_compatible(pair, P_M, P_N, budget=DEFAULT_BUDGET):
     """Self-check of a pair against the two original presentations.
 
     (a) grade bookkeeping: W1/W2 reproduce the generator data, and
@@ -202,8 +194,8 @@ def verify_compatible(pair, P_M, P_N, budget=DEFAULT_BUDGET, threads=1):
                     return False
     ind_M, ind_N = induced_presentations(pair, P_M.field, P_M.n,
                                          (P_M.name, P_N.name))
-    return (is_isomorphic(ind_M, P_M, budget, threads)
-            and is_isomorphic(ind_N, P_N, budget, threads))
+    return (is_isomorphic(ind_M, P_M, budget)
+            and is_isomorphic(ind_N, P_N, budget))
 
 
 def serialize_pair(pair):

@@ -68,8 +68,6 @@ eps_opt = click.option("--eps", required=True, type=RATIONAL,
 budget_opt = click.option("--budget", default=DEFAULT_BUDGET,
                           show_default=True,
                           help="max candidates per interleaving search")
-threads_opt = click.option("--threads", default=1, show_default=True,
-                           help="parallel search workers")
 json_opt = click.option("--json", "as_json", is_flag=True,
                         help="machine-readable output")
 witness_opt = click.option("--witness", "show_witness", is_flag=True,
@@ -107,14 +105,13 @@ def main():
 @_two_files
 @eps_opt
 @budget_opt
-@threads_opt
 @witness_opt
 @json_opt
-def interleaved(file_m, file_n, eps, budget, threads, show_witness, as_json):
+def interleaved(file_m, file_n, eps, budget, show_witness, as_json):
     """Decide eps-interleaving between two modules."""
     P, Q = _load(file_m), _load(file_n)
     try:
-        w = is_interleaved(InterleavingProblem(P, Q, eps), budget, threads)
+        w = is_interleaved(InterleavingProblem(P, Q, eps), budget)
     except BudgetExceeded as exc:
         _die(exc, 3)
     except INPUT_ERRORS as exc:
@@ -134,14 +131,13 @@ def interleaved(file_m, file_n, eps, budget, threads, show_witness, as_json):
 @main.command()
 @_two_files
 @budget_opt
-@threads_opt
 @witness_opt
 @json_opt
-def distance(file_m, file_n, budget, threads, show_witness, as_json):
+def distance(file_m, file_n, budget, show_witness, as_json):
     """Interleaving distance d_I between two modules."""
     P, Q = _load(file_m), _load(file_n)
     try:
-        d, w = interleaving_distance(P, Q, budget, threads)
+        d, w = interleaving_distance(P, Q, budget)
     except BudgetExceeded as exc:
         _die(exc, 3)
     except INPUT_ERRORS as exc:
@@ -233,15 +229,13 @@ def minimize(file_m, as_json):
 @_two_files
 @eps_opt
 @budget_opt
-@threads_opt
 @witness_opt
 @json_opt
-def characterize(file_m, file_n, eps, budget, threads, show_witness,
-                 as_json):
+def characterize(file_m, file_n, eps, budget, show_witness, as_json):
     """Compatible presentation pair at eps, from a found witness."""
     P, Q = _load(file_m), _load(file_n)
     try:
-        w = is_interleaved(InterleavingProblem(P, Q, eps), budget, threads)
+        w = is_interleaved(InterleavingProblem(P, Q, eps), budget)
         if w is not None:
             pair, _, _ = compatible_presentations(P, Q, w, eps)
     except BudgetExceeded as exc:
@@ -269,13 +263,12 @@ def characterize(file_m, file_n, eps, budget, threads, show_witness,
 @main.command()
 @_two_files
 @budget_opt
-@threads_opt
 @json_opt
-def isomorphic(file_m, file_n, budget, threads, as_json):
+def isomorphic(file_m, file_n, budget, as_json):
     """Are the two modules isomorphic (0-interleaved)?"""
     P, Q = _load(file_m), _load(file_n)
     try:
-        answer = "Yes" if is_isomorphic(P, Q, budget, threads) else "No"
+        answer = "Yes" if is_isomorphic(P, Q, budget) else "No"
     except BudgetExceeded as exc:
         _die(exc, 3)
     except INPUT_ERRORS as exc:

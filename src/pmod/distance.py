@@ -109,7 +109,7 @@ def diagonal_lower_bound(P_M, P_N):
     return bound
 
 
-def interleaving_distance(P_M, P_N, budget=DEFAULT_BUDGET, threads=1):
+def interleaving_distance(P_M, P_N, budget=DEFAULT_BUDGET):
     """(d_I, witness at d_I) — witness is None when the distance is inf.
 
     Both presentations are minimized once up front; the answer depends
@@ -150,7 +150,7 @@ def interleaving_distance(P_M, P_N, budget=DEFAULT_BUDGET, threads=1):
     while lo < hi:
         prob = InterleavingProblem(Pm, Pn, finite[mid])
         try:
-            w = is_interleaved(prob, budget, threads)
+            w = is_interleaved(prob, budget)
         except BudgetExceeded as exc:
             upper = finite[hi] if hi < len(finite) else INF
             raise BudgetExceeded(exc.required, exc.budget,
@@ -165,7 +165,7 @@ def interleaving_distance(P_M, P_N, budget=DEFAULT_BUDGET, threads=1):
     return finite[hi], witness
 
 
-def is_isomorphic(P_M, P_N, budget=DEFAULT_BUDGET, threads=1):
+def is_isomorphic(P_M, P_N, budget=DEFAULT_BUDGET):
     """0-interleaved means mutually inverse degree-preserving maps."""
     prob = InterleavingProblem(minimize(P_M), minimize(P_N), 0)
-    return is_interleaved(prob, budget, threads) is not None
+    return is_interleaved(prob, budget) is not None

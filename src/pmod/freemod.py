@@ -20,8 +20,10 @@ The bottom of the file is a small exact Gaussian elimination toolkit
 downstream.
 """
 
+from fractions import Fraction
+
 from .grading import grade_leq, grade_shift, DimensionMismatch
-from .scalars import inv
+from .scalars import FieldMismatch, Scalar
 
 
 class PatternViolation(Exception):
@@ -123,7 +125,6 @@ def make_element(B, u, coeffs, field=None):
         field = coeffs[0].field
     for c in coeffs:
         if field is not None and c.field != field:
-            from .scalars import FieldMismatch
             raise FieldMismatch("mixed fields in one element")
     for c, (name, g) in zip(coeffs, B):
         if not c.is_zero() and not grade_leq(g, u):
@@ -145,7 +146,6 @@ class MorphismMatrix:
     __slots__ = ("domain", "codomain", "shift", "entries", "field")
 
     def __init__(self, domain, codomain, entries, shift=0, field=None):
-        from fractions import Fraction
         self.domain = domain
         self.codomain = codomain
         self.shift = shift if type(shift) is Fraction else Fraction(shift)
@@ -237,7 +237,6 @@ def compose(g, f):
     if f.codomain != g.domain:
         raise BasisMismatch("codomain of f is not the domain of g")
     if f.field is not None and g.field is not None and f.field != g.field:
-        from .scalars import FieldMismatch
         raise FieldMismatch("composing matrices over different fields")
     field = g.field if g.field is not None else f.field
     entries = []
@@ -286,51 +285,84 @@ def w_field_zero(w):
 # ----------------------------------------------------------------------
 # Exact Gaussian elimination over a field.
 #
-# Matrices are lists of rows of Scalars. Pivoting is "first nonzero";
-# with exact arithmetic there is nothing else to optimize for. All
-# routines tolerate empty shapes (0 rows and/or 0 columns).
+# One kernel works on raw values: residues in [0, p) over F_p, Fractions
+# over Q (p is None). rref and solve_rows are its Scalar boundary; the
+# enumeration hot loop calls _solve directly, since it cannot afford a
+# Scalar per entry. Pivoting is "first nonzero"; with exact arithmetic
+# there is nothing else to optimize for. All routines tolerate empty
+# shapes (0 rows and/or 0 columns).
 # ----------------------------------------------------------------------
+
+def _row_reduce(rows, width, p):
+    """Reduce the first width columns of a list of raw rows, in place.
+
+    Rows may be longer than width; the extra columns ride along. Returns
+    (rows, pivot_columns): the first len(pivot_columns) rows are the
+    reduced pivot rows, and the rest are zero in the first width
+    columns. Row lists are replaced, never mutated, so the caller's
+    rows may be shared.
+    """
+    pivots = []
+    r = 0
+    for c in range(width):
+        for pr in range(r, len(rows)):
+            if rows[pr][c]:
+                break
+        else:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        if p is None:
+            scale = 1 / Fraction(rows[r][c])
+            pivot = rows[r] = [x * scale for x in rows[r]]
+        else:
+            scale = pow(rows[r][c], -1, p)
+            pivot = rows[r] = [(x * scale) % p for x in rows[r]]
+        for i, row in enumerate(rows):
+            f = row[c]
+            if f and i != r:
+                if p is None:
+                    rows[i] = [a - f * b for a, b in zip(row, pivot)]
+                else:
+                    rows[i] = [(a - f * b) % p for a, b in zip(row, pivot)]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return rows, pivots
+
+
+def _solve(rows, width, rhs, p):
+    """One raw solution x (free variables zero) of rows . x = rhs, or None.
+
+    Values as in _row_reduce. The system is consistent iff every row
+    left without a pivot has a zero right-hand side.
+    """
+    red, pivots = _row_reduce([[*row, b] for row, b in zip(rows, rhs)],
+                              width, p)
+    if any(row[width] for row in red[len(pivots):]):
+        return None
+    x = [0 if p else Fraction(0)] * width
+    for row, c in zip(red, pivots):
+        x[c] = row[width]
+    return x
+
 
 def rref(rows, width, field):
     """Reduced row echelon form.
 
     Returns (reduced_rows, pivot_columns); zero rows are dropped.
     """
-    rows = [list(r) for r in rows]
-    pivots = []
-    r = 0
-    for c in range(width):
-        pr = None
-        for i in range(r, len(rows)):
-            if not rows[i][c].is_zero():
-                pr = i
-                break
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        scale = inv(rows[r][c])
-        rows[r] = [x * scale for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and not rows[i][c].is_zero():
-                f = rows[i][c]
-                rows[i] = [a - (f * b) for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return rows[:r], pivots
+    red, pivots = _row_reduce([[x.value for x in row] for row in rows],
+                              width, field.p)
+    return ([[Scalar(field, x) for x in row] for row in red[:len(pivots)]],
+            pivots)
 
 
 def solve_rows(rows, width, rhs, field):
     """One solution x (free variables zero) of rows . x = rhs, or None."""
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    red, pivots = rref(aug, width + 1, field)
-    if width in pivots:
-        return None
-    x = [field.zero()] * width
-    for row, c in zip(red, pivots):
-        x[c] = row[width]
-    return x
+    x = _solve([[c.value for c in row] for row in rows], width,
+               [b.value for b in rhs], field.p)
+    return None if x is None else [Scalar(field, v) for v in x]
 
 
 def solve_columns(cols, target, field):

@@ -35,7 +35,7 @@ elsewhere (a presentation and its minimization give equal answers).
 from .scalars import FieldMismatch
 from .grading import grade_leq, grade_shift, check_epsilon, DimensionMismatch
 from .freemod import (MorphismMatrix, compose, make_element,
-                      span_membership, nullspace, solve_rows, rref)
+                      span_membership, nullspace, rref, _solve)
 
 DEFAULT_BUDGET = 10 ** 7
 
@@ -135,14 +135,16 @@ def _free_positions(mask):
             for j, ok in enumerate(row) if ok]
 
 
-def _condition1_rows(src, tgt, e, free):
-    """Linear equations on the free entries cutting out condition 1."""
+def _constraint_basis(src, tgt, e, free, field):
+    """Basis of V, in free-entry coordinates: the patterned matrices
+    satisfying condition 1 (each relation of src lands in the span of
+    tgt's relations at the shifted grade)."""
     rows = []
     for w in src.relations:
         K = _annihilator(tgt, grade_shift(w.grade, e))
         for kappa in K:
             rows.append([kappa[i] * w.coeffs[j] for (i, j) in free])
-    return rows
+    return nullspace(rows, len(free), field)
 
 
 def constraint_space(prob, direction):
@@ -154,8 +156,7 @@ def constraint_space(prob, direction):
     """
     src, tgt, mask = prob.sides(direction)
     free = _free_positions(mask)
-    rows = _condition1_rows(src, tgt, prob.e, free)
-    basis = nullspace(rows, len(free), prob.field)
+    basis = _constraint_basis(src, tgt, prob.e, free, prob.field)
     return [_coords_to_matrix(prob, src, tgt, free, coords)
             for coords in basis]
 
@@ -217,43 +218,6 @@ def _complement(V, Z, width, field):
     return cred
 
 
-def _int_solve_rows(rows, width, rhs, p):
-    """Particular solution of rows . x = rhs over F_p, ints only.
-
-    Mirrors freemod.solve_rows but on plain residues; the enumeration
-    hot loop cannot afford Scalar objects.
-    """
-    aug = [row + [b] for row, b in zip(rows, rhs)]
-    m = len(aug)
-    r = 0
-    pivots = []
-    for c in range(width + 1):
-        pr = None
-        for i in range(r, m):
-            if aug[i][c] % p:
-                pr = i
-                break
-        if pr is None:
-            continue
-        if c == width:
-            return None  # pivot in the constant column: inconsistent
-        aug[r], aug[pr] = aug[pr], aug[r]
-        fac = pow(aug[r][c], -1, p)
-        aug[r] = [(x * fac) % p for x in aug[r]]
-        for i in range(m):
-            if i != r and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [(a - f * b) % p for a, b in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-        if r == m:
-            break
-    x = [0] * width
-    for row, c in zip(aug, pivots):
-        x[c] = row[width]
-    return x
-
-
 class _Side:
     """Everything the search needs to enumerate one direction.
 
@@ -279,8 +243,7 @@ class _Side:
         e = prob.e
         field = prob.field
 
-        V = nullspace(_condition1_rows(src, tgt, e, self.free),
-                      len(self.free), field)
+        V = _constraint_basis(src, tgt, e, self.free, field)
         zrows = []
         for j, g in enumerate(src.generators.grades):
             K = _annihilator(tgt, grade_shift(g, e))
@@ -364,7 +327,7 @@ class _Side:
                              for (t, jj) in yfree])
                 rhs.append(kappa[i])
 
-        return _int_solve_rows(rows, len(yfree), rhs, p)
+        return _solve(rows, len(yfree), rhs, p)
 
     def materialize(self, F, y):
         """Lift an (int F, int y) hit into Scalar morphism matrices.
@@ -392,7 +355,7 @@ class _Side:
         return F_mat, Y_mat
 
 
-def is_interleaved(prob, budget=DEFAULT_BUDGET, threads=1):
+def is_interleaved(prob, budget=DEFAULT_BUDGET):
     """Search for an e-interleaving witness.
 
     Returns an InterleavingWitness, or None after exhausting the
@@ -402,7 +365,7 @@ def is_interleaved(prob, budget=DEFAULT_BUDGET, threads=1):
     check_closure to verify a supplied witness instead).
 
     Deterministic: candidates are scanned in lexicographic coordinate
-    order and the least-index witness wins, whatever the thread count.
+    order and the least-index witness wins.
     """
     if prob.field.is_rationals:
         raise UnsupportedField(
@@ -414,55 +377,21 @@ def is_interleaved(prob, budget=DEFAULT_BUDGET, threads=1):
     total = side.count()
     if total > budget:
         raise BudgetExceeded(total, budget)
-
-    def witness_from(F, y):
-        F_mat, Y_mat = side.materialize(F, y)
-        if side is side_a:
-            w = InterleavingWitness(F_mat, Y_mat)
-        else:
-            w = InterleavingWitness(Y_mat, F_mat)
-        if not check_closure(w.A, w.B, prob):
-            raise AssertionError("found witness fails the closure check")
-        return w
-
-    if threads <= 1 or total == 1:
-        for index in range(total):
-            F = side.candidate(index)
-            y = side.solve_partner(F)
-            if y is not None:
-                return witness_from(F, y)
+    for index in range(total):
+        F = side.candidate(index)
+        y = side.solve_partner(F)
+        if y is not None:
+            break
+    else:
         return None
-
-    # imported here: concurrent.futures costs about 0.8 MB and most
-    # callers never ask for threads
-    import threading
-    from concurrent.futures import ThreadPoolExecutor
-
-    lock = threading.Lock()
-    best = {"index": None, "pair": None}
-
-    def scan(start, stop):
-        for index in range(start, stop):
-            with lock:
-                b = best["index"]
-            if b is not None and b < start:
-                return
-            F = side.candidate(index)
-            y = side.solve_partner(F)
-            if y is not None:
-                with lock:
-                    if best["index"] is None or index < best["index"]:
-                        best["index"] = index
-                        best["pair"] = (F, y)
-                return
-
-    chunk = (total + threads - 1) // threads
-    spans = [(s, min(s + chunk, total)) for s in range(0, total, chunk)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        list(pool.map(lambda se: scan(*se), spans))
-    if best["pair"] is None:
-        return None
-    return witness_from(*best["pair"])
+    F_mat, Y_mat = side.materialize(F, y)
+    if side is side_a:
+        w = InterleavingWitness(F_mat, Y_mat)
+    else:
+        w = InterleavingWitness(Y_mat, F_mat)
+    if not check_closure(w.A, w.B, prob):
+        raise AssertionError("found witness fails the closure check")
+    return w
 
 
 # ----------------------------------------------------------------------

@@ -71,7 +71,8 @@ class PersistenceDiagram:
     def __init__(self, pairs=()):
         mult = Counter()
         for interval, m in pairs:
-            assert m >= 0
+            if m < 0:
+                raise ValueError(f"negative multiplicity {m} for {interval}")
             mult[interval] += m
         self.mult = {i: m for i, m in mult.items() if m > 0}
 

@@ -23,7 +23,7 @@ inverse on the nose.
 import sys
 import weakref
 
-from .scalars import FieldSpec, parse_scalar_literal, inv
+from .scalars import FieldSpec, FieldMismatch, parse_scalar_literal, inv
 from .grading import (Grade, grade_leq, grade_shift, check_epsilon,
                       parse_grade, format_grade, DimensionMismatch)
 from .freemod import (GradedSet, make_element, span_membership,
@@ -86,7 +86,6 @@ class Presentation:
                 raise DimensionMismatch(
                     f"relation grade {el.grade} in a {n}-parameter presentation")
             if el.field is not None and el.field != field:
-                from .scalars import FieldMismatch
                 raise FieldMismatch(f"relation {nm} over the wrong field")
         pairs.sort(key=lambda p: p[1].grade.coords)
         self.rel_names = tuple(nm for nm, _ in pairs)
@@ -117,7 +116,9 @@ class CriticalGrades:
     def __init__(self, axes):
         self.axes = tuple(tuple(a) for a in axes)
         for a in self.axes:
-            assert list(a) == sorted(set(a))
+            if list(a) != sorted(set(a)):
+                raise ValueError("critical grades must be sorted and "
+                                 f"distinct, got {list(a)}")
 
     @classmethod
     def of(cls, P):
@@ -209,7 +210,7 @@ def parse(text):
                               parse_grade_here(gradepart, lineno)))
         elif kind == "rel":
             rest = body[len("rel"):].strip()
-            if "@" not in rest or "=" not in rest:
+            if "@" not in rest or "=" not in rest.split("@", 1)[1]:
                 fail("expected 'rel <name> @ <grade> = <terms>'", lineno)
             rname, rest2 = (s.strip() for s in rest.split("@", 1))
             gradepart, terms = (s.strip() for s in rest2.split("=", 1))

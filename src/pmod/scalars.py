@@ -8,6 +8,8 @@ never mix; mixing raises FieldMismatch.
 
 from fractions import Fraction
 
+from .grading import parse_rational
+
 
 class FieldMismatch(Exception):
     pass
@@ -196,12 +198,8 @@ def parse_scalar_literal(text, field):
     """Parse a scalar literal: 'num/den' or a (signed) decimal integer."""
     text = text.strip()
     try:
-        if "/" in text:
-            num, den = text.split("/", 1)
-            value = Fraction(int(num), int(den))
-        else:
-            value = Fraction(int(text))
-    except (ValueError, ZeroDivisionError):
+        value = parse_rational(text)
+    except ValueError:
         raise ValueError(f"bad scalar literal: {text!r}")
     if field.p is None:
         return Scalar(field, value)

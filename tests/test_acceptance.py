@@ -73,9 +73,9 @@ class _ProbeCounter(object):
         self.real = pmod.distance.is_interleaved
         self.count = 0
 
-    def __call__(self, prob, budget, threads):
+    def __call__(self, prob, budget):
         self.count += 1
-        return self.real(prob, budget, threads)
+        return self.real(prob, budget)
 
     def __enter__(self):
         pmod.distance.is_interleaved = self

@@ -97,9 +97,9 @@ def test_distance_probe_count_is_logarithmic():
     calls = {"n": 0}
     real = distance_mod.is_interleaved
 
-    def counting(prob, budget, threads):
+    def counting(prob, budget):
         calls["n"] += 1
-        return real(prob, budget, threads)
+        return real(prob, budget)
 
     rng = rng_for(803)
     try:
@@ -169,11 +169,11 @@ def _probe_log(monkeypatch, fail_after=None):
     """
     log = []
 
-    def recording(prob, budget, threads):
+    def recording(prob, budget):
         if fail_after is not None and len(log) >= fail_after:
             raise BudgetExceeded(2, 1)
         log.append(prob.e)
-        return is_interleaved(prob, budget, threads)
+        return is_interleaved(prob, budget)
 
     monkeypatch.setattr(distance_mod, "is_interleaved", recording)
     return log
@@ -215,7 +215,7 @@ def test_search_from_any_bound_within_probe_limit(monkeypatch):
                 continue
             probed = []
 
-            def threshold(prob, budget, threads):
+            def threshold(prob, budget):
                 probed.append(prob.e)
                 return "yes" if prob.e >= d else None
 

@@ -2,7 +2,7 @@ import itertools
 import pytest
 from fractions import Fraction
 
-from pmod import (BasisMismatch, FieldSpec, Grade, GradedSet,
+from pmod import (BasisMismatch, FieldSpec, Grade, GradedSet, RATIONALS,
                   PatternViolation, apply, compose, grade_shift,
                   identity_matrix, make_element, zero_element, zero_matrix,
                   span_membership, MorphismMatrix)
@@ -143,80 +143,111 @@ def test_span_membership_brute_force_f2():
             assert tuple(acc) == v.coeffs
 
 
+# small values with many zeros, so random rows over Q are often dependent
+Q_VALUES = [Fraction(0), Fraction(0), Fraction(1), Fraction(-1), Fraction(2),
+            Fraction(1, 2), Fraction(-3, 2)]
+
+
+def _rand_scalar(rng, field):
+    if field.is_rationals:
+        return field.scalar(rng.choice(Q_VALUES))
+    return field.scalar(rng.randrange(field.p))
+
+
+def _dot(row, x, field):
+    acc = field.zero()
+    for c, v in zip(row, x):
+        acc = acc + (c * v)
+    return acc
+
+
 def test_rref_and_rank_against_local_gauss():
-    rng = rng_for(403)
-    for _ in range(40):
-        m, w = rng.randint(0, 4), rng.randint(1, 4)
-        rows = [[F5.scalar(rng.randrange(5)) for _ in range(w)]
-                for _ in range(m)]
-        red, pivots = rref(rows, w, F5)
-        assert len(red) == len(pivots)
-        assert rank(rows, w, F5) == local_rank_mod_p(
-            [[c.value for c in r] for r in rows], w, 5)
-        # pivot columns are strictly increasing with a lone 1
-        assert list(pivots) == sorted(pivots)
-        for i, c in enumerate(pivots):
-            assert red[i][c] == F5.one()
-            for i2 in range(len(red)):
-                if i2 != i:
-                    assert red[i2][c].is_zero()
+    for field in (F5, RATIONALS):
+        rng = rng_for(403)
+        for _ in range(40):
+            m, w = rng.randint(0, 4), rng.randint(1, 4)
+            rows = [[_rand_scalar(rng, field) for _ in range(w)]
+                    for _ in range(m)]
+            red, pivots = rref(rows, w, field)
+            assert len(red) == len(pivots) == rank(rows, w, field)
+            if not field.is_rationals:
+                assert rank(rows, w, field) == local_rank_mod_p(
+                    [[c.value for c in r] for r in rows], w, field.p)
+            # pivot columns strictly increase, each row is zero before its
+            # pivot, and each pivot column holds a lone 1
+            assert all(a < b for a, b in zip(pivots, pivots[1:]))
+            for i, c in enumerate(pivots):
+                assert all(x.is_zero() for x in red[i][:c])
+                assert red[i][c] == field.one()
+                for i2 in range(len(red)):
+                    if i2 != i:
+                        assert red[i2][c].is_zero()
+            # every input row is the combination of reduced rows that its
+            # pivot-column entries spell out, so it lies in their span
+            for row in rows:
+                acc = [field.zero()] * w
+                for k, c in enumerate(pivots):
+                    acc = [a + (row[c] * b) for a, b in zip(acc, red[k])]
+                assert acc == row
 
 
 def test_solve_rows_round_trip():
-    rng = rng_for(404)
-    hits = 0
-    for _ in range(60):
-        m, w = rng.randint(1, 4), rng.randint(1, 4)
-        rows = [[F5.scalar(rng.randrange(5)) for _ in range(w)]
-                for _ in range(m)]
-        rhs = [F5.scalar(rng.randrange(5)) for _ in range(m)]
-        x = solve_rows(rows, w, rhs, F5)
-        if x is None:
-            # verify infeasibility by brute force over F_5^w (w <= 4)
-            for vals in itertools.product(range(5), repeat=w):
-                for row, b in zip(rows, rhs):
-                    s = sum(c.value * v for c, v in zip(row, vals)) % 5
-                    if s != b.value:
-                        break
-                else:
-                    assert False, "solver missed a solution"
-            continue
-        hits += 1
-        for row, b in zip(rows, rhs):
-            acc = F5.zero()
-            for c, v in zip(row, x):
-                acc = acc + (c * v)
-            assert acc == b
-    assert hits > 10
+    for field in (F5, RATIONALS):
+        rng = rng_for(404)
+        hits = 0
+        for _ in range(60):
+            m, w = rng.randint(1, 4), rng.randint(1, 4)
+            rows = [[_rand_scalar(rng, field) for _ in range(w)]
+                    for _ in range(m)]
+            rhs = [_rand_scalar(rng, field) for _ in range(m)]
+            x = solve_rows(rows, w, rhs, field)
+            if x is None:
+                if not field.is_rationals:
+                    # verify infeasibility by brute force over F_5^w (w <= 4)
+                    for vals in itertools.product(range(5), repeat=w):
+                        for row, b in zip(rows, rhs):
+                            s = sum(c.value * v for c, v in zip(row, vals)) % 5
+                            if s != b.value:
+                                break
+                        else:
+                            assert False, "solver missed a solution"
+                continue
+            hits += 1
+            # over Q the free variables are Fractions too, not ints
+            assert all(v.field == field
+                       and type(v.value) is type(field.zero().value)
+                       for v in x)
+            for row, b in zip(rows, rhs):
+                assert _dot(row, x, field) == b
+        assert hits > 10
 
 
 def test_nullspace_properties():
-    rng = rng_for(405)
-    for _ in range(40):
-        m, w = rng.randint(0, 4), rng.randint(1, 5)
-        rows = [[F5.scalar(rng.randrange(5)) for _ in range(w)]
-                for _ in range(m)]
-        basis = nullspace(rows, w, F5)
-        assert len(basis) == w - rank(rows, w, F5)
-        for v in basis:
-            for row in rows:
-                acc = F5.zero()
-                for c, x in zip(row, v):
-                    acc = acc + (c * x)
-                assert acc.is_zero()
-        # basis vectors are independent: stack them and check rank
-        assert rank(basis, w, F5) == len(basis)
-    # deterministic: repeated calls agree
-    rows = [[F5.one(), F5.scalar(2), F5.zero()]]
-    assert nullspace(rows, 3, F5) == nullspace(rows, 3, F5)
+    for field in (F5, RATIONALS):
+        rng = rng_for(405)
+        for _ in range(40):
+            m, w = rng.randint(0, 4), rng.randint(1, 5)
+            rows = [[_rand_scalar(rng, field) for _ in range(w)]
+                    for _ in range(m)]
+            basis = nullspace(rows, w, field)
+            assert len(basis) == w - rank(rows, w, field)
+            for v in basis:
+                for row in rows:
+                    assert _dot(row, v, field).is_zero()
+            # basis vectors are independent: stack them and check rank
+            assert rank(basis, w, field) == len(basis)
+        # deterministic: repeated calls agree
+        rows = [[field.one(), field.scalar(2), field.zero()]]
+        assert nullspace(rows, 3, field) == nullspace(rows, 3, field)
 
 
 def test_empty_shapes():
-    assert rref([], 3, F5) == ([], [])
-    assert rank([], 0, F5) == 0
-    assert nullspace([], 2, F5) == [[F5.one(), F5.zero()],
-                                    [F5.zero(), F5.one()]]
-    assert solve_rows([], 2, [], F5) == [F5.zero(), F5.zero()]
+    for field in (F5, RATIONALS):
+        zero, one = field.zero(), field.one()
+        assert rref([], 3, field) == ([], [])
+        assert rank([], 0, field) == 0
+        assert nullspace([], 2, field) == [[one, zero], [zero, one]]
+        assert solve_rows([], 2, [], field) == [zero, zero]
     empty = GradedSet([])
     z = zero_matrix(empty, empty, F5)
     assert compose(z, z).entries == ()

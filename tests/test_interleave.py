@@ -190,22 +190,6 @@ def test_is_interleaved_symmetric_and_minimize_invariant():
             is not None) == yes
 
 
-def test_threads_do_not_change_the_witness():
-    w1 = is_interleaved(_pair(1), threads=1)
-    w3 = is_interleaved(_pair(1), threads=3)
-    assert w1.A == w3.A and w1.B == w3.B
-    rng = rng_for(706)
-    for _ in range(8):
-        P = random_presentation(rng, F5, 1, min_gens=1)
-        Q = random_presentation(rng, F5, 1, min_gens=1, name="N")
-        prob = InterleavingProblem(P, Q, Fraction(2))
-        a = is_interleaved(prob, threads=1)
-        b = is_interleaved(prob, threads=4)
-        assert (a is None) == (b is None)
-        if a is not None:
-            assert a.A == b.A and a.B == b.B
-
-
 def test_export_offset_intervals_exact():
     text = export_quadratic_system(_pair(1))
     assert text == ("field F5\n"
@@ -245,18 +229,21 @@ def test_export_solvability_matches_search():
 # certificate check must still refuse a bad answer.
 OPTIMIZED_SCRIPT = """
 import pmod.interleave
-from pmod import (CandidateSet, InterleavingProblem, Multibijection,
-                  diagram_of, Interval, is_interleaved, matching_feasible,
-                  parse)
+from pmod import (CandidateSet, CriticalGrades, InterleavingProblem,
+                  Multibijection, PersistenceDiagram, diagram_of, Interval,
+                  is_interleaved, matching_feasible, parse)
 
 if __debug__:
     raise SystemExit("not running under python -O")
-try:
-    CandidateSet([1, 2])
-except ValueError:
-    pass
-else:
-    raise SystemExit("CandidateSet([1, 2]) was accepted")
+for bad in ("CandidateSet([1, 2])",
+            "PersistenceDiagram([(Interval(0, 1), -1)])",
+            "CriticalGrades([[2, 1, 1]])"):
+    try:
+        eval(bad)
+    except ValueError:
+        pass
+    else:
+        raise SystemExit(bad + " was accepted")
 
 M = parse("module M\\nfield F5\\nparams 1\\ngen a @ 0\\nrel r1 @ 3 = 1*a\\n")
 pmod.interleave.check_closure = lambda A, B, prob: False

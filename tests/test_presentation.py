@@ -1,5 +1,8 @@
-import pytest
+import re
 from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
 
 from pmod import (DimensionMismatch, FieldMismatch, Grade,
                   GradeOrderViolation, GradedSet, Interval, ParseError,
@@ -10,6 +13,7 @@ from pmod import (DimensionMismatch, FieldMismatch, Grade,
 
 from conftest import (F2, F5, inject_redundancy, local_rank_mod_p,
                       rand_grade, random_presentation, rng_for)
+from pmod.cli import INPUT_ERRORS
 
 PAIR_M = """module M
 field F5
@@ -101,6 +105,8 @@ def test_parse_errors_carry_line_numbers():
         ("module M\nfield F2\nparams 1\ngen a @ 0\nrel r @ 1 = a\n", 5, None),
         ("module M\nfield F2\nparams 1\ngen a @ 0\nrel r @ 1 = q*a\n", 5, None),
         ("module M\nfield F2\nparams 1\ngen a @ 0\nwat\n", 5, None),
+        ("module M\nfield F2\nparams 1\ngen a @ 0\nrel r = 1*a @ 1\n", 5,
+         "expected 'rel"),
         ("module M\nfield F2\nparams 1\ngen a @ x\n", 4, None),
         ("module M\nfield F2\nparams 1\ngen a @ 0\n"
          "rel r @ 1 = 1*a\nrel r @ 2 = 1*a\n", 6, "duplicate"),
@@ -112,6 +118,63 @@ def test_parse_errors_carry_line_numbers():
             assert err.value.line == line, text
         if frag is not None:
             assert frag in str(err.value)
+
+
+Q_TWO_PARAM = """module Y  # over Q
+field Q
+params 2
+gen a @ (0, 1/2)
+gen b @ (1, -1)
+rel r1 @ (1, 1/2) = -1/2*a + 3*b
+rel r2 @ (2, 2) = 0
+"""
+
+# pieces a mutation inserts or swaps in: the format's own keywords and
+# punctuation, literals the grammar treats specially, and stray bytes
+_PIECES = st.one_of(
+    st.sampled_from(["module", "field", "params", "gen", "rel", "@", "=",
+                     "*", "+", "/", "(", ")", ",", "#", "0", "1", "-1",
+                     "1/0", "F2", "F4", "Q", "a", "r1", "\n", " "]),
+    st.text("0123456789abrFQ@=*+/(),#-_ \t\n\x00\u00e9", min_size=1,
+            max_size=3))
+_EDITS = st.lists(
+    st.tuples(st.sampled_from(["insert", "delete", "replace"]),
+              st.sampled_from(["char", "token"]),
+              st.integers(0, 10 ** 4), st.integers(1, 3), _PIECES),
+    min_size=1, max_size=3)
+
+
+def _mutate(text, edits):
+    """Apply (kind, unit, position, width, piece) edits to text.
+
+    A char edit works on the characters of the text; a token edit on
+    its whitespace-separated tokens (the whitespace runs kept as tokens
+    of their own, so deleting one can join two lines).
+    """
+    for kind, unit, pos, width, piece in edits:
+        seq = list(text) if unit == "char" else re.split(r"(\s+)", text)
+        pos %= len(seq) + 1
+        if kind == "insert":
+            seq[pos:pos] = [piece]
+        elif kind == "delete":
+            del seq[pos:pos + width]
+        else:
+            seq[pos:pos + width] = [piece]
+        text = "".join(seq)
+    return text
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([PAIR_M, TWO_PARAM, Q_TWO_PARAM]), _EDITS)
+def test_parse_fuzz_mutated_texts(text, edits):
+    """Parsing a mutated module either fails with an input error, which
+    the CLI reports with exit code 2, or gives a presentation that
+    survives a serialize round trip."""
+    try:
+        P = parse(_mutate(text, edits))
+    except INPUT_ERRORS:
+        return
+    assert parse(serialize(P)) == P
 
 
 def test_parse_pattern_violation_escapes():
