@@ -15,9 +15,11 @@ The second rule is what makes patterned matrices correspond exactly to
 degree-preserving morphisms ("not >= forces zero"; a strict-< rule
 would wrongly allow incomparable grades).
 
-The bottom of the file is a small exact Gaussian elimination toolkit
-(first-nonzero pivoting, no numerical concerns) used by every module
-downstream.
+The bottom of the file is the one exact Gaussian elimination kernel
+(first-nonzero pivoting, no numerical concerns). It works on raw values:
+residues mod p, or Fractions over Q. span_membership is its one Scalar
+boundary; the interleaving search calls rref and nullspace on raw
+values and lifts to Scalars only what it returns.
 """
 
 from fractions import Fraction
@@ -191,20 +193,6 @@ class MorphismMatrix:
         return (f"MorphismMatrix({len(self.codomain)}x{len(self.domain)}, "
                 f"shift={self.shift}, [{'; '.join(rows)}])")
 
-    def __add__(self, other):
-        if (self.domain != other.domain or self.codomain != other.codomain
-                or self.shift != other.shift):
-            raise BasisMismatch("adding matrices of different shape data")
-        entries = [[a + b for a, b in zip(r1, r2)]
-                   for r1, r2 in zip(self.entries, other.entries)]
-        return MorphismMatrix(self.domain, self.codomain, entries,
-                              self.shift, self.field)
-
-    def scale(self, c):
-        entries = [[c * x for x in row] for row in self.entries]
-        return MorphismMatrix(self.domain, self.codomain, entries,
-                              self.shift, self.field)
-
 
 def identity_matrix(B, field, shift=0):
     entries = [[field.one() if i == j else field.zero()
@@ -268,13 +256,14 @@ def span_membership(v, W):
         # element over the empty basis: the zero vector is in every span
         return True, [w_field_zero(w) for w in W] if W else []
     admissible = [k for k, w in enumerate(W) if grade_leq(w.grade, v.grade)]
-    cols = [list(W[k].coeffs) for k in admissible]
-    x = solve_columns(cols, list(v.coeffs), field)
+    rows = [[W[k].coeffs[i].value for k in admissible]
+            for i in range(len(v.coeffs))]
+    x = _solve(rows, len(admissible), [c.value for c in v.coeffs], field.p)
     if x is None:
         return False, None
     cert = [field.zero()] * len(W)
     for k, val in zip(admissible, x):
-        cert[k] = val
+        cert[k] = Scalar(field, val)
     return True, cert
 
 
@@ -285,22 +274,25 @@ def w_field_zero(w):
 # ----------------------------------------------------------------------
 # Exact Gaussian elimination over a field.
 #
-# One kernel works on raw values: residues in [0, p) over F_p, Fractions
-# over Q (p is None). rref and solve_rows are its Scalar boundary; the
-# enumeration hot loop calls _solve directly, since it cannot afford a
-# Scalar per entry. Pivoting is "first nonzero"; with exact arithmetic
-# there is nothing else to optimize for. All routines tolerate empty
-# shapes (0 rows and/or 0 columns).
+# One kernel works on raw values: residues mod p over F_p, Fractions
+# over Q (p is None). rref and nullspace are its public face, used by
+# the interleaving search set-up; span_membership above is the only
+# Scalar boundary. The enumeration hot loop calls _solve directly, so a
+# solve per candidate stays out of the public (traced) surface.
+# Pivoting is "first nonzero"; with exact arithmetic there is nothing
+# else to optimize for. All routines tolerate empty shapes (0 rows
+# and/or 0 columns).
 # ----------------------------------------------------------------------
 
 def _row_reduce(rows, width, p):
     """Reduce the first width columns of a list of raw rows, in place.
 
-    Rows may be longer than width; the extra columns ride along. Returns
-    (rows, pivot_columns): the first len(pivot_columns) rows are the
-    reduced pivot rows, and the rest are zero in the first width
-    columns. Row lists are replaced, never mutated, so the caller's
-    rows may be shared.
+    Rows may be longer than width; the extra columns ride along. Input
+    residues need not be reduced mod p: every row that survives as a
+    pivot row is. Returns (rows, pivot_columns): the first
+    len(pivot_columns) rows are the reduced pivot rows, and the rest are
+    zero in the first width columns. Row lists are replaced, never
+    mutated, so the caller's rows may be shared.
     """
     pivots = []
     r = 0
@@ -347,51 +339,31 @@ def _solve(rows, width, rhs, p):
     return x
 
 
-def rref(rows, width, field):
-    """Reduced row echelon form.
+def rref(rows, width, p):
+    """Reduced row echelon form of raw rows (values as in _row_reduce).
 
     Returns (reduced_rows, pivot_columns); zero rows are dropped.
     """
-    red, pivots = _row_reduce([[x.value for x in row] for row in rows],
-                              width, field.p)
-    return ([[Scalar(field, x) for x in row] for row in red[:len(pivots)]],
-            pivots)
+    red, pivots = _row_reduce(list(rows), width, p)
+    return red[:len(pivots)], pivots
 
 
-def solve_rows(rows, width, rhs, field):
-    """One solution x (free variables zero) of rows . x = rhs, or None."""
-    x = _solve([[c.value for c in row] for row in rows], width,
-               [b.value for b in rhs], field.p)
-    return None if x is None else [Scalar(field, v) for v in x]
-
-
-def solve_columns(cols, target, field):
-    """One coefficient vector x with sum x_j * cols[j] = target, or None."""
-    m = len(target)
-    rows = [[col[i] for col in cols] for i in range(m)]
-    return solve_rows(rows, len(cols), target, field)
-
-
-def nullspace(rows, width, field):
-    """Basis of the solution space of rows . x = 0.
+def nullspace(rows, width, p):
+    """Basis of the solution space of rows . x = 0, in raw values.
 
     One basis vector per free column, in ascending column order; the
     result is deterministic for a given row list.
     """
-    red, pivots = rref(rows, width, field)
+    red, pivots = rref(rows, width, p)
+    zero, one = (0, 1) if p else (Fraction(0), Fraction(1))
     pivot_set = set(pivots)
     basis = []
     for free in range(width):
         if free in pivot_set:
             continue
-        v = [field.zero()] * width
-        v[free] = field.one()
+        v = [zero] * width
+        v[free] = one
         for row, c in zip(red, pivots):
-            v[c] = -row[free]
+            v[c] = -row[free] % p if p else -row[free]
         basis.append(v)
     return basis
-
-
-def rank(rows, width, field):
-    _, pivots = rref(rows, width, field)
-    return len(pivots)

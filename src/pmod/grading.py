@@ -6,6 +6,7 @@ epsilon is a plain nonnegative Fraction; check_epsilon validates one at
 the entry points that accept user values.
 """
 
+import re
 from fractions import Fraction
 
 
@@ -65,14 +66,28 @@ def check_epsilon(e):
     return e
 
 
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+
+
+def parse_int(text):
+    """Parse an optionally signed decimal integer of ASCII digits.
+
+    int() alone would also take digit-group underscores ('1_0') and
+    non-ASCII digits; the text formats promise plain decimals.
+    """
+    if not _INTEGER.fullmatch(text):
+        raise ValueError(f"bad integer literal: {text!r}")
+    return int(text)
+
+
 def parse_rational(text):
     """Parse 'num/den' or a signed decimal integer. Floats are rejected."""
     text = text.strip()
     try:
         if "/" in text:
             num, den = text.split("/", 1)
-            return Fraction(int(num), int(den))
-        return Fraction(int(text))
+            return Fraction(parse_int(num.strip()), parse_int(den.strip()))
+        return Fraction(parse_int(text))
     except (ValueError, ZeroDivisionError):
         raise ValueError(f"bad rational literal: {text!r}")
 

@@ -32,7 +32,7 @@ depends on the presented module, which is checked as a property test
 elsewhere (a presentation and its minimization give equal answers).
 """
 
-from .scalars import FieldMismatch
+from .scalars import FieldMismatch, Scalar
 from .grading import grade_leq, grade_shift, check_epsilon, DimensionMismatch
 from .freemod import (MorphismMatrix, compose, make_element,
                       span_membership, nullspace, rref, _solve)
@@ -119,15 +119,15 @@ class InterleavingWitness:
 
 
 def _annihilator(P, u):
-    """Functionals on <G_P> vanishing on span[R_P at u].
+    """Raw functionals on <G_P> vanishing on span[R_P at u].
 
     The admissible relations (grade <= u) are exactly the ones present
     at grade u; a vector lies in their span iff every functional here
     kills it.
     """
-    rows = [list(el.coeffs) for el in P.relations
+    rows = [[c.value for c in el.coeffs] for el in P.relations
             if grade_leq(el.grade, u)]
-    return nullspace(rows, len(P.generators), P.field)
+    return nullspace(rows, len(P.generators), P.field.p)
 
 
 def _free_positions(mask):
@@ -135,16 +135,17 @@ def _free_positions(mask):
             for j, ok in enumerate(row) if ok]
 
 
-def _constraint_basis(src, tgt, e, free, field):
-    """Basis of V, in free-entry coordinates: the patterned matrices
-    satisfying condition 1 (each relation of src lands in the span of
-    tgt's relations at the shifted grade)."""
+def _condition_rows(src, tgt, e, free):
+    """Condition 1 as raw rows over the free entries of X: <G_src> ->
+    <G_tgt(e)>. X satisfies it (each relation of src lands in the span
+    of tgt's relations at the shifted grade) iff every row kills X's
+    free entries; the rows' nullspace is V."""
     rows = []
     for w in src.relations:
-        K = _annihilator(tgt, grade_shift(w.grade, e))
-        for kappa in K:
-            rows.append([kappa[i] * w.coeffs[j] for (i, j) in free])
-    return nullspace(rows, len(free), field)
+        coeffs = [c.value for c in w.coeffs]
+        for kappa in _annihilator(tgt, grade_shift(w.grade, e)):
+            rows.append([kappa[i] * coeffs[j] for (i, j) in free])
+    return rows
 
 
 def constraint_space(prob, direction):
@@ -156,18 +157,18 @@ def constraint_space(prob, direction):
     """
     src, tgt, mask = prob.sides(direction)
     free = _free_positions(mask)
-    basis = _constraint_basis(src, tgt, prob.e, free, prob.field)
-    return [_coords_to_matrix(prob, src, tgt, free, coords)
-            for coords in basis]
-
-
-def _coords_to_matrix(prob, src, tgt, free, coords):
-    entries = [[prob.field.zero()] * len(src.generators)
-               for _ in range(len(tgt.generators))]
-    for (i, j), c in zip(free, coords):
-        entries[i][j] = c
-    return MorphismMatrix(src.generators, tgt.generators, entries,
-                          prob.e, prob.field)
+    field = prob.field
+    basis = nullspace(_condition_rows(src, tgt, prob.e, free), len(free),
+                      field.p)
+    matrices = []
+    for coords in basis:
+        entries = [[field.zero()] * len(src.generators)
+                   for _ in range(len(tgt.generators))]
+        for (i, j), c in zip(free, coords):
+            entries[i][j] = Scalar(field, c)
+        matrices.append(MorphismMatrix(src.generators, tgt.generators,
+                                       entries, prob.e, field))
+    return matrices
 
 
 def check_closure(A, B, prob):
@@ -198,84 +199,72 @@ def check_closure(A, B, prob):
 # search
 # ----------------------------------------------------------------------
 
-def _complement(V, Z, width, field):
-    """Basis of a complement of span(Z) inside span(V), Z <= span(V).
+def _complement(V, Z, width, p):
+    """RREF basis of a complement of span(Z) inside span(V).
 
-    Reducing each V vector against the rref of Z zeroes it at every Z
-    pivot, so the span of the reduced vectors meets span(Z) only in 0;
-    a final rref makes the result a basis.
+    V is a basis and Z must lie in span(V): raises otherwise. The rows
+    of rref(V + Z) whose pivot is not a pivot of rref(Z) span exactly
+    the vectors of span(V) that vanish at every Z pivot, and that space
+    meets span(Z) only in 0.
     """
-    zred, zpiv = rref(Z, width, field)
-    reduced = []
-    for v in V:
-        v = list(v)
-        for row, c in zip(zred, zpiv):
-            if not v[c].is_zero():
-                f = v[c]
-                v = [a - (f * b) for a, b in zip(v, row)]
-        reduced.append(v)
-    cred, _ = rref(reduced, width, field)
-    return cred
+    red, pivots = rref(V + Z, width, p)
+    if len(pivots) != len(V):
+        raise AssertionError(
+            "translation space not inside the constraint space")
+    zpiv = set(rref(Z, width, p)[1])
+    return [row for row, c in zip(red, pivots) if c not in zpiv]
 
 
 class _Side:
     """Everything the search needs to enumerate one direction.
 
     src, tgt: the fixed matrix F maps <G_src> -> <G_tgt(e)>; the partner
-    Y solved per candidate maps back. U is a basis (in free-entry
-    coordinates) of V/Z, the translation-pruned candidate space.
+    Y solved per candidate maps back. rows are the condition-1 rows over
+    the free entries of F, and U is a basis (in free-entry coordinates)
+    of V/Z, the translation-pruned candidate space. Everything is raw
+    residues; Scalars appear only when materialize lifts a hit.
 
-    The spaces are computed once with exact Scalars, then everything
-    entering the per-candidate loop is lowered to plain int residues;
-    the arithmetic is identical mod p, so candidates, their order, and
-    the found witness do not change.
+    The data for the partner solve is built by pair_with, only for the
+    side that is enumerated.
     """
 
-    __slots__ = ("prob", "src", "tgt", "free", "yfree", "U",
-                 "rows2", "K2", "K3", "_nsrc", "_ntgt")
+    __slots__ = ("prob", "src", "tgt", "free", "rows", "U",
+                 "yfree", "rows2", "K2", "K3", "_nsrc", "_ntgt")
 
     def __init__(self, prob, direction):
         src, tgt, mask = prob.sides(direction)
         self.prob = prob
         self.src = src
         self.tgt = tgt
-        self.free = _free_positions(mask)
-        e = prob.e
-        field = prob.field
-
-        V = _constraint_basis(src, tgt, e, self.free, field)
-        zrows = []
-        for j, g in enumerate(src.generators.grades):
-            K = _annihilator(tgt, grade_shift(g, e))
-            for kappa in K:
-                zrows.append([kappa[i] if jj == j else field.zero()
-                              for (i, jj) in self.free])
-        Z = nullspace(zrows, len(self.free), field)
-        U = _complement(V, Z, len(self.free), field)
-        if len(U) + len(Z) != len(V):
-            raise AssertionError(
-                "translation space not inside the constraint space")
-        self.U = [[c.value for c in u] for u in U]
-
-        # static data for the per-candidate linear solve of the partner
-        other = "N->M" if direction == "M->N" else "M->N"
-        _, _, ymask = prob.sides(other)
-        self.yfree = _free_positions(ymask)
+        self.free = free = _free_positions(mask)
         self._nsrc = len(src.generators)
         self._ntgt = len(tgt.generators)
-        e2 = 2 * e
-        self.rows2 = []
-        for w in tgt.relations:
-            K = _annihilator(src, grade_shift(w.grade, e))
-            for kappa in K:
-                self.rows2.append([(kappa[i] * w.coeffs[j]).value
-                                   for (i, j) in self.yfree])
-        self.K2 = [[[c.value for c in kappa]
-                    for kappa in _annihilator(src, grade_shift(g, e2))]
-                   for g in src.generators.grades]
-        self.K3 = [[[c.value for c in kappa]
-                    for kappa in _annihilator(tgt, grade_shift(g, e2))]
-                   for g in tgt.generators.grades]
+        e = prob.e
+        p = prob.field.p
+
+        self.rows = _condition_rows(src, tgt, e, free)
+        V = nullspace(self.rows, len(free), p)
+        zrows = []
+        for j, g in enumerate(src.generators.grades):
+            for kappa in _annihilator(tgt, grade_shift(g, e)):
+                zrows.append([kappa[i] if jj == j else 0
+                              for (i, jj) in free])
+        Z = nullspace(zrows, len(free), p)
+        self.U = _complement(V, Z, len(free), p)
+
+    def pair_with(self, other):
+        """Static data for the partner solve; other is the opposite side.
+
+        The partner's condition 2 is the opposite side's condition 1,
+        so its rows are reused as they are.
+        """
+        self.yfree = other.free
+        self.rows2 = other.rows
+        e2 = 2 * self.prob.e
+        self.K2 = [_annihilator(self.src, grade_shift(g, e2))
+                   for g in self.src.generators.grades]
+        self.K3 = [_annihilator(self.tgt, grade_shift(g, e2))
+                   for g in self.tgt.generators.grades]
 
     def count(self):
         p = self.prob.field.p
@@ -373,10 +362,12 @@ def is_interleaved(prob, budget=DEFAULT_BUDGET):
             "verification and system export are available")
     side_a = _Side(prob, "M->N")
     side_b = _Side(prob, "N->M")
-    side = side_a if side_a.count() <= side_b.count() else side_b
+    side, other = ((side_a, side_b) if side_a.count() <= side_b.count()
+                   else (side_b, side_a))
     total = side.count()
     if total > budget:
         raise BudgetExceeded(total, budget)
+    side.pair_with(other)
     for index in range(total):
         F = side.candidate(index)
         y = side.solve_partner(F)
@@ -410,11 +401,7 @@ def export_quadratic_system(prob):
     counts.
     """
     field = prob.field
-    P_M, P_N = prob.P_M, prob.P_N
-    gm, gn = len(P_M.generators), len(P_N.generators)
-    rm, rn = len(P_M.relations), len(P_N.relations)
-    T_M = [[el.coeffs[i] for el in P_M.relations] for i in range(gm)]
-    T_N = [[el.coeffs[i] for el in P_N.relations] for i in range(gn)]
+    one = field.one()
 
     def var(name, i, j):
         return f"{name}_{i + 1}_{j + 1}"
@@ -431,55 +418,38 @@ def export_quadratic_system(prob):
             lines.append(" + ".join(
                 "*".join([str(c)] + vs) for c, vs in terms))
 
-    one = field.one()
-    # A.T_M = T_N.C   (rows: G_N, cols: R_M)
-    for i in range(gn):
-        for j in range(rm):
-            terms = []
-            for k in range(gm):
-                if prob.pat_A[i][k] and not T_M[k][j].is_zero():
-                    terms.append((T_M[k][j], [var("A", i, k)]))
-            for t in range(rn):
-                if prob.pat_C[t][j] and not T_N[i][t].is_zero():
-                    terms.append((-T_N[i][t], [var("C", t, j)]))
-            emit(terms)
-    # B.T_N = T_M.D   (rows: G_M, cols: R_N)
-    for i in range(gm):
-        for j in range(rn):
-            terms = []
-            for k in range(gn):
-                if prob.pat_B[i][k] and not T_N[k][j].is_zero():
-                    terms.append((T_N[k][j], [var("B", i, k)]))
-            for t in range(rm):
-                if prob.pat_D[t][j] and not T_M[i][t].is_zero():
-                    terms.append((-T_M[i][t], [var("D", t, j)]))
-            emit(terms)
-    # B.A - I = T_M.E   (rows and cols: G_M)
-    for i in range(gm):
-        for j in range(gm):
-            terms = []
-            for k in range(gn):
-                if prob.pat_B[i][k] and prob.pat_A[k][j]:
-                    terms.append((one, [var("B", i, k), var("A", k, j)]))
-            if i == j:
-                terms.append((-one, []))
-            for t in range(rm):
-                if prob.pat_E[t][j] and not T_M[i][t].is_zero():
-                    terms.append((-T_M[i][t], [var("E", t, j)]))
-            emit(terms)
-    # A.B - I = T_N.F   (rows and cols: G_N)
-    for i in range(gn):
-        for j in range(gn):
-            terms = []
-            for k in range(gm):
-                if prob.pat_A[i][k] and prob.pat_B[k][j]:
-                    terms.append((one, [var("A", i, k), var("B", k, j)]))
-            if i == j:
-                terms.append((-one, []))
-            for t in range(rn):
-                if prob.pat_F[t][j] and not T_N[i][t].is_zero():
-                    terms.append((-T_N[i][t], [var("F", t, j)]))
-            emit(terms)
+    # one direction per presentation P: its map X: <G_P> -> <G_Q(e)>,
+    # the relation matrix C of X.T_P = T_Q.C and the matrix E of the
+    # round trip on P; entry (i, t) of T_P is relation t's coefficient i
+    M_to_N = (prob.P_M, prob.P_N, "A", prob.pat_A, "C", prob.pat_C,
+              "E", prob.pat_E)
+    N_to_M = (prob.P_N, prob.P_M, "B", prob.pat_B, "D", prob.pat_D,
+              "F", prob.pat_F)
+    # X.T_P = T_Q.C   (rows: G_Q, cols: R_P)
+    for P, Q, X, pat_X, C, pat_C, _, _ in (M_to_N, N_to_M):
+        for i in range(len(Q.generators)):
+            for j, w in enumerate(P.relations):
+                terms = [(c, [var(X, i, k)])
+                         for k, c in enumerate(w.coeffs)
+                         if pat_X[i][k] and not c.is_zero()]
+                for t, r in enumerate(Q.relations):
+                    if pat_C[t][j] and not r.coeffs[i].is_zero():
+                        terms.append((-r.coeffs[i], [var(C, t, j)]))
+                emit(terms)
+    # Y.X - I = T_P.E   (rows and cols: G_P; Y is the other direction's X)
+    for (P, Q, X, pat_X, _, _, E, pat_E), (_, _, Y, pat_Y, *_) in (
+            (M_to_N, N_to_M), (N_to_M, M_to_N)):
+        for i in range(len(P.generators)):
+            for j in range(len(P.generators)):
+                terms = [(one, [var(Y, i, k), var(X, k, j)])
+                         for k in range(len(Q.generators))
+                         if pat_Y[i][k] and pat_X[k][j]]
+                if i == j:
+                    terms.append((-one, []))
+                for t, r in enumerate(P.relations):
+                    if pat_E[t][j] and not r.coeffs[i].is_zero():
+                        terms.append((-r.coeffs[i], [var(E, t, j)]))
+                emit(terms)
 
     header = [f"field {field}", f"vars {nvars}", f"eqs {len(lines)}"]
     return "\n".join(header + lines) + "\n"

@@ -25,7 +25,8 @@ import weakref
 
 from .scalars import FieldSpec, FieldMismatch, parse_scalar_literal, inv
 from .grading import (Grade, grade_leq, grade_shift, check_epsilon,
-                      parse_grade, format_grade, DimensionMismatch)
+                      parse_grade, parse_int, format_grade,
+                      DimensionMismatch)
 from .freemod import (GradedSet, make_element, span_membership,
                       BasisMismatch)
 
@@ -180,7 +181,7 @@ def parse(text):
     except ValueError as exc:
         fail(str(exc), header["field"][1])
     try:
-        n = int(header["params"][0])
+        n = parse_int(header["params"][0])
         if n < 1:
             raise ValueError
     except ValueError:

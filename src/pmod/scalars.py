@@ -8,7 +8,7 @@ never mix; mixing raises FieldMismatch.
 
 from fractions import Fraction
 
-from .grading import parse_rational
+from .grading import parse_int, parse_rational
 
 
 class FieldMismatch(Exception):
@@ -86,8 +86,8 @@ class FieldSpec:
         text = text.strip()
         if text == "Q":
             return FieldSpec()
-        if text.startswith("F") and text[1:].isdigit():
-            return FieldSpec(int(text[1:]))
+        if text.startswith("F") and text[1:2].isdigit():
+            return FieldSpec(parse_int(text[1:]))
         raise ValueError(f"unknown field: {text!r}")
 
     def scalar(self, value):

@@ -161,6 +161,8 @@ def test_error_exit_codes(runner, files, tmp_path):
     assert r.exit_code == 2
     r = runner.invoke(main, ["interleaved", m, n, "--eps", "-1"])
     assert r.exit_code == 2
+    r = runner.invoke(main, ["interleaved", m, n, "--eps", "1_0"])
+    assert r.exit_code == 2
     # budget exhaustion is exit code 3
     r = runner.invoke(main, ["interleaved", m, n, "--eps", "1",
                              "--budget", "1"])

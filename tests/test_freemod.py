@@ -5,8 +5,8 @@ from fractions import Fraction
 from pmod import (BasisMismatch, FieldSpec, Grade, GradedSet, RATIONALS,
                   PatternViolation, apply, compose, grade_shift,
                   identity_matrix, make_element, zero_element, zero_matrix,
-                  span_membership, MorphismMatrix)
-from pmod.freemod import nullspace, rank, rref, solve_rows
+                  span_membership, MorphismMatrix, Scalar)
+from pmod.freemod import _solve, nullspace, rref
 
 from conftest import F2, F5, local_rank_mod_p, rand_grade, random_presentation, rng_for
 
@@ -161,6 +161,21 @@ def _dot(row, x, field):
     return acc
 
 
+def _raw(rows):
+    return [[c.value for c in row] for row in rows]
+
+
+def _lift(field, values):
+    """Scalars for raw kernel output, after checking each raw value: a
+    Fraction over Q, a reduced int residue over F_p."""
+    for x in values:
+        if field.is_rationals:
+            assert type(x) is Fraction
+        else:
+            assert type(x) is int and 0 <= x < field.p
+    return [Scalar(field, x) for x in values]
+
+
 def test_rref_and_rank_against_local_gauss():
     for field in (F5, RATIONALS):
         rng = rng_for(403)
@@ -168,11 +183,13 @@ def test_rref_and_rank_against_local_gauss():
             m, w = rng.randint(0, 4), rng.randint(1, 4)
             rows = [[_rand_scalar(rng, field) for _ in range(w)]
                     for _ in range(m)]
-            red, pivots = rref(rows, w, field)
-            assert len(red) == len(pivots) == rank(rows, w, field)
+            raw = _raw(rows)
+            red, pivots = rref(raw, w, field.p)
+            assert raw == _raw(rows)  # the input is left as it was
+            red = [_lift(field, row) for row in red]
+            assert len(red) == len(pivots) == len(rref(raw, w, field.p)[1])
             if not field.is_rationals:
-                assert rank(rows, w, field) == local_rank_mod_p(
-                    [[c.value for c in r] for r in rows], w, field.p)
+                assert len(pivots) == local_rank_mod_p(raw, w, field.p)
             # pivot columns strictly increase, each row is zero before its
             # pivot, and each pivot column holds a lone 1
             assert all(a < b for a, b in zip(pivots, pivots[1:]))
@@ -200,7 +217,7 @@ def test_solve_rows_round_trip():
             rows = [[_rand_scalar(rng, field) for _ in range(w)]
                     for _ in range(m)]
             rhs = [_rand_scalar(rng, field) for _ in range(m)]
-            x = solve_rows(rows, w, rhs, field)
+            x = _solve(_raw(rows), w, [b.value for b in rhs], field.p)
             if x is None:
                 if not field.is_rationals:
                     # verify infeasibility by brute force over F_5^w (w <= 4)
@@ -214,6 +231,7 @@ def test_solve_rows_round_trip():
                 continue
             hits += 1
             # over Q the free variables are Fractions too, not ints
+            x = _lift(field, x)
             assert all(v.field == field
                        and type(v.value) is type(field.zero().value)
                        for v in x)
@@ -229,25 +247,26 @@ def test_nullspace_properties():
             m, w = rng.randint(0, 4), rng.randint(1, 5)
             rows = [[_rand_scalar(rng, field) for _ in range(w)]
                     for _ in range(m)]
-            basis = nullspace(rows, w, field)
-            assert len(basis) == w - rank(rows, w, field)
+            basis = nullspace(_raw(rows), w, field.p)
+            assert len(basis) == w - len(rref(_raw(rows), w, field.p)[1])
             for v in basis:
                 for row in rows:
-                    assert _dot(row, v, field).is_zero()
+                    assert _dot(row, _lift(field, v), field).is_zero()
             # basis vectors are independent: stack them and check rank
-            assert rank(basis, w, field) == len(basis)
+            assert len(rref(basis, w, field.p)[1]) == len(basis)
         # deterministic: repeated calls agree
-        rows = [[field.one(), field.scalar(2), field.zero()]]
-        assert nullspace(rows, 3, field) == nullspace(rows, 3, field)
+        rows = _raw([[field.one(), field.scalar(2), field.zero()]])
+        assert nullspace(rows, 3, field.p) == nullspace(rows, 3, field.p)
 
 
 def test_empty_shapes():
     for field in (F5, RATIONALS):
         zero, one = field.zero(), field.one()
-        assert rref([], 3, field) == ([], [])
-        assert rank([], 0, field) == 0
-        assert nullspace([], 2, field) == [[one, zero], [zero, one]]
-        assert solve_rows([], 2, [], field) == [zero, zero]
+        assert rref([], 3, field.p) == ([], [])
+        assert len(rref([], 0, field.p)[1]) == 0
+        assert [_lift(field, v) for v in nullspace([], 2, field.p)] == [
+            [one, zero], [zero, one]]
+        assert _lift(field, _solve([], 2, [], field.p)) == [zero, zero]
     empty = GradedSet([])
     z = zero_matrix(empty, empty, F5)
     assert compose(z, z).entries == ()

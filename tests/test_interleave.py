@@ -12,8 +12,8 @@ from pmod import (BudgetExceeded, DimensionMismatch, FieldMismatch,
                   FieldSpec, InterleavingProblem, MorphismMatrix,
                   UnsupportedField, apply, box_interval, check_closure,
                   constraint_space, export_quadratic_system, grade_shift,
-                  is_interleaved, minimize, parse, span_membership,
-                  zero_matrix)
+                  is_interleaved, minimize, parse, serialize,
+                  span_membership, zero_matrix)
 
 from conftest import (F2, F5, brute_system_solvable, random_presentation,
                       rng_for)
@@ -65,18 +65,26 @@ def test_constraint_space_known_dimensions():
 
 
 def test_constraint_space_satisfies_condition_one():
+    # over F5, and over Q on the same texts read with "field Q"
     rng = rng_for(701)
+    checked = {"F5": 0, "Q": 0}
     for _ in range(20):
         P = random_presentation(rng, F5, 1, min_gens=1)
         Q = random_presentation(rng, F5, 1, min_gens=1, name="N")
         e = Fraction(rng.randint(0, 2))
-        prob = InterleavingProblem(P, Q, e)
-        for mat in constraint_space(prob, "M->N"):
-            for w in P.relations:
-                img = apply(mat, w)
-                ok, _ = span_membership(
-                    img, [el for el in Q.relations])
-                assert ok
+        over_q = [parse(serialize(X).replace("field F5", "field Q"))
+                  for X in (P, Q)]
+        for P, Q in ((P, Q), over_q):
+            prob = InterleavingProblem(P, Q, e)
+            for mat in constraint_space(prob, "M->N"):
+                assert mat.field == prob.field
+                for w in P.relations:
+                    img = apply(mat, w)
+                    ok, _ = span_membership(
+                        img, [el for el in Q.relations])
+                    assert ok
+                checked[str(prob.field)] += 1
+    assert min(checked.values()) > 5
 
 
 def test_check_closure_offset_intervals():
@@ -253,6 +261,15 @@ except AssertionError:
     pass
 else:
     raise SystemExit("a witness failing the closure check was returned")
+
+# over F2 both spans have pivot column 0, so only the rank catches that
+# the translation space [1, 1] is outside the constraint space [1, 0]
+try:
+    pmod.interleave._complement([[1, 0]], [[1, 1]], 2, 2)
+except AssertionError:
+    pass
+else:
+    raise SystemExit("a translation space outside V was accepted")
 
 Multibijection.check_against = lambda self, D1, D2: False
 D = diagram_of([Interval(0, 1)])

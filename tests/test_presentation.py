@@ -108,6 +108,14 @@ def test_parse_errors_carry_line_numbers():
         ("module M\nfield F2\nparams 1\ngen a @ 0\nrel r = 1*a @ 1\n", 5,
          "expected 'rel"),
         ("module M\nfield F2\nparams 1\ngen a @ x\n", 4, None),
+        # integers are ASCII decimals: no digit-group underscores and no
+        # other scripts' digits, which int() alone would accept
+        ("module M\nfield F\u0661\u0661\nparams 1\n", 2, "integer"),
+        ("module M\nfield F2\nparams 1_0\n", 3, "params"),
+        ("module M\nfield F5\nparams 1\ngen a @ \u0663/4\n", 4,
+         "bad rational"),
+        ("module M\nfield F11\nparams 1\ngen a @ 0\nrel r @ 1 = 1_2*a\n",
+         5, "bad scalar"),
         ("module M\nfield F2\nparams 1\ngen a @ 0\n"
          "rel r @ 1 = 1*a\nrel r @ 2 = 1*a\n", 6, "duplicate"),
     ]
