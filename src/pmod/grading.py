@@ -60,7 +60,10 @@ def grade_shift(a, e):
 
 def check_epsilon(e):
     """Validate and normalize a diagonal shift value (rational, >= 0)."""
-    e = Fraction(e)
+    try:
+        e = Fraction(e)
+    except OverflowError:  # Fraction(inf) overflows; NaN raises ValueError
+        raise ValueError(f"epsilon must be finite, got {e}")
     if e < 0:
         raise ValueError(f"epsilon must be nonnegative, got {e}")
     return e

@@ -56,8 +56,8 @@ class BudgetExceeded(Exception):
 
 
 def _mask(row_grades, col_grades, shift):
-    return [[grade_leq(rg, grade_shift(cg, shift)) for cg in col_grades]
-            for rg in row_grades]
+    shifted = [grade_shift(cg, shift) for cg in col_grades]
+    return [[grade_leq(rg, cg) for cg in shifted] for rg in row_grades]
 
 
 class InterleavingProblem:

@@ -7,9 +7,17 @@ column reduction of the presentation matrix; the bottleneck distance
 comes from bipartite matching over a finite candidate list.
 
 Extended values: deaths and distances may be +infinity, represented by
-math.inf. Mixed comparisons and sums with Fraction behave correctly;
-the one convention that needs code is inf - inf = 0 when comparing two
-deaths (two essential classes cost nothing to match).
+math.inf. The one convention that needs code is inf - inf = 0 when
+comparing two deaths (two essential classes cost nothing to match).
+
+Both loops run on raw values, not Scalars. The reduction holds sparse
+columns of residues mod p or Fractions over Q. The bottleneck costs are
+integers: every finite endpoint of both diagrams is multiplied by
+S = 2 * lcm(all endpoint denominators), so every endpoint distance and
+every halfwidth is an exact int in units of 1/S. Scaling by S > 0 keeps
+the order, which is all the matching looks at. The candidate values are
+lifted back once per diagram pair, so every public function takes and
+returns Fractions and inf as before.
 """
 
 import math
@@ -17,8 +25,6 @@ from bisect import bisect_right
 from collections import Counter, deque
 from fractions import Fraction
 from itertools import chain
-
-from .scalars import inv
 
 INF = math.inf
 
@@ -41,8 +47,12 @@ class Interval:
     __slots__ = ("birth", "death")
 
     def __init__(self, birth, death):
-        self.birth = Fraction(birth)
-        self.death = INF if death == INF else Fraction(death)
+        try:
+            self.birth = Fraction(birth)
+            self.death = INF if death == INF else Fraction(death)
+        except OverflowError:  # Fraction of an infinite float
+            raise ValueError(f"interval [{birth}, {death}) needs a finite "
+                             f"birth and a finite or +inf death")
         if not self.birth <= self.death:
             raise ValueError(f"interval with birth {birth} > death {death}")
 
@@ -132,9 +142,13 @@ class Multibijection:
 def barcode(P):
     """Persistence diagram of a one-parameter presentation.
 
-    Standard graded column reduction: generators are ordered by (grade,
-    index) and each relation column, in grade order, is reduced against
-    the previously kept columns by cancelling its lowest nonzero row. A
+    Standard graded column reduction (Zomorodian and Carlsson,
+    *Computing persistent homology*, DCG 2005). Generators are ordered
+    by (grade, index); each relation column, in grade order, is a sparse
+    {row: raw value} dict (residues mod p, Fractions over Q), reduced
+    against the previously kept columns by cancelling its lowest
+    nonzero row. A kept column is scaled so its low entry is 1, so the
+    factor of a cancellation is the current column's low entry. A
     column surviving with low row g pairs gr(g) with the relation's
     grade; generators never chosen as a low stay alive forever.
     Zero-length intervals are dropped (they are how non-minimality of
@@ -142,41 +156,52 @@ def barcode(P):
     """
     if P.n != 1:
         raise NotOneParameter(f"barcode needs n=1, got n={P.n}")
-    gens = P.generators
-    order = sorted(range(len(gens)),
-                   key=lambda i: (gens.grades[i].coords[0], i))
+    p = P.field.p
+    births = [g.coords[0] for g in P.generators.grades]
+    # a stable sort: equal grades keep index order
+    order = sorted(range(len(births)), key=births.__getitem__)
+    row_of = {i: r for r, i in enumerate(order)}
 
-    reduced = {}   # low row -> column vector (in sorted-row coordinates)
+    reduced = {}   # low row -> kept column, low entry 1
     death_of = {}  # low row -> death coordinate
     for el in P.relations:
-        vec = [el.coeffs[order[r]] for r in range(len(gens))]
-        while True:
-            low = None
-            for r in range(len(vec) - 1, -1, -1):
-                if not vec[r].is_zero():
-                    low = r
-                    break
-            if low is None:
-                break
-            if low in reduced:
-                other = reduced[low]
-                f = vec[low] * inv(other[low])
-                vec = [a - (f * b) for a, b in zip(vec, other)]
-            else:
-                reduced[low] = vec
-                death_of[low] = el.grade.coords[0]
-                break
+        col = {row_of[i]: c.value for i, c in enumerate(el.coeffs)
+               if c.value}
+        low = _reduce(col, reduced, p)
+        if low is not None:
+            f = 1 / col[low] if p is None else pow(col[low], -1, p)
+            reduced[low] = {r: (v * f if p is None else v * f % p)
+                            for r, v in col.items()}
+            death_of[low] = el.grade.coords[0]
 
     intervals = []
-    for r in range(len(gens)):
-        b = gens.grades[order[r]].coords[0]
-        if r in death_of:
-            d = death_of[r]
-            if b < d:
-                intervals.append(Interval(b, d))
-        else:
-            intervals.append(Interval(b, INF))
+    for r, i in enumerate(order):
+        b = births[i]
+        d = death_of.get(r, INF)
+        if b < d:
+            intervals.append(Interval(b, d))
     return diagram_of(intervals)
+
+
+def _reduce(col, reduced, p):
+    """Cancel col's low entry against the kept columns (in place) until
+    its low row is free; returns that row, or None when col reaches 0.
+    """
+    while col:
+        low = max(col)
+        other = reduced.get(low)
+        if other is None:
+            return low
+        f = col[low]
+        for r, b in other.items():
+            v = col.get(r, 0) - f * b
+            if p is not None:
+                v %= p
+            if v:
+                col[r] = v
+            else:
+                del col[r]
+    return None
 
 
 # ----------------------------------------------------------------------
@@ -260,6 +285,11 @@ class _Costs:
     pairwise interval_bottleneck. The costs are stored as indices into
     values, so whether an edge exists at tolerance values[t] is an int
     comparison with t.
+
+    The costs are computed on ints in units of 1/S, S = 2 * lcm(all
+    endpoint denominators); the factor 2 makes the halfwidths whole.
+    Scaling keeps the order, so the ranks are those of the rational
+    costs, and values is lifted back once, as Fraction(v, S) or inf.
     """
 
     __slots__ = ("L1", "L2", "values", "cost", "half1", "half2")
@@ -267,16 +297,29 @@ class _Costs:
     def __init__(self, D1, D2):
         self.L1 = [i for i, m in D1.pairs() for _ in range(m)]
         self.L2 = [j for j, m in D2.pairs() for _ in range(m)]
-        cost = [[interval_bottleneck(I, J) for J in self.L2]
-                for I in self.L1]
-        half1 = [I.halfwidth() for I in self.L1]
-        half2 = [J.halfwidth() for J in self.L2]
-        self.values = sorted({Fraction(0), INF, *half1, *half2,
-                              *chain.from_iterable(cost)})
-        rank = {v: t for t, v in enumerate(self.values)}
+        ends = [x for I in chain(D1.mult, D2.mult)
+                for x in (I.birth, I.death) if x != INF]
+        S = 2 * math.lcm(*(x.denominator for x in ends))
+        scaled = {x: x.numerator * (S // x.denominator) for x in ends}
+        E1 = [(scaled[I.birth], scaled.get(I.death)) for I in self.L1]
+        E2 = [(scaled[J.birth], scaled.get(J.death)) for J in self.L2]
+        cost = []
+        for b, d in E1:
+            if d is None:  # inf - inf = 0: only births count
+                cost.append([abs(b - b2) if d2 is None else INF
+                             for b2, d2 in E2])
+            else:
+                cost.append([INF if d2 is None
+                             else max(abs(b - b2), abs(d - d2))
+                             for b2, d2 in E2])
+        half1 = [INF if d is None else (d - b) // 2 for b, d in E1]
+        half2 = [INF if d is None else (d - b) // 2 for b, d in E2]
+        ints = sorted({0, INF, *half1, *half2, *chain.from_iterable(cost)})
+        rank = {v: t for t, v in enumerate(ints)}
         self.cost = [[rank[c] for c in row] for row in cost]
         self.half1 = [rank[h] for h in half1]
         self.half2 = [rank[h] for h in half2]
+        self.values = [INF if v == INF else Fraction(v, S) for v in ints]
 
     def matching(self, t):
         """Left side of a perfect matching of the dummy-augmented graph
@@ -313,8 +356,8 @@ def matching_feasible(D1, D2, e):
     (_Costs.matching). Returns (feasible, Multibijection or None); the
     witness is re-checked against both diagrams before it is returned.
     """
-    if e != INF and e < 0:
-        raise ValueError(f"negative tolerance {e}")
+    if not e >= 0:  # also catches NaN
+        raise ValueError(f"tolerance must be >= 0, got {e}")
     costs = _Costs(D1, D2)
     # every cost is a candidate value, so cost <= e exactly when it is
     # <= the largest candidate value <= e

@@ -2,10 +2,10 @@
 
 The oracles here are deliberately independent of the library internals:
 dimension counts and rank are recomputed with a local Gaussian
-elimination over int residues, bottleneck costs with inline interval
-arithmetic, and exported polynomial systems are re-parsed from text and
-solved by exhaustive assignment. Tests compare library answers against
-these, never against the library's own helpers.
+elimination over int residues or Fractions, bottleneck costs with inline
+interval arithmetic, and exported polynomial systems are re-parsed from
+text and solved by exhaustive assignment. Tests compare library answers
+against these, never against the library's own helpers.
 """
 
 import math
@@ -34,9 +34,16 @@ def rand_grade(rng, n, span=4, denom=4):
     return Grade([rand_coord(rng, span, denom) for _ in range(n)])
 
 
+def rand_coeff(rng, field):
+    """A random residue over F_p; a small signed rational over Q."""
+    if field.is_rationals:
+        return field.scalar(Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
+    return field.scalar(rng.randrange(field.p))
+
+
 def random_presentation(rng, field, n, max_gens=3, max_rels=3,
                         min_gens=0, min_rels=0, name="M", span=4, denom=4):
-    """A random presentation with small rational grades.
+    """A random presentation with small rational grades, over F_p or Q.
 
     Relation grades sit at the join of a random subset of generator
     grades, optionally bumped, so the admissibility pattern is usually
@@ -54,8 +61,8 @@ def random_presentation(rng, field, n, max_gens=3, max_rels=3,
                   for t in range(n)]
         bump = rng.choice([0, 0, Fraction(1, 2), 1])
         u = Grade([c + bump for c in coords])
-        coeffs = [field.scalar(rng.randrange(field.p))
-                  if grade_leq(g, u) else field.zero()
+        coeffs = [rand_coeff(rng, field) if grade_leq(g, u)
+                  else field.zero()
                   for g in gens.grades]
         rels.append((f"r{k + 1}", make_element(gens, u, coeffs, field)))
     return Presentation(field, n, gens, rels, name=name)
@@ -76,24 +83,28 @@ def random_diagram(rng, max_intervals=3, span=4, denom=4, inf_prob=0.2):
 
 
 # ----------------------------------------------------------------------
-# dimension oracle (local Gauss over F_p, independent of pmod.freemod)
+# dimension oracle (local Gauss over F_p or Q, independent of pmod.freemod)
 # ----------------------------------------------------------------------
 
-def local_rank_mod_p(rows, width, p):
-    rows = [list(r) for r in rows]
+def local_rank(rows, width, p):
+    """Rank over F_p of rows of int residues, or over Q of rows of
+    rationals when p is None."""
+    def red(x):
+        return Fraction(x) if p is None else x % p
+
+    rows = [[red(x) for x in r] for r in rows]
     rank = 0
     for c in range(width):
-        piv = next((i for i in range(rank, len(rows)) if rows[i][c] % p),
-                   None)
+        piv = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
         if piv is None:
             continue
         rows[rank], rows[piv] = rows[piv], rows[rank]
-        fac = pow(rows[rank][c], -1, p)
-        rows[rank] = [(x * fac) % p for x in rows[rank]]
+        fac = 1 / rows[rank][c] if p is None else pow(rows[rank][c], -1, p)
+        rows[rank] = [red(x * fac) for x in rows[rank]]
         for i in range(len(rows)):
-            if i != rank and rows[i][c] % p:
+            if i != rank and rows[i][c]:
                 f = rows[i][c]
-                rows[i] = [(a - f * b) % p
+                rows[i] = [red(a - f * b)
                            for a, b in zip(rows[i], rows[rank])]
         rank += 1
     return rank
@@ -106,7 +117,7 @@ def dim_at(P, t):
              if g.coords[0] <= t]
     rows = [[el.coeffs[i].value for i in alive]
             for el in P.relations if el.grade.coords[0] <= t]
-    return len(alive) - local_rank_mod_p(rows, len(alive), P.field.p)
+    return len(alive) - local_rank(rows, len(alive), P.field.p)
 
 
 # ----------------------------------------------------------------------

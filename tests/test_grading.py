@@ -1,3 +1,4 @@
+import math
 import pytest
 from fractions import Fraction
 from hypothesis import given, strategies as st
@@ -51,6 +52,9 @@ def test_check_epsilon():
     assert check_epsilon(Fraction(3, 2)) == Fraction(3, 2)
     with pytest.raises(ValueError):
         check_epsilon(Fraction(-1, 2))
+    for bad in (math.inf, float("nan")):
+        with pytest.raises(ValueError):
+            check_epsilon(bad)
 
 
 def test_parse_rational():

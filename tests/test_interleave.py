@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -34,6 +35,8 @@ def test_problem_validation():
     M, N = parse(M_TEXT), parse(N_TEXT)
     with pytest.raises(ValueError):
         InterleavingProblem(M, N, Fraction(-1))
+    with pytest.raises(ValueError):
+        InterleavingProblem(M, N, math.inf)
     N2 = parse(N_TEXT.replace("field F5", "field F2").replace("1*b", "1*b"))
     with pytest.raises(FieldMismatch):
         InterleavingProblem(M, N2, Fraction(1))

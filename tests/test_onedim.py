@@ -5,13 +5,14 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from pmod import (INF, Interval, NotOneParameter, PersistenceDiagram,
-                  barcode, bottleneck_candidates, box_interval,
-                  diagram_bottleneck, diagram_of, format_extended,
-                  interval_bottleneck, matching_feasible, parse)
+from pmod import (INF, RATIONALS, Interval, NotOneParameter,
+                  PersistenceDiagram, barcode, bottleneck_candidates,
+                  box_interval, diagram_bottleneck, diagram_of,
+                  format_extended, interval_bottleneck, matching_feasible,
+                  parse)
 from pmod.onedim import _hopcroft_karp
 
-from conftest import (F2, F5, brute_bottleneck, dim_at, random_diagram,
+from conftest import (F2, F3, F5, brute_bottleneck, dim_at, random_diagram,
                       random_presentation, rng_for)
 
 
@@ -25,6 +26,8 @@ def test_interval_basics():
     assert Interval(2, 2).halfwidth() == 0  # degenerate but legal
     with pytest.raises(ValueError):
         Interval(3, 2)
+    with pytest.raises(ValueError):
+        Interval(INF, INF)
     assert format_extended(INF) == "inf"
     assert format_extended(Fraction(1, 2)) == "1/2"
 
@@ -84,23 +87,41 @@ def test_barcode_rejects_multiparameter():
         barcode(P)
 
 
+def _check_pointwise_dimension(P, samples):
+    D = barcode(P)
+    samples = set(samples)
+    for g in P.generators.grades:
+        samples.add(g.coords[0])
+    for el in P.relations:
+        samples.add(el.grade.coords[0])
+    for t in samples:
+        counted = sum(m for iv, m in D.pairs()
+                      if iv.birth <= t and t < iv.death)
+        assert counted == dim_at(P, t), (serialize_for_debug(P), t)
+
+
 def test_barcode_matches_pointwise_dimension():
     """The bars must reproduce dim M_t computed straight from the
     presentation at every sample parameter."""
     rng = rng_for(601)
-    for field in (F2, F5):
+    for field in (F2, F5, RATIONALS):
         for _ in range(40):
             P = random_presentation(rng, field, 1)
-            D = barcode(P)
-            samples = {Fraction(k, 8) for k in range(-2, 40)}
-            for g in P.generators.grades:
-                samples.add(g.coords[0])
-            for el in P.relations:
-                samples.add(el.grade.coords[0])
-            for t in samples:
-                counted = sum(m for iv, m in D.pairs()
-                              if iv.birth <= t and t < iv.death)
-                assert counted == dim_at(P, t), (serialize_for_debug(P), t)
+            _check_pointwise_dimension(
+                P, (Fraction(k, 8) for k in range(-2, 40)))
+
+
+def test_barcode_matches_pointwise_dimension_at_benchmark_size():
+    """16-31 generators, as in the benchmark, where many columns cancel
+    against several kept ones. Between grades the dimension is constant,
+    so the grades and one point below them are the samples."""
+    rng = rng_for(606)
+    for field in (F3, RATIONALS):
+        for _ in range(4):
+            P = random_presentation(rng, field, 1, min_gens=16, max_gens=31,
+                                    min_rels=8, max_rels=31)
+            assert len(P.generators) >= 16
+            _check_pointwise_dimension(P, [Fraction(-1)])
 
 
 def serialize_for_debug(P):
@@ -124,6 +145,9 @@ def test_matching_feasible_identity():
     assert wit.check_against(D, D)
     with pytest.raises(ValueError):
         matching_feasible(D, D, Fraction(-1))
+    with pytest.raises(ValueError):
+        matching_feasible(D, D, float("nan"))
+    assert matching_feasible(D, D, INF)[0]
 
 
 def test_matching_feasible_diagonal_only():
@@ -174,6 +198,40 @@ def test_bottleneck_candidates_contain_answer():
         assert ok
         if wit is not None:
             assert wit.check_against(D1, D2)
+
+
+def _mixed_diagram(rng):
+    """Endpoints on mixed grids (thirds, eighths, multiples of 5/6), so
+    the candidate values have several denominators; some bars are
+    infinite and some repeat."""
+    steps = (Fraction(1, 3), Fraction(1, 8), Fraction(5, 6))
+    ivals = []
+    for _ in range(rng.randint(0, 6)):
+        b = rng.randint(0, 12) * rng.choice(steps)
+        if rng.random() < 0.25:
+            d = INF
+        else:
+            d = b + rng.randint(0, 12) * rng.choice(steps)
+        ivals.extend([Interval(b, d)] * rng.choice((1, 1, 2)))
+    return diagram_of(ivals)
+
+
+def test_bottleneck_candidates_match_fraction_reference():
+    """The candidates are the sorted set of 0, inf, every halfwidth and
+    every pairwise interval_bottleneck, computed here on Fractions; each
+    value is a Fraction or inf, and so is the distance."""
+    rng = rng_for(607)
+    for _ in range(200):
+        D1, D2 = _mixed_diagram(rng), _mixed_diagram(rng)
+        L1 = [i for i, m in D1.pairs() for _ in range(m)]
+        L2 = [j for j, m in D2.pairs() for _ in range(m)]
+        want = sorted({Fraction(0), INF,
+                       *(i.halfwidth() for i in L1 + L2),
+                       *(interval_bottleneck(i, j) for i in L1 for j in L2)})
+        got = bottleneck_candidates(D1, D2)
+        assert got == want
+        for v in got + [diagram_bottleneck(D1, D2)]:
+            assert type(v) is Fraction or (type(v) is float and v == INF)
 
 
 def test_diagram_bottleneck_against_brute_force():

@@ -11,7 +11,7 @@ from pmod import (DimensionMismatch, FieldMismatch, Grade,
                   relation_matrix, restrict_diagonal, serialize,
                   shift_presentation)
 
-from conftest import (F2, F5, inject_redundancy, local_rank_mod_p,
+from conftest import (F2, F5, inject_redundancy, local_rank,
                       rand_grade, random_presentation, rng_for)
 from pmod.cli import INPUT_ERRORS
 
@@ -301,7 +301,7 @@ def _dim_at_point(P, point):
     alive = [i for i, g in enumerate(P.generators.grades) if below(g)]
     rows = [[el.coeffs[i].value for i in alive]
             for el in P.relations if below(el.grade)]
-    return len(alive) - local_rank_mod_p(rows, len(alive), P.field.p)
+    return len(alive) - local_rank(rows, len(alive), P.field.p)
 
 
 def test_restrict_diagonal_pointwise_dimension():
