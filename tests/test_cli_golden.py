@@ -1,0 +1,118 @@
+"""Byte-for-byte CLI transcripts.
+
+cli_golden.json holds, for every command line in CASES, its exit code
+and its exact stdout. The inputs are the tests/test_cli.py pair, an F5
+pair whose witness and mixed relations hold entries other than 0 and 1,
+and two Q modules with negative and fractional coefficients. After an
+intended change of output, re-record with
+
+    PYTHONPATH=src python tests/test_cli_golden.py
+"""
+
+import json
+from pathlib import Path
+
+from click.testing import CliRunner
+
+from pmod.cli import main
+
+GOLDEN = Path(__file__).with_name("cli_golden.json")
+
+MODULES = {
+    "M": "module M\nfield F5\nparams 1\ngen a @ 0\nrel r1 @ 3 = 1*a\n",
+    "N": "module N\nfield F5\nparams 1\ngen b @ 1\nrel s1 @ 3 = 1*b\n",
+    "red": ("module M\nfield F5\nparams 1\ngen a @ 0\ngen b @ 0\n"
+            "rel r1 @ 0 = 1*a + 4*b\nrel r2 @ 3 = 1*a\n"),
+    # tests/conftest.random_presentation(rng_for(134), F5, 2, min_gens=2,
+    # min_rels=2), both already minimal; d_I = 9/8
+    "M5": ("module M\nfield F5\nparams 2\n"
+           "gen g1 @ (4, 0)\ngen g2 @ (3/4, 7/4)\ngen g3 @ (7/4, 0)\n"
+           "rel r1 @ (9/4, 9/4) = 4*g3\n"
+           "rel r2 @ (9/2, 9/4) = 2*g1 + 2*g2 + 1*g3\n"),
+    "N5": ("module N\nfield F5\nparams 2\n"
+           "gen g1 @ (11/3, 8/3)\ngen g2 @ (3, 0)\ngen g3 @ (7/4, 1)\n"
+           "rel r1 @ (25/6, 19/6) = 1*g1 + 2*g2 + 2*g3\n"
+           "rel r2 @ (25/6, 19/6) = 1*g1 + 3*g3\n"),
+    # r2 is a unit pivot on c and r4 is redundant, so minimize rewrites
+    # the rest
+    "Q1": ("module Q1\nfield Q\nparams 1\n"
+           "gen a @ 0\ngen b @ 1/2\ngen c @ 1\n"
+           "rel r1 @ 1 = -3/2*a + 2*b\n"
+           "rel r2 @ 1 = 1/3*c + -1*a + 5/4*b\n"
+           "rel r3 @ 2 = -1/2*b + 2/3*c\n"
+           "rel r4 @ 3 = 2*a + 4*b\n"),
+    "Q2": ("module Q2\nfield Q\nparams 1\ngen x @ 1/4\ngen y @ 1\n"
+           "rel s1 @ 3/2 = -2/3*x + 5/7*y\nrel s2 @ 5/2 = -1*y\n"),
+}
+
+CASES = [
+    ["interleaved", "M", "N", "--eps", "1", "--witness"],
+    ["interleaved", "M", "N", "--eps", "1", "--json", "--witness"],
+    ["interleaved", "M", "N", "--eps", "1/2"],
+    ["distance", "M", "N", "--witness"],
+    ["distance", "M", "N", "--json", "--witness"],
+    ["candidates", "M", "N"],
+    ["candidates", "M", "N", "--json"],
+    ["barcode", "M"],
+    ["barcode", "M", "--json"],
+    ["bottleneck", "M", "N"],
+    ["bottleneck", "M", "N", "--json"],
+    ["minimize", "red"],
+    ["minimize", "red", "--json"],
+    ["characterize", "M", "N", "--eps", "1", "--witness"],
+    ["characterize", "M", "N", "--eps", "1", "--json", "--witness"],
+    ["characterize", "M", "N", "--eps", "1/2"],
+    ["exportmq", "M", "N", "--eps", "1"],
+    ["isomorphic", "M", "N"],
+    ["interleaved", "M5", "N5", "--eps", "9/8", "--witness"],
+    ["interleaved", "M5", "N5", "--eps", "9/8", "--json", "--witness"],
+    ["interleaved", "M5", "N5", "--eps", "1"],
+    ["distance", "M5", "N5", "--witness"],
+    ["distance", "M5", "N5", "--json", "--witness"],
+    ["candidates", "M5", "N5"],
+    ["minimize", "M5"],
+    ["characterize", "M5", "N5", "--eps", "9/8", "--witness"],
+    ["characterize", "M5", "N5", "--eps", "9/8", "--json", "--witness"],
+    ["characterize", "N5", "M5", "--eps", "3/2", "--witness"],
+    ["exportmq", "M5", "N5", "--eps", "9/8"],
+    ["exportmq", "M5", "N5", "--eps", "1/4"],
+    ["minimize", "Q1"],
+    ["minimize", "Q1", "--json"],
+    ["barcode", "Q1"],
+    ["barcode", "Q1", "--json"],
+    ["barcode", "Q2"],
+    ["bottleneck", "Q1", "Q2"],
+    ["candidates", "Q1", "Q2"],
+    ["exportmq", "Q1", "Q2", "--eps", "1/2"],
+    ["exportmq", "Q2", "Q1", "--eps", "3/4"],
+]
+
+
+def _run(tmp_path):
+    for name, text in MODULES.items():
+        (tmp_path / f"{name}.pmod").write_text(text)
+    runner = CliRunner()
+    out = {}
+    for args in CASES:
+        argv = [str(tmp_path / f"{a}.pmod") if a in MODULES else a
+                for a in args]
+        r = runner.invoke(main, argv)
+        out[" ".join(args)] = {"exit_code": r.exit_code, "stdout": r.stdout}
+    return out
+
+
+def test_cli_transcripts_byte_identical(tmp_path):
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    got = _run(tmp_path)
+    assert sorted(got) == sorted(golden)
+    changed = [key for key in got if got[key] != golden[key]]
+    assert not changed, changed
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        record = _run(Path(tmp))
+    GOLDEN.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n",
+                      encoding="utf-8")
