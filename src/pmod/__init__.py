@@ -4,18 +4,15 @@ bottleneck distance, minimal presentations, and compatible presentation
 pairs built from interleaving witnesses.
 """
 
-from .scalars import (FieldSpec, Scalar, RATIONALS, FieldMismatch,
-                      DivisionByZero, parse_scalar_literal)
+from .scalars import FieldSpec, RATIONALS, FieldMismatch
 from .grading import (Grade, grade_leq, grade_shift, check_epsilon,
                       parse_rational, parse_grade, format_grade,
                       DimensionMismatch)
 from .freemod import (GradedSet, HomogeneousElement, MorphismMatrix,
-                      make_element, zero_element, identity_matrix,
-                      zero_matrix, apply, compose, span_membership,
+                      make_element, apply, compose, span_membership,
                       PatternViolation, BasisMismatch)
 from .presentation import (Presentation, CriticalGrades, ParseError,
-                           GradeOrderViolation, parse, serialize,
-                           relation_matrix, minimize, critical_grades,
+                           GradeOrderViolation, parse, serialize, minimize,
                            shift_presentation, restrict_diagonal,
                            box_interval)
 from .onedim import (Interval, PersistenceDiagram, Multibijection,

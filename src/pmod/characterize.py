@@ -89,7 +89,7 @@ def compatible_presentations(P_M, P_N, witness, e):
     if A.shift != e or B.shift != e:
         raise InvalidWitness(f"witness shift ({A.shift}, {B.shift}) != {e}")
     for mat in (A, B):
-        if mat.field is not None and mat.field != P_M.field:
+        if mat.field != P_M.field:
             raise InvalidWitness("witness over the wrong field")
     for w in P_M.relations:
         inside, _ = span_membership(apply(A, w), P_N.relations)
@@ -110,7 +110,7 @@ def compatible_presentations(P_M, P_N, witness, e):
     W1, W2 = P_M.generators, P_N.generators
     basis, _ = combined_basis(W1, W2)
     gm, gn = len(W1), len(W2)
-    zero, one = field.zero(), field.one()
+    zero, one = field.coerce(0), field.coerce(1)
 
     used1 = set()
     Y1 = [(_unique(nm, used1),
@@ -118,7 +118,7 @@ def compatible_presentations(P_M, P_N, witness, e):
                         field))
           for nm, el in P_M.rel_pairs()]
     for j, (yname, ygrade) in enumerate(W2):
-        coeffs = [-B.entries[i][j] for i in range(gm)] \
+        coeffs = [field.coerce(-B.entries[i][j]) for i in range(gm)] \
             + [one if t == j else zero for t in range(gn)]
         el = make_element(basis, grade_shift(ygrade, e), coeffs, field)
         Y1.append((_unique(f"m_{yname}", used1), el))
@@ -130,7 +130,7 @@ def compatible_presentations(P_M, P_N, witness, e):
           for nm, el in P_N.rel_pairs()]
     for j, (yname, ygrade) in enumerate(W1):
         coeffs = [one if t == j else zero for t in range(gm)] \
-            + [-A.entries[i][j] for i in range(gn)]
+            + [field.coerce(-A.entries[i][j]) for i in range(gn)]
         el = make_element(basis, grade_shift(ygrade, e), coeffs, field)
         Y2.append((_unique(f"m_{yname}", used2), el))
 
@@ -184,7 +184,7 @@ def verify_compatible(pair, P_M, P_N, budget=DEFAULT_BUDGET):
     for y_list, shifted_block in ((pair.Y1, "W2"), (pair.Y2, "W1")):
         for _, el in y_list:
             for t, c in enumerate(el.coeffs):
-                if c.is_zero():
+                if not c:
                     continue
                 in_w2 = t >= gm
                 shifted = (shifted_block == "W2") == in_w2
@@ -201,16 +201,11 @@ def verify_compatible(pair, P_M, P_N, budget=DEFAULT_BUDGET):
 def serialize_pair(pair):
     """Text form: presentation-format lines tagged W1/W2 and Y1/Y2."""
     from .grading import format_grade
-    field = None
-    for _, el in list(pair.Y1) + list(pair.Y2):
-        if el.field is not None:
-            field = el.field
-            break
+    ys = pair.Y1 + pair.Y2
     n = len(pair.W1.grades[0]) if len(pair.W1) else (
         len(pair.W2.grades[0]) if len(pair.W2) else 1)
-    out = []
-    if field is not None:
-        out.append(f"field {field}")
+    # the field is held by the elements; a pair without any has none
+    out = [f"field {ys[0][1].field}"] if ys else []
     out.append(f"params {n}")
     out.append(f"eps {pair.e}")
     for nm, g in pair.W1:
@@ -220,7 +215,7 @@ def serialize_pair(pair):
     for tag, y_list in (("Y1", pair.Y1), ("Y2", pair.Y2)):
         for nm, el in y_list:
             terms = [f"{c}*{bn}" for c, bn
-                     in zip(el.coeffs, el.basis.names) if not c.is_zero()]
+                     in zip(el.coeffs, el.basis.names) if c]
             rhs = " + ".join(terms) if terms else "0"
             out.append(f"rel {tag} {nm} @ {format_grade(el.grade)} = {rhs}")
     return "\n".join(out) + "\n"

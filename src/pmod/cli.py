@@ -11,7 +11,7 @@ import sys
 
 import click
 
-from .scalars import FieldMismatch, DivisionByZero
+from .scalars import FieldMismatch
 from .grading import parse_rational, check_epsilon, DimensionMismatch
 from .freemod import PatternViolation, BasisMismatch
 from .presentation import (parse, serialize, ParseError,
@@ -27,7 +27,7 @@ from .characterize import compatible_presentations, serialize_pair
 
 INPUT_ERRORS = (ParseError, PatternViolation, BasisMismatch, FieldMismatch,
                 DimensionMismatch, NotOneParameter, GradeOrderViolation,
-                UnsupportedField, DivisionByZero, OSError)
+                UnsupportedField, OSError)
 
 
 def _die(exc, code=2):

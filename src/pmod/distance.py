@@ -18,7 +18,7 @@ from fractions import Fraction
 from .scalars import FieldMismatch
 from .grading import DimensionMismatch
 from .presentation import CriticalGrades, minimize, restrict_diagonal
-from .onedim import barcode, diagram_bottleneck, matching_feasible
+from .onedim import barcode, _max_bottleneck
 from .interleave import (InterleavingProblem, is_interleaved,
                          BudgetExceeded, UnsupportedField, DEFAULT_BUDGET)
 
@@ -100,12 +100,10 @@ def diagonal_lower_bound(P_M, P_N):
                           for u in grades)
     bound = Fraction(0)
     for x in lines:
-        D1 = barcode(restrict_diagonal(P_M, x))
-        D2 = barcode(restrict_diagonal(P_N, x))
-        if not matching_feasible(D1, D2, bound)[0]:
-            bound = diagram_bottleneck(D1, D2)
-            if bound == INF:
-                break
+        bound = _max_bottleneck(barcode(restrict_diagonal(P_M, x)),
+                                barcode(restrict_diagonal(P_N, x)), bound)
+        if bound == INF:
+            break
     return bound
 
 

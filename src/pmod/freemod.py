@@ -15,17 +15,16 @@ The second rule is what makes patterned matrices correspond exactly to
 degree-preserving morphisms ("not >= forces zero"; a strict-< rule
 would wrongly allow incomparable grades).
 
-The bottom of the file is the one exact Gaussian elimination kernel
-(first-nonzero pivoting, no numerical concerns). It works on raw values:
-residues mod p, or Fractions over Q. span_membership is its one Scalar
-boundary; the interleaving search calls rref and nullspace on raw
-values and lifts to Scalars only what it returns.
+Coefficients and matrix entries are raw values of the field the
+element or matrix holds: int residues in [0, p) over F_p, Fractions over
+Q. The bottom of the file is the one exact Gaussian elimination kernel
+(first-nonzero pivoting, no numerical concerns), on the same raw values.
 """
 
 from fractions import Fraction
 
 from .grading import grade_leq, grade_shift, DimensionMismatch
-from .scalars import FieldMismatch, Scalar
+from .scalars import FieldMismatch
 
 
 class PatternViolation(Exception):
@@ -80,10 +79,11 @@ class GradedSet:
 
 
 class HomogeneousElement:
-    """An element of <B> at a single grade, as a coefficient vector.
+    """An element of <B> at a single grade, as a coefficient vector of
+    raw values of field.
 
-    Do not construct directly; use make_element, which enforces the
-    grade pattern.
+    Do not construct directly; use make_element, which checks the values
+    and enforces the grade pattern.
     """
 
     __slots__ = ("basis", "grade", "coeffs", "field")
@@ -95,59 +95,57 @@ class HomogeneousElement:
         self.field = field
 
     def is_zero(self):
-        return all(c.is_zero() for c in self.coeffs)
+        return not any(self.coeffs)
 
     def __eq__(self, other):
         return (isinstance(other, HomogeneousElement)
+                and self.field == other.field
                 and self.basis == other.basis
                 and self.grade == other.grade
                 and self.coeffs == other.coeffs)
 
     def __hash__(self):
-        return hash((self.basis, self.grade, self.coeffs))
+        return hash((self.field, self.basis, self.grade, self.coeffs))
 
     def __repr__(self):
         terms = [f"{c}*{n}" for c, n in zip(self.coeffs, self.basis.names)
-                 if not c.is_zero()]
+                 if c]
         body = " + ".join(terms) if terms else "0"
         return f"<{body} @ {self.grade}>"
 
 
-def make_element(B, u, coeffs, field=None):
-    """Build a homogeneous element of <B> at grade u.
+def make_element(B, u, coeffs, field):
+    """Build a homogeneous element of <B> at grade u over field.
 
-    Raises PatternViolation if some coefficient is nonzero at a
-    generator whose grade is not <= u.
+    Raises FieldMismatch if some coefficient is not a raw value of field
+    (FieldSpec.coerce makes one), and PatternViolation if some
+    coefficient is nonzero at a generator whose grade is not <= u.
     """
-    coeffs = list(coeffs)
+    coeffs = tuple(coeffs)
     if len(coeffs) != len(B):
         raise BasisMismatch(
             f"{len(coeffs)} coefficients for a basis of size {len(B)}")
-    if field is None and coeffs:
-        field = coeffs[0].field
-    for c in coeffs:
-        if field is not None and c.field != field:
-            raise FieldMismatch("mixed fields in one element")
+    p = field.p
+    kind = int if p else Fraction
     for c, (name, g) in zip(coeffs, B):
-        if not c.is_zero() and not grade_leq(g, u):
+        if type(c) is not kind or p and not 0 <= c < p:
+            raise FieldMismatch(f"coefficient {c!r} is not a value of {field}")
+        if c and not grade_leq(g, u):
             raise PatternViolation(
                 f"coefficient on {name}@{g} in an element at grade {u}")
     return HomogeneousElement(B, u, coeffs, field)
 
 
-def zero_element(B, u, field):
-    return HomogeneousElement(B, u, [field.zero()] * len(B), field)
-
-
 class MorphismMatrix:
     """A |B'| x |B| matrix representing a morphism <B> -> <B'(e)>.
 
-    Entry (i, j) may be nonzero only when gr(b'_i) <= gr(b_j) + e.
+    Entries are raw values of field, checked as in make_element. Entry
+    (i, j) may be nonzero only when gr(b'_i) <= gr(b_j) + e.
     """
 
     __slots__ = ("domain", "codomain", "shift", "entries", "field")
 
-    def __init__(self, domain, codomain, entries, shift=0, field=None):
+    def __init__(self, domain, codomain, entries, shift, field):
         self.domain = domain
         self.codomain = codomain
         self.shift = shift if type(shift) is Fraction else Fraction(shift)
@@ -159,17 +157,15 @@ class MorphismMatrix:
             if len(row) != len(domain):
                 raise BasisMismatch(
                     f"row of length {len(row)} for a domain of size {len(domain)}")
-        if field is None:
-            for row in entries:
-                for x in row:
-                    field = x.field
-                    break
-                if field is not None:
-                    break
         self.field = field
+        p = field.p
+        kind = int if p else Fraction
         for i, row in enumerate(entries):
             for j, x in enumerate(row):
-                if not x.is_zero() and not self._allowed(i, j):
+                if type(x) is not kind or p and not 0 <= x < p:
+                    raise FieldMismatch(
+                        f"entry {x!r} is not a value of {field}")
+                if x and not self._allowed(i, j):
                     raise PatternViolation(
                         f"entry ({i},{j}): {self.codomain.names[i]}@"
                         f"{self.codomain.grades[i]} <= {self.domain.names[j]}@"
@@ -182,6 +178,7 @@ class MorphismMatrix:
 
     def __eq__(self, other):
         return (isinstance(other, MorphismMatrix)
+                and self.field == other.field
                 and self.domain == other.domain
                 and self.codomain == other.codomain
                 and self.shift == other.shift
@@ -194,50 +191,34 @@ class MorphismMatrix:
                 f"shift={self.shift}, [{'; '.join(rows)}])")
 
 
-def identity_matrix(B, field, shift=0):
-    entries = [[field.one() if i == j else field.zero()
-                for j in range(len(B))] for i in range(len(B))]
-    return MorphismMatrix(B, B, entries, shift, field)
-
-
-def zero_matrix(domain, codomain, field, shift=0):
-    entries = [[field.zero()] * len(domain) for _ in range(len(codomain))]
-    return MorphismMatrix(domain, codomain, entries, shift, field)
+def _dot(u, v, field):
+    """Raw dot product of two value sequences of field."""
+    s = sum((a * b for a, b in zip(u, v)), field.coerce(0))
+    return s % field.p if field.p else s
 
 
 def apply(f, v):
     """Apply a morphism matrix to a homogeneous element."""
     if v.basis != f.domain:
         raise BasisMismatch("element is not over the morphism's domain")
-    field = f.field if f.field is not None else v.field
-    coeffs = []
-    for row in f.entries:
-        acc = field.zero()
-        for a, b in zip(row, v.coeffs):
-            acc = acc + (a * b)
-        coeffs.append(acc)
+    if f.field != v.field:
+        raise FieldMismatch(f"{f.field} matrix applied to a {v.field} element")
+    coeffs = [_dot(row, v.coeffs, f.field) for row in f.entries]
     return make_element(f.codomain, grade_shift(v.grade, f.shift), coeffs,
-                        field)
+                        f.field)
 
 
 def compose(g, f):
     """g after f; shifts add. f: <B> -> <B'(e1)>, g: <B'> -> <B''(e2)>."""
     if f.codomain != g.domain:
         raise BasisMismatch("codomain of f is not the domain of g")
-    if f.field is not None and g.field is not None and f.field != g.field:
+    if f.field != g.field:
         raise FieldMismatch("composing matrices over different fields")
-    field = g.field if g.field is not None else f.field
-    entries = []
-    for i in range(len(g.codomain)):
-        row = []
-        for j in range(len(f.domain)):
-            acc = field.zero()
-            for k in range(len(g.domain)):
-                acc = acc + (g.entries[i][k] * f.entries[k][j])
-            row.append(acc)
-        entries.append(row)
+    columns = [[row[j] for row in f.entries] for j in range(len(f.domain))]
+    entries = [[_dot(row, col, f.field) for col in columns]
+               for row in g.entries]
     return MorphismMatrix(f.domain, g.codomain, entries,
-                          f.shift + g.shift, field)
+                          f.shift + g.shift, f.field)
 
 
 def span_membership(v, W):
@@ -251,24 +232,19 @@ def span_membership(v, W):
     for w in W:
         if w.basis != v.basis:
             raise BasisMismatch("span members over a different basis")
+        if w.field != v.field:
+            raise FieldMismatch("span members over a different field")
     field = v.field
-    if field is None:
-        # element over the empty basis: the zero vector is in every span
-        return True, [w_field_zero(w) for w in W] if W else []
     admissible = [k for k, w in enumerate(W) if grade_leq(w.grade, v.grade)]
-    rows = [[W[k].coeffs[i].value for k in admissible]
+    rows = [[W[k].coeffs[i] for k in admissible]
             for i in range(len(v.coeffs))]
-    x = _solve(rows, len(admissible), [c.value for c in v.coeffs], field.p)
+    x = _solve(rows, len(admissible), v.coeffs, field.p)
     if x is None:
         return False, None
-    cert = [field.zero()] * len(W)
+    cert = [field.coerce(0)] * len(W)
     for k, val in zip(admissible, x):
-        cert[k] = Scalar(field, val)
+        cert[k] = val
     return True, cert
-
-
-def w_field_zero(w):
-    return w.field.zero() if w.field is not None else None
 
 
 # ----------------------------------------------------------------------
@@ -276,9 +252,9 @@ def w_field_zero(w):
 #
 # One kernel works on raw values: residues mod p over F_p, Fractions
 # over Q (p is None). rref and nullspace are its public face, used by
-# the interleaving search set-up; span_membership above is the only
-# Scalar boundary. The enumeration hot loop calls _solve directly, so a
-# solve per candidate stays out of the public (traced) surface.
+# the interleaving search set-up. The enumeration hot loop calls _solve
+# directly, so a solve per candidate stays out of the public (traced)
+# surface.
 # Pivoting is "first nonzero"; with exact arithmetic there is nothing
 # else to optimize for. All routines tolerate empty shapes (0 rows
 # and/or 0 columns).

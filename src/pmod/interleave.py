@@ -32,7 +32,7 @@ depends on the presented module, which is checked as a property test
 elsewhere (a presentation and its minimization give equal answers).
 """
 
-from .scalars import FieldMismatch, Scalar
+from .scalars import FieldMismatch
 from .grading import grade_leq, grade_shift, check_epsilon, DimensionMismatch
 from .freemod import (MorphismMatrix, compose, make_element,
                       span_membership, nullspace, rref, _solve)
@@ -125,8 +125,7 @@ def _annihilator(P, u):
     at grade u; a vector lies in their span iff every functional here
     kills it.
     """
-    rows = [[c.value for c in el.coeffs] for el in P.relations
-            if grade_leq(el.grade, u)]
+    rows = [el.coeffs for el in P.relations if grade_leq(el.grade, u)]
     return nullspace(rows, len(P.generators), P.field.p)
 
 
@@ -142,9 +141,8 @@ def _condition_rows(src, tgt, e, free):
     free entries; the rows' nullspace is V."""
     rows = []
     for w in src.relations:
-        coeffs = [c.value for c in w.coeffs]
         for kappa in _annihilator(tgt, grade_shift(w.grade, e)):
-            rows.append([kappa[i] * coeffs[j] for (i, j) in free])
+            rows.append([kappa[i] * w.coeffs[j] for (i, j) in free])
     return rows
 
 
@@ -162,10 +160,10 @@ def constraint_space(prob, direction):
                       field.p)
     matrices = []
     for coords in basis:
-        entries = [[field.zero()] * len(src.generators)
+        entries = [[field.coerce(0)] * len(src.generators)
                    for _ in range(len(tgt.generators))]
         for (i, j), c in zip(free, coords):
-            entries[i][j] = Scalar(field, c)
+            entries[i][j] = c
         matrices.append(MorphismMatrix(src.generators, tgt.generators,
                                        entries, prob.e, field))
     return matrices
@@ -176,18 +174,20 @@ def check_closure(A, B, prob):
 
     Column j of BA - I must lie in the span of M's relations at grade
     gr(G_M, j) + 2e, and symmetrically for AB - I over N. The 2e is
-    forced: the round trip shifts twice.
+    forced: the round trip shifts twice. Raises FieldMismatch when A or
+    B is not over the problem's field.
     """
     e2 = 2 * prob.e
     field = prob.field
-    one = field.one()
+    if A.field != field or B.field != field:
+        raise FieldMismatch(f"witness over {A.field} and {B.field}, "
+                            f"problem over {field}")
     for P, first, second in ((prob.P_M, A, B), (prob.P_N, B, A)):
         round_trip = compose(second, first)
         gens = P.generators
         for j, g in enumerate(gens.grades):
-            coeffs = [round_trip.entries[i][j] - one if i == j
-                      else round_trip.entries[i][j]
-                      for i in range(len(gens))]
+            coeffs = [row[j] for row in round_trip.entries]
+            coeffs[j] = field.coerce(coeffs[j] - 1)
             v = make_element(gens, grade_shift(g, e2), coeffs, field)
             inside, _ = span_membership(v, P.relations)
             if not inside:
@@ -221,8 +221,8 @@ class _Side:
     src, tgt: the fixed matrix F maps <G_src> -> <G_tgt(e)>; the partner
     Y solved per candidate maps back. rows are the condition-1 rows over
     the free entries of F, and U is a basis (in free-entry coordinates)
-    of V/Z, the translation-pruned candidate space. Everything is raw
-    residues; Scalars appear only when materialize lifts a hit.
+    of V/Z, the translation-pruned candidate space. Everything is int
+    residues, as in the witness matrices materialize builds.
 
     The data for the partner solve is built by pair_with, only for the
     side that is enumerated.
@@ -319,26 +319,13 @@ class _Side:
         return _solve(rows, len(yfree), rhs, p)
 
     def materialize(self, F, y):
-        """Lift an (int F, int y) hit into Scalar morphism matrices.
-
-        Scalars are immutable, so the matrices share one per distinct
-        residue; a witness a caller keeps holds a handful, not one per
-        entry.
-        """
+        """The (F, y) hit as the two morphism matrices."""
         field = self.prob.field
-        lifted = {}
-
-        def lift(x):
-            if x not in lifted:
-                lifted[x] = field.scalar(x)
-            return lifted[x]
-
-        f_entries = [[lift(x) for x in row] for row in F]
         F_mat = MorphismMatrix(self.src.generators, self.tgt.generators,
-                               f_entries, self.prob.e, field)
-        y_entries = [[lift(0)] * self._ntgt for _ in range(self._nsrc)]
+                               F, self.prob.e, field)
+        y_entries = [[0] * self._ntgt for _ in range(self._nsrc)]
         for (i, j), c in zip(self.yfree, y):
-            y_entries[i][j] = lift(c)
+            y_entries[i][j] = c
         Y_mat = MorphismMatrix(self.tgt.generators, self.src.generators,
                                y_entries, self.prob.e, field)
         return F_mat, Y_mat
@@ -401,7 +388,7 @@ def export_quadratic_system(prob):
     counts.
     """
     field = prob.field
-    one = field.one()
+    one = field.coerce(1)
 
     def var(name, i, j):
         return f"{name}_{i + 1}_{j + 1}"
@@ -431,10 +418,11 @@ def export_quadratic_system(prob):
             for j, w in enumerate(P.relations):
                 terms = [(c, [var(X, i, k)])
                          for k, c in enumerate(w.coeffs)
-                         if pat_X[i][k] and not c.is_zero()]
+                         if pat_X[i][k] and c]
                 for t, r in enumerate(Q.relations):
-                    if pat_C[t][j] and not r.coeffs[i].is_zero():
-                        terms.append((-r.coeffs[i], [var(C, t, j)]))
+                    if pat_C[t][j] and r.coeffs[i]:
+                        terms.append((field.coerce(-r.coeffs[i]),
+                                      [var(C, t, j)]))
                 emit(terms)
     # Y.X - I = T_P.E   (rows and cols: G_P; Y is the other direction's X)
     for (P, Q, X, pat_X, _, _, E, pat_E), (_, _, Y, pat_Y, *_) in (
@@ -445,10 +433,11 @@ def export_quadratic_system(prob):
                          for k in range(len(Q.generators))
                          if pat_Y[i][k] and pat_X[k][j]]
                 if i == j:
-                    terms.append((-one, []))
+                    terms.append((field.coerce(-1), []))
                 for t, r in enumerate(P.relations):
-                    if pat_E[t][j] and not r.coeffs[i].is_zero():
-                        terms.append((-r.coeffs[i], [var(E, t, j)]))
+                    if pat_E[t][j] and r.coeffs[i]:
+                        terms.append((field.coerce(-r.coeffs[i]),
+                                      [var(E, t, j)]))
                 emit(terms)
 
     header = [f"field {field}", f"vars {nvars}", f"eqs {len(lines)}"]

@@ -10,14 +10,14 @@ Extended values: deaths and distances may be +infinity, represented by
 math.inf. The one convention that needs code is inf - inf = 0 when
 comparing two deaths (two essential classes cost nothing to match).
 
-Both loops run on raw values, not Scalars. The reduction holds sparse
-columns of residues mod p or Fractions over Q. The bottleneck costs are
-integers: every finite endpoint of both diagrams is multiplied by
-S = 2 * lcm(all endpoint denominators), so every endpoint distance and
-every halfwidth is an exact int in units of 1/S. Scaling by S > 0 keeps
-the order, which is all the matching looks at. The candidate values are
-lifted back once per diagram pair, so every public function takes and
-returns Fractions and inf as before.
+Both loops run on raw values. The reduction holds sparse columns of the
+presentation's own coefficients: residues mod p or Fractions over Q.
+The bottleneck costs are integers: every finite endpoint of both
+diagrams is multiplied by S = 2 * lcm(all endpoint denominators), so
+every endpoint distance and every halfwidth is an exact int in units of
+1/S. Scaling by S > 0 keeps the order, which is all the matching looks
+at. The candidate values are lifted back once per diagram pair, so
+every public function takes and returns Fractions and inf as before.
 """
 
 import math
@@ -165,8 +165,7 @@ def barcode(P):
     reduced = {}   # low row -> kept column, low entry 1
     death_of = {}  # low row -> death coordinate
     for el in P.relations:
-        col = {row_of[i]: c.value for i, c in enumerate(el.coeffs)
-               if c.value}
+        col = {row_of[i]: c for i, c in enumerate(el.coeffs) if c}
         low = _reduce(col, reduced, p)
         if low is not None:
             f = 1 / col[low] if p is None else pow(col[low], -1, p)
@@ -346,6 +345,19 @@ class _Costs:
         size, match_l = _hopcroft_karp(adj, m + k, k + m)
         return match_l if size == m + k else None
 
+    def least_feasible(self, lo):
+        """Least t >= lo with a matching at tolerance values[t], found by
+        binary search; feasibility is monotone in t and holds at inf,
+        the last value."""
+        hi = len(self.values) - 1
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if self.matching(mid) is not None:
+                hi = mid
+            else:
+                lo = mid + 1
+        return lo
+
 
 def matching_feasible(D1, D2, e):
     """Is there a multibijection moving no interval by more than e?
@@ -404,11 +416,19 @@ def diagram_bottleneck(D1, D2):
     test on them.
     """
     costs = _Costs(D1, D2)
-    lo, hi = 0, len(costs.values) - 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if costs.matching(mid) is not None:
-            hi = mid
-        else:
-            lo = mid + 1
-    return costs.values[lo]
+    return costs.values[costs.least_feasible(0)]
+
+
+def _max_bottleneck(D1, D2, bound):
+    """max(bound, diagram_bottleneck(D1, D2)) for a bound >= 0, on one
+    cost table.
+
+    One matching test at bound settles the common case, d_B <= bound;
+    only when it fails are the candidates above bound binary-searched.
+    No Multibijection is built.
+    """
+    costs = _Costs(D1, D2)
+    t = bisect_right(costs.values, bound)
+    if costs.matching(t - 1) is not None:
+        return bound
+    return costs.values[costs.least_feasible(t)]

@@ -23,9 +23,9 @@ inverse on the nose.
 import sys
 import weakref
 
-from .scalars import FieldSpec, FieldMismatch, parse_scalar_literal, inv
+from .scalars import FieldSpec, FieldMismatch
 from .grading import (Grade, grade_leq, grade_shift, check_epsilon,
-                      parse_grade, parse_int, format_grade,
+                      parse_grade, parse_int, parse_rational, format_grade,
                       DimensionMismatch)
 from .freemod import (GradedSet, make_element, span_membership,
                       BasisMismatch)
@@ -86,7 +86,7 @@ class Presentation:
             if len(el.grade) != n:
                 raise DimensionMismatch(
                     f"relation grade {el.grade} in a {n}-parameter presentation")
-            if el.field is not None and el.field != field:
+            if el.field != field:
                 raise FieldMismatch(f"relation {nm} over the wrong field")
         pairs.sort(key=lambda p: p[1].grade.coords)
         self.rel_names = tuple(nm for nm, _ in pairs)
@@ -125,8 +125,8 @@ class CriticalGrades:
     def of(cls, P):
         """Per-axis coordinates of P's grades, P taken as given.
 
-        critical_grades minimizes first; call this directly only on a
-        presentation that is already minimal.
+        Call this on a minimal presentation (see minimize): only then
+        are the grades the module's own.
         """
         axes = []
         for i in range(P.n):
@@ -224,13 +224,15 @@ def parse(text):
 
     gens = GradedSet(gen_items)
     position = {gname: j for j, gname in enumerate(gens.names)}
+    p = field.p
+    zero = field.coerce(0)
     pairs = []
     seen = set()
     for rname, rgrade, terms, lineno in rel_lines:
         if rname in seen:
             fail(f"duplicate relation {rname!r}", lineno)
         seen.add(rname)
-        coeffs = [field.zero()] * len(gens)
+        coeffs = [zero] * len(gens)
         if terms != "0":
             for piece in terms.split("+"):
                 piece = piece.strip()
@@ -241,11 +243,12 @@ def parse(text):
                     fail(f"unknown generator {gname!r} in relation {rname!r}",
                          lineno)
                 try:
-                    c = parse_scalar_literal(ctext, field)
-                except ValueError as exc:
-                    fail(str(exc), lineno)
+                    c = field.coerce(parse_rational(ctext))
+                except ValueError:
+                    fail(f"bad scalar literal for {field}: {ctext!r}", lineno)
                 j = position[gname]
-                coeffs[j] = coeffs[j] + c
+                c += coeffs[j]
+                coeffs[j] = c % p if p else c
         # make_element raises PatternViolation on a bad relation grade;
         # let that escape as-is, it is a semantic error not a syntax one
         pairs.append((rname, make_element(gens, rgrade, coeffs, field)))
@@ -259,7 +262,7 @@ def serialize(P):
         out.append(f"gen {gname} @ {format_grade(g)}")
     for rname, el in P.rel_pairs():
         terms = [f"{c}*{gname}" for c, gname
-                 in zip(el.coeffs, P.generators.names) if not c.is_zero()]
+                 in zip(el.coeffs, P.generators.names) if c]
         rhs = " + ".join(terms) if terms else "0"
         out.append(f"rel {rname} @ {format_grade(el.grade)} = {rhs}")
     return "\n".join(out) + "\n"
@@ -268,12 +271,6 @@ def serialize(P):
 # ----------------------------------------------------------------------
 # presentation operations
 # ----------------------------------------------------------------------
-
-def relation_matrix(P):
-    """|G| x |R| matrix whose j-th column is the j-th relation."""
-    return [[el.coeffs[i] for el in P.relations]
-            for i in range(len(P.generators))]
-
 
 def minimize(P):
     """Minimal presentation of the same module.
@@ -294,12 +291,13 @@ def minimize(P):
     gen_items = [(nm, g) for nm, g in P.generators]
     rels = [[nm, el.grade, list(el.coeffs)] for nm, el in P.rel_pairs()]
     field = P.field
+    p = field.p
 
     while True:
         found = None
         for ri, (rname, rgrade, coeffs) in enumerate(rels):
             for gi in range(len(gen_items)):
-                if not coeffs[gi].is_zero() and gen_items[gi][1] == rgrade:
+                if coeffs[gi] and gen_items[gi][1] == rgrade:
                     found = (ri, gi)
                     break
             if found:
@@ -307,13 +305,14 @@ def minimize(P):
         if not found:
             break
         ri, gi = found
-        pivot_inv = inv(rels[ri][2][gi])
         prow = rels[ri][2]
+        pivot_inv = 1 / prow[gi] if p is None else pow(prow[gi], -1, p)
         for k, (_, _, coeffs) in enumerate(rels):
-            if k == ri or coeffs[gi].is_zero():
+            if k == ri or not coeffs[gi]:
                 continue
             f = coeffs[gi] * pivot_inv
-            rels[k][2] = [a - (f * b) for a, b in zip(coeffs, prow)]
+            rels[k][2] = [(a - f * b) % p if p else a - f * b
+                          for a, b in zip(coeffs, prow)]
         del rels[ri]
         del gen_items[gi]
         for entry in rels:
@@ -335,11 +334,6 @@ def minimize(P):
             i += 1
 
     return Presentation(field, P.n, gens, [elems[j] for j in kept], P.name)
-
-
-def critical_grades(P):
-    """Per-axis coordinate sets of the minimized presentation's grades."""
-    return CriticalGrades.of(minimize(P))
 
 
 def shift_presentation(P, e, direction):
@@ -404,5 +398,5 @@ def box_interval(field, lower, uppers, name="M"):
     pairs = []
     for k, u in enumerate(uppers):
         pairs.append((f"r{k + 1}",
-                      make_element(gens, u, [field.one()], field)))
+                      make_element(gens, u, [field.coerce(1)], field)))
     return Presentation(field, len(lower), gens, pairs, name)

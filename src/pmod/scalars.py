@@ -1,21 +1,17 @@
-"""Exact field arithmetic: the rationals Q and prime fields F_p.
+"""The coefficient fields: the rationals Q and prime fields F_p.
 
-Every coefficient in this package is a Scalar: a value tagged with the
-field it lives in. Rationals are stdlib Fractions (always normalized),
-prime-field values are residues in [0, p). Scalars from different fields
-never mix; mixing raises FieldMismatch.
+Coefficients are raw values: stdlib Fractions over Q, int residues in
+[0, p) over F_p. An element or matrix holds its FieldSpec once, next to
+its raw values; combining values of different fields raises
+FieldMismatch.
 """
 
 from fractions import Fraction
 
-from .grading import parse_int, parse_rational
+from .grading import parse_int
 
 
 class FieldMismatch(Exception):
-    pass
-
-
-class DivisionByZero(Exception):
     pass
 
 
@@ -90,121 +86,17 @@ class FieldSpec:
             return FieldSpec(parse_int(text[1:]))
         raise ValueError(f"unknown field: {text!r}")
 
-    def scalar(self, value):
-        """Coerce an int, Fraction, or literal string into this field."""
-        if isinstance(value, Scalar):
-            if value.field != self:
-                raise FieldMismatch(f"{value.field} scalar used in {self}")
-            return value
-        if isinstance(value, str):
-            value = parse_scalar_literal(value, self)
-            return value
+    def coerce(self, x):
+        """x as a raw value of this field: a Fraction over Q, a residue
+        in [0, p) over F_p. A non-integral Fraction is no residue and
+        raises ValueError."""
         if self.p is None:
-            return Scalar(self, Fraction(value))
-        if isinstance(value, Fraction):
-            if value.denominator != 1:
-                raise ValueError(f"{value} is not an integer residue")
-            value = value.numerator
-        return Scalar(self, value % self.p)
-
-    def zero(self):
-        return self.scalar(0)
-
-    def one(self):
-        return self.scalar(1)
+            return x if type(x) is Fraction else Fraction(x)
+        if isinstance(x, Fraction):
+            if x.denominator != 1:
+                raise ValueError(f"{x} is not an integer residue")
+            x = x.numerator
+        return x % self.p
 
 
 RATIONALS = FieldSpec()
-
-
-class Scalar:
-    """A field element: Fraction over Q, reduced residue over F_p."""
-
-    __slots__ = ("field", "value")
-
-    def __init__(self, field, value):
-        self.field = field
-        self.value = value
-
-    def is_zero(self):
-        return self.value == 0
-
-    def __eq__(self, other):
-        return (isinstance(other, Scalar)
-                and self.field == other.field
-                and self.value == other.value)
-
-    def __hash__(self):
-        return hash((self.field, self.value))
-
-    def __str__(self):
-        return str(self.value)
-
-    def __repr__(self):
-        return f"<{self.value} in {self.field}>"
-
-    # arithmetic dunders delegate to the module functions so that the
-    # field check lives in one place
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return add(self, neg(other))
-
-    def __neg__(self):
-        return neg(self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __truediv__(self, other):
-        return mul(self, inv(other))
-
-
-def _check_same_field(a, b):
-    if a.field != b.field:
-        raise FieldMismatch(f"cannot combine {a.field} and {b.field} scalars")
-
-
-def add(a, b):
-    _check_same_field(a, b)
-    if a.field.p is None:
-        return Scalar(a.field, a.value + b.value)
-    return Scalar(a.field, (a.value + b.value) % a.field.p)
-
-
-def neg(a):
-    if a.field.p is None:
-        return Scalar(a.field, -a.value)
-    return Scalar(a.field, (-a.value) % a.field.p)
-
-
-def mul(a, b):
-    _check_same_field(a, b)
-    if a.field.p is None:
-        return Scalar(a.field, a.value * b.value)
-    return Scalar(a.field, (a.value * b.value) % a.field.p)
-
-
-def inv(a):
-    if a.value == 0:
-        raise DivisionByZero(f"inverse of zero in {a.field}")
-    if a.field.p is None:
-        return Scalar(a.field, 1 / a.value)
-    return Scalar(a.field, pow(a.value, -1, a.field.p))
-
-
-def parse_scalar_literal(text, field):
-    """Parse a scalar literal: 'num/den' or a (signed) decimal integer."""
-    text = text.strip()
-    try:
-        value = parse_rational(text)
-    except ValueError:
-        raise ValueError(f"bad scalar literal: {text!r}")
-    if field.p is None:
-        return Scalar(field, value)
-    if value.denominator != 1:
-        # n/d is a residue too as long as d is invertible; keep it simple
-        # and admit only what the serializer emits: plain integers
-        raise ValueError(f"bad residue literal for {field}: {text!r}")
-    return Scalar(field, value.numerator % field.p)

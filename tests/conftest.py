@@ -37,8 +37,8 @@ def rand_grade(rng, n, span=4, denom=4):
 def rand_coeff(rng, field):
     """A random residue over F_p; a small signed rational over Q."""
     if field.is_rationals:
-        return field.scalar(Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
-    return field.scalar(rng.randrange(field.p))
+        return Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+    return rng.randrange(field.p)
 
 
 def random_presentation(rng, field, n, max_gens=3, max_rels=3,
@@ -62,7 +62,7 @@ def random_presentation(rng, field, n, max_gens=3, max_rels=3,
         bump = rng.choice([0, 0, Fraction(1, 2), 1])
         u = Grade([c + bump for c in coords])
         coeffs = [rand_coeff(rng, field) if grade_leq(g, u)
-                  else field.zero()
+                  else field.coerce(0)
                   for g in gens.grades]
         rels.append((f"r{k + 1}", make_element(gens, u, coeffs, field)))
     return Presentation(field, n, gens, rels, name=name)
@@ -115,7 +115,7 @@ def dim_at(P, t):
     assert P.n == 1
     alive = [i for i, g in enumerate(P.generators.grades)
              if g.coords[0] <= t]
-    rows = [[el.coeffs[i].value for i in alive]
+    rows = [[el.coeffs[i] for i in alive]
             for el in P.relations if el.grade.coords[0] <= t]
     return len(alive) - local_rank(rows, len(alive), P.field.p)
 
@@ -249,12 +249,12 @@ def inject_redundancy(rng, P, tag):
     coeffs = []
     for name, g in gens:
         if grade_leq(g, u):
-            coeffs.append(field.scalar(rng.randrange(field.p)))
+            coeffs.append(rng.randrange(field.p))
         else:
-            coeffs.append(field.zero())
-    coeffs.append(field.scalar(-1))
+            coeffs.append(0)
+    coeffs.append(field.p - 1)
     old_rels = [(nm, make_element(big, el.grade,
-                                  list(el.coeffs) + [field.zero()], field))
+                                  list(el.coeffs) + [0], field))
                 for nm, el in P.rel_pairs()]
     new_rel = (f"q{tag}", make_element(big, u, coeffs, field))
     return Presentation(field, P.n, big, old_rels + [new_rel], name=P.name)

@@ -148,8 +148,9 @@ def test_criterion_2_offset_intervals():
         d, w = interleaving_distance(M, N)
         if d != 1:
             failures.append((name, "distance", d))
-        one = ((M.field.scalar(1),),)
-        if w is None or w.A.entries != one or w.B.entries != one:
+        one = ((1,),)
+        if (w is None or w.A.entries != one or w.B.entries != one
+                or w.A.field != M.field or w.B.field != M.field):
             failures.append((name, "witness", w))
         if is_interleaved(InterleavingProblem(M, N, Fraction(1, 2))) is not None:
             failures.append((name, "yes at 1/2"))

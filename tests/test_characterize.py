@@ -5,7 +5,7 @@ from pmod import (CompatiblePair, Grade, GradedSet, InterleavingProblem,
                   InvalidWitness, MorphismMatrix, combined_basis,
                   compatible_presentations, induced_presentations,
                   is_interleaved, make_element, parse, serialize,
-                  serialize_pair, verify_compatible, zero_matrix)
+                  serialize_pair, verify_compatible)
 
 from conftest import F2, F5, random_presentation, rng_for
 
@@ -100,12 +100,18 @@ def test_invalid_witness_shapes():
     swapped = type(w)(w.B, w.A)
     with pytest.raises(InvalidWitness):
         compatible_presentations(M, N, swapped, Fraction(1))
+    # the same residues over F2 are no witness for F5 modules
+    over_f2 = type(w)(*(MorphismMatrix(m.domain, m.codomain, m.entries,
+                                       m.shift, F2) for m in (w.A, w.B)))
+    with pytest.raises(InvalidWitness) as err:
+        compatible_presentations(M, N, over_f2, Fraction(1))
+    assert "wrong field" in str(err.value)
 
 
 def test_invalid_witness_closure():
     M, N, _ = _offset_pair()
-    A = zero_matrix(M.generators, N.generators, F5, Fraction(1))
-    B = zero_matrix(N.generators, M.generators, F5, Fraction(1))
+    A = MorphismMatrix(M.generators, N.generators, [[0]], Fraction(1), F5)
+    B = MorphismMatrix(N.generators, M.generators, [[0]], Fraction(1), F5)
     from pmod import InterleavingWitness
     with pytest.raises(InvalidWitness) as err:
         compatible_presentations(M, N, InterleavingWitness(A, B),
@@ -116,10 +122,8 @@ def test_invalid_witness_closure():
 def test_invalid_witness_condition_one():
     M = parse("module M\nfield F5\nparams 1\ngen a @ 0\nrel r1 @ 1 = 1*a\n")
     N = parse("module N\nfield F5\nparams 1\ngen b @ 0\n")
-    A = MorphismMatrix(M.generators, N.generators, [[F5.one()]],
-                       Fraction(0), F5)
-    B = MorphismMatrix(N.generators, M.generators, [[F5.one()]],
-                       Fraction(0), F5)
+    A = MorphismMatrix(M.generators, N.generators, [[1]], Fraction(0), F5)
+    B = MorphismMatrix(N.generators, M.generators, [[1]], Fraction(0), F5)
     from pmod import InterleavingWitness
     with pytest.raises(InvalidWitness) as err:
         compatible_presentations(M, N, InterleavingWitness(A, B),
@@ -139,7 +143,7 @@ def test_verify_rejects_understated_mixed_grade():
     caught by the bookkeeping check."""
     M, N, w = _offset_pair()
     basis, _ = combined_basis(M.generators, N.generators)
-    zero, one = F5.zero(), F5.one()
+    zero, one = 0, 1
     # plain reading allows a b-coefficient at grade 1; the shifted
     # reading requires gr(b) + 1 = 2 <= grade, so this is illegal
     bad = make_element(basis, Grade([1]), [zero, one], F5)

@@ -14,7 +14,7 @@ from pmod import (BudgetExceeded, DimensionMismatch, FieldMismatch,
                   UnsupportedField, apply, box_interval, check_closure,
                   constraint_space, export_quadratic_system, grade_shift,
                   is_interleaved, minimize, parse, serialize,
-                  span_membership, zero_matrix)
+                  span_membership)
 
 from conftest import (F2, F5, brute_system_solvable, random_presentation,
                       rng_for)
@@ -28,7 +28,14 @@ def _pair(e):
 
 
 def _entries(mat):
-    return [[c.value for c in row] for row in mat.entries]
+    assert mat.field == F5
+    return [list(row) for row in mat.entries]
+
+
+def _zero(domain, codomain, field, e):
+    return MorphismMatrix(domain, codomain,
+                          [[field.coerce(0)] * len(domain) for _ in codomain],
+                          e, field)
 
 
 def test_problem_validation():
@@ -93,16 +100,22 @@ def test_constraint_space_satisfies_condition_one():
 def test_check_closure_offset_intervals():
     prob = _pair(1)
     A = MorphismMatrix(prob.P_M.generators, prob.P_N.generators,
-                       [[F5.one()]], Fraction(1), F5)
+                       [[1]], Fraction(1), F5)
     B = MorphismMatrix(prob.P_N.generators, prob.P_M.generators,
-                       [[F5.one()]], Fraction(1), F5)
+                       [[1]], Fraction(1), F5)
     assert check_closure(A, B, prob)
     # zero maps fail: -identity is not in the empty span at grade 2
-    Az = zero_matrix(prob.P_M.generators, prob.P_N.generators, F5,
-                     Fraction(1))
-    Bz = zero_matrix(prob.P_N.generators, prob.P_M.generators, F5,
-                     Fraction(1))
+    Az = _zero(prob.P_M.generators, prob.P_N.generators, F5, Fraction(1))
+    Bz = _zero(prob.P_N.generators, prob.P_M.generators, F5, Fraction(1))
     assert not check_closure(Az, Bz, prob)
+    # the same residues over F2 are another witness, for another problem
+    A2 = MorphismMatrix(prob.P_M.generators, prob.P_N.generators,
+                        [[1]], Fraction(1), F2)
+    B2 = MorphismMatrix(prob.P_N.generators, prob.P_M.generators,
+                        [[1]], Fraction(1), F2)
+    for pair in ((A2, B2), (A, B2), (A2, B)):
+        with pytest.raises(FieldMismatch):
+            check_closure(*pair, prob)
 
 
 def test_check_closure_box_against_zero():
@@ -110,8 +123,8 @@ def test_check_closure_box_against_zero():
     Z = parse("module Z\nfield F2\nparams 2\n")
     for e, want in ((Fraction(1), True), (Fraction(1, 2), False)):
         prob = InterleavingProblem(box, Z, e)
-        A = zero_matrix(box.generators, Z.generators, F2, e)
-        B = zero_matrix(Z.generators, box.generators, F2, e)
+        A = _zero(box.generators, Z.generators, F2, e)
+        B = _zero(Z.generators, box.generators, F2, e)
         assert check_closure(A, B, prob) is want
 
 
@@ -240,8 +253,9 @@ def test_export_solvability_matches_search():
 # certificate check must still refuse a bad answer.
 OPTIMIZED_SCRIPT = """
 import pmod.interleave
-from pmod import (CandidateSet, CriticalGrades, InterleavingProblem,
-                  Multibijection, PersistenceDiagram, diagram_of, Interval,
+from pmod import (CandidateSet, CriticalGrades, FieldMismatch, FieldSpec,
+                  InterleavingProblem, MorphismMatrix, Multibijection,
+                  PersistenceDiagram, check_closure, diagram_of, Interval,
                   is_interleaved, matching_feasible, parse)
 
 if __debug__:
@@ -257,6 +271,15 @@ for bad in ("CandidateSet([1, 2])",
         raise SystemExit(bad + " was accepted")
 
 M = parse("module M\\nfield F5\\nparams 1\\ngen a @ 0\\nrel r1 @ 3 = 1*a\\n")
+# the same residues over F2 are no witness for an F5 problem
+I2 = MorphismMatrix(M.generators, M.generators, [[1]], 0, FieldSpec(2))
+try:
+    check_closure(I2, I2, InterleavingProblem(M, M, 0))
+except FieldMismatch:
+    pass
+else:
+    raise SystemExit("a witness over another field was checked")
+
 pmod.interleave.check_closure = lambda A, B, prob: False
 try:
     w = is_interleaved(InterleavingProblem(M, M, 0))
@@ -297,18 +320,3 @@ def test_certificate_checks_survive_python_O():
     assert done.returncode == 0, done.stdout + done.stderr
     assert done.stdout.strip() == "ok"
 
-
-def test_witness_shares_one_scalar_per_residue():
-    # callers keep witnesses (a distance matrix keeps hundreds), so the
-    # matrices share Scalar objects rather than hold one per entry
-    rng = rng_for(240)
-    entries = 0
-    while entries < 8:
-        P = random_presentation(rng, F5, 2, min_gens=2, name="M")
-        Q = random_presentation(rng, F5, 2, min_gens=2, name="N")
-        w = is_interleaved(InterleavingProblem(P, Q, 2))
-        if w is None:
-            continue
-        values = [x for mat in (w.A, w.B) for row in mat.entries for x in row]
-        entries = len(values)
-        assert len({id(x) for x in values}) == len({x.value for x in values})

@@ -4,12 +4,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pmod import (DimensionMismatch, FieldMismatch, Grade,
+from pmod import (CriticalGrades, DimensionMismatch, FieldMismatch, Grade,
                   GradeOrderViolation, GradedSet, Interval, ParseError,
                   PatternViolation, Presentation, barcode, box_interval,
-                  critical_grades, diagram_of, make_element, minimize, parse,
-                  relation_matrix, restrict_diagonal, serialize,
-                  shift_presentation)
+                  diagram_of, make_element, minimize, parse,
+                  restrict_diagonal, serialize, shift_presentation)
 
 from conftest import (F2, F5, inject_redundancy, local_rank,
                       rand_grade, random_presentation, rng_for)
@@ -41,7 +40,8 @@ def test_parse_basic():
     assert P.generators.grades == (Grade([0]),)
     assert P.rel_names == ("r1",)
     assert P.relations[0].grade == Grade([3])
-    assert P.relations[0].coeffs == (F5.one(),)
+    assert P.relations[0].coeffs == (1,)
+    assert P.relations[0].field == F5
 
 
 def test_parse_two_params_and_comments():
@@ -194,11 +194,15 @@ def test_parse_pattern_violation_escapes():
 
 
 def test_relation_matrix_shape():
-    P = parse(TWO_PARAM)
-    T = relation_matrix(P)
-    assert len(T) == 2 and len(T[0]) == 2
-    # column j is relation j over the generators
-    assert [T[i][0] for i in range(2)] == list(P.relations[0].coeffs)
+    # the presentation matrix is |G| x |R|: column j holds relation j's
+    # raw coefficients, in generator order
+    def matrix(P):
+        return [[el.coeffs[i] for el in P.relations]
+                for i in range(len(P.generators))]
+    assert matrix(parse(TWO_PARAM)) == [[1, 0], [1, 1]]
+    T = matrix(parse(Q_TWO_PARAM))
+    assert T == [[Fraction(-1, 2), 0], [3, 0]]
+    assert all(type(x) is Fraction for row in T for x in row)
 
 
 def test_minimize_unit_pivot():
@@ -256,6 +260,8 @@ def test_minimize_invariant_under_redundancy():
 
 
 def test_critical_grades():
+    def critical_grades(P):
+        return CriticalGrades.of(minimize(P))
     assert critical_grades(parse(PAIR_M)).axes == ((Fraction(0), Fraction(3)),)
     P = parse(TWO_PARAM)
     cg = critical_grades(P)
@@ -299,7 +305,7 @@ def _dim_at_point(P, point):
     def below(g):
         return all(a <= b for a, b in zip(g.coords, point))
     alive = [i for i, g in enumerate(P.generators.grades) if below(g)]
-    rows = [[el.coeffs[i].value for i in alive]
+    rows = [[el.coeffs[i] for i in alive]
             for el in P.relations if below(el.grade)]
     return len(alive) - local_rank(rows, len(alive), P.field.p)
 
@@ -341,7 +347,7 @@ def test_box_interval():
 
 def test_presentation_field_checks():
     gens = GradedSet([("a", Grade([0]))])
-    el = make_element(gens, Grade([1]), [F2.one()], F2)
+    el = make_element(gens, Grade([1]), [1], F2)
     with pytest.raises(FieldMismatch):
         Presentation(F5, 1, gens, [("r", el)])
     with pytest.raises(ValueError):

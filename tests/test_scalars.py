@@ -1,13 +1,15 @@
 import pytest
 from fractions import Fraction
-from hypothesis import given, strategies as st
 
-from pmod import DivisionByZero, FieldMismatch, FieldSpec
-from pmod.scalars import (MAX_PRIME, RATIONALS, Scalar, add, inv, mul, neg,
-                          parse_scalar_literal)
+from pmod import (FieldMismatch, FieldSpec, Grade, GradedSet, MorphismMatrix,
+                  ParseError, Presentation, apply, compose, make_element,
+                  parse, span_membership)
+from pmod.scalars import MAX_PRIME, RATIONALS
 
 F2 = FieldSpec(2)
 F5 = FieldSpec(5)
+B = GradedSet([("a", Grade([0]))])
+AT0 = Grade([0])
 
 
 def test_field_spec_validation():
@@ -38,83 +40,74 @@ def test_field_spec_parse_and_str():
 
 
 def test_residues_normalized():
-    assert F5.scalar(7).value == 2
-    assert F5.scalar(-1).value == 4
-    assert F5.scalar(Fraction(10, 1)).value == 0
+    assert F5.coerce(7) == 2
+    assert F5.coerce(-1) == 4
+    assert F5.coerce(Fraction(10, 1)) == 0
+    assert type(F5.coerce(Fraction(10, 1))) is int
     with pytest.raises(ValueError):
-        F5.scalar(Fraction(1, 2))
-    assert RATIONALS.scalar(3).value == Fraction(3)
-
-
-def test_arithmetic_small_exhaustive():
-    # complete 5x5 tables over F_5
-    for a in range(5):
-        for b in range(5):
-            x, y = F5.scalar(a), F5.scalar(b)
-            assert (x + y).value == (a + b) % 5
-            assert (x * y).value == (a * b) % 5
-            assert (x - y).value == (a - b) % 5
-    for a in range(1, 5):
-        x = F5.scalar(a)
-        assert (x * inv(x)).value == 1
-        assert (F5.one() / x) == inv(x)
-
-
-def test_division_by_zero():
-    with pytest.raises(DivisionByZero):
-        inv(F5.zero())
-    with pytest.raises(DivisionByZero):
-        inv(RATIONALS.zero())
+        F5.coerce(Fraction(1, 2))
+    assert RATIONALS.coerce(3) == Fraction(3)
+    assert type(RATIONALS.coerce(3)) is Fraction
+    assert RATIONALS.coerce(Fraction(-1, 2)) == Fraction(-1, 2)
 
 
 def test_field_mixing_rejected():
+    # values, elements and matrices of two fields never combine
+    v5, v2 = (make_element(B, AT0, [1], field) for field in (F5, F2))
+    f5, f2 = (MorphismMatrix(B, B, [[1]], 0, field) for field in (F5, F2))
     with pytest.raises(FieldMismatch):
-        add(F2.one(), F5.one())
+        compose(f5, f2)
     with pytest.raises(FieldMismatch):
-        mul(F5.one(), RATIONALS.one())
+        compose(f2, f5)
     with pytest.raises(FieldMismatch):
-        F5.scalar(F2.one())
+        apply(f5, v2)
+    with pytest.raises(FieldMismatch):
+        span_membership(v5, [v2])
+    with pytest.raises(FieldMismatch):
+        Presentation(F5, 1, B, [("r", v2)])
+    # a value of Q is no residue, and an int is no value of Q
+    with pytest.raises(FieldMismatch):
+        make_element(B, AT0, [Fraction(1)], F5)
+    with pytest.raises(FieldMismatch):
+        make_element(B, AT0, [1], RATIONALS)
 
 
-@given(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4))
-def test_field_laws_f5(a, b, c):
-    x, y, z = F5.scalar(a), F5.scalar(b), F5.scalar(c)
-    assert (x + y) + z == x + (y + z)
-    assert (x * y) * z == x * (y * z)
-    assert x * (y + z) == x * y + x * z
-    assert x + neg(x) == F5.zero()
-    assert x + y == y + x
-    assert x * y == y * x
-
-
-@given(st.fractions(min_value=-9, max_value=9, max_denominator=12),
-       st.fractions(min_value=-9, max_value=9, max_denominator=12))
-def test_rational_scalars_track_fractions(a, b):
-    x, y = RATIONALS.scalar(a), RATIONALS.scalar(b)
-    assert (x + y).value == a + b
-    assert (x * y).value == a * b
-    if b != 0:
-        assert (x / y).value == a / b
+def _coefficient(text, field):
+    P = parse(f"module M\nfield {field}\nparams 1\ngen a @ 0\n"
+              f"rel r @ 0 = {text}*a\n")
+    return P.relations[0].coeffs[0]
 
 
 def test_parse_scalar_literal():
-    assert parse_scalar_literal("4", F5).value == 4
-    assert parse_scalar_literal("-1", F5).value == 4
-    assert parse_scalar_literal("7", F5).value == 2
-    assert parse_scalar_literal("2/3", RATIONALS).value == Fraction(2, 3)
-    assert parse_scalar_literal("-4", RATIONALS).value == Fraction(-4)
+    assert _coefficient("4", F5) == 4
+    assert _coefficient("-1", F5) == 4
+    assert _coefficient("7", F5) == 2
+    assert _coefficient("4/2", F5) == 2
+    assert type(_coefficient("4/2", F5)) is int
+    assert _coefficient("2/3", RATIONALS) == Fraction(2, 3)
+    assert _coefficient("-4", RATIONALS) == Fraction(-4)
+    assert type(_coefficient("-4", RATIONALS)) is Fraction
     for bad in ("x", "1.5", "", "1/0", "2/3/4"):
-        with pytest.raises(ValueError):
-            parse_scalar_literal(bad, RATIONALS)
-    # residue literals must be plain integers
-    with pytest.raises(ValueError):
-        parse_scalar_literal("1/2", F5)
+        with pytest.raises(ParseError) as err:
+            _coefficient(bad, RATIONALS)
+        assert "bad scalar" in str(err.value)
+    # residue literals must be integers
+    with pytest.raises(ParseError):
+        _coefficient("1/2", F5)
 
 
 def test_scalar_identity_and_repr():
-    assert F5.scalar(3) == F5.scalar(8)
-    assert F5.scalar(3) != F2.scalar(1)
-    assert str(F5.scalar(3)) == "3"
-    assert F5.scalar(0).is_zero()
-    assert not F5.scalar(1).is_zero()
-    assert hash(F5.scalar(3)) == hash(F5.scalar(3))
+    # an element holds its field next to raw values, and compares by both
+    three = make_element(B, AT0, [F5.coerce(3)], F5)
+    assert three == make_element(B, AT0, [F5.coerce(8)], F5)
+    assert hash(three) == hash(make_element(B, AT0, [3], F5))
+    one5, one2 = (make_element(B, AT0, [1], field) for field in (F5, F2))
+    assert one5 != one2
+    assert len({one5, one2}) == 2
+    f5, f2 = (MorphismMatrix(B, B, [[1]], 0, field) for field in (F5, F2))
+    assert f5 != f2
+    assert f5 == MorphismMatrix(B, B, [[1]], 0, F5)
+    assert repr(three) == "<3*a @ 0>"
+    assert make_element(B, AT0, [0], F5).is_zero()
+    assert make_element(B, AT0, [Fraction(0)], RATIONALS).is_zero()
+    assert not three.is_zero()
