@@ -9,17 +9,23 @@ that value is d_I exactly (no infimum slack: feasibility at the
 distance itself holds for finitely presented modules). The search
 starts at a lower bound read off the modules' restrictions to diagonal
 lines, where the distance is a one-parameter bottleneck distance.
+
+Candidates, the bound and the probes all run on one integer grade
+lattice per query (interleave._Lattice), in units of 1/L: every
+candidate, every restricted grade and every bar endpoint there is an
+int. Values are lifted back at the boundary, as Fraction(v, L): the
+public candidate set, the bound, each probe's e and so d_I.
 """
 
 import math
 from bisect import bisect_left
-from fractions import Fraction
+from operator import itemgetter, sub
 
 from .scalars import FieldMismatch
 from .grading import DimensionMismatch
-from .presentation import CriticalGrades, minimize, restrict_diagonal
-from .onedim import barcode, _max_bottleneck
-from .interleave import (InterleavingProblem, is_interleaved,
+from .presentation import minimize
+from .onedim import _bars, _max_bottleneck
+from .interleave import (InterleavingProblem, is_interleaved, _Lattice,
                          BudgetExceeded, UnsupportedField, DEFAULT_BUDGET)
 
 INF = math.inf
@@ -61,23 +67,36 @@ def candidate_set(P_M, P_N):
     """
     if P_M.n != P_N.n:
         raise DimensionMismatch(f"n={P_M.n} vs n={P_N.n}")
-    return _candidates(minimize(P_M), minimize(P_N))
+    lat = _Lattice(minimize(P_M), minimize(P_N))
+    return CandidateSet([*map(lat.lift, _candidates(lat)), INF])
 
 
-def _candidates(Pm, Pn):
-    """candidate_set of two minimal presentations with the same n."""
-    UM = CriticalGrades.of(Pm).axes
-    UN = CriticalGrades.of(Pn).axes
-    vals = {Fraction(0), INF}
-    for i in range(Pm.n):
-        for x in UM[i]:
-            for y in UN[i]:
-                vals.add(abs(x - y))
-        for one_side in (UM[i], UN[i]):
-            for a in one_side:
-                for b in one_side:
-                    vals.add(abs(a - b) / 2)
-    return CandidateSet(vals)
+def _candidates(lat):
+    """The finite candidates of the lattice's two (minimal)
+    presentations, as sorted ints in units of 1/L. Every grade there is
+    an even int, so the half-differences are ints too."""
+    M, N = lat.M, lat.N
+    vals = {0}
+    for i in range(M.P.n):
+        UM = {g[i] for g in (*M.gens, *M.rels)}
+        UN = {g[i] for g in (*N.gens, *N.rels)}
+        vals.update(abs(x - y) for x in UM for y in UN)
+        for one_side in (UM, UN):
+            vals.update(abs(a - b) // 2 for a in one_side for b in one_side)
+    return sorted(vals)
+
+
+def _line_bars(S, x):
+    """The bars of S's presentation restricted to the diagonal line
+    through the int grade x (see presentation.restrict_diagonal): the
+    free module at u restricts to the one at max_i(u_i - x_i). The
+    relations are re-sorted by their grade on the line, stably, as the
+    restricted presentation stores them; the column reduction needs
+    them in that order."""
+    births = [max(map(sub, g, x)) for g in S.gens]
+    rels = sorted(((max(map(sub, g, x)), c)
+                   for g, c in zip(S.rels, S.coeffs)), key=itemgetter(0))
+    return _bars(births, rels, S.P.field.p)
 
 
 def diagonal_lower_bound(P_M, P_N):
@@ -93,18 +112,21 @@ def diagonal_lower_bound(P_M, P_N):
     already match within the bound found so far cannot raise it and
     costs one matching test; the loop stops once the bound is inf.
     For n = 1 there is one line and the bound is d_I itself.
+
+    Everything runs on the two presentations' integer lattice, where
+    every restricted grade is an even int, so the bars go to the
+    bottleneck core as they are; only the bound is lifted back.
     """
-    grades = [*P_M.generators.grades, *(el.grade for el in P_M.relations),
-              *P_N.generators.grades, *(el.grade for el in P_N.relations)]
-    lines = dict.fromkeys(tuple(c - u.coords[0] for c in u.coords)
-                          for u in grades)
-    bound = Fraction(0)
+    lat = _Lattice(P_M, P_N)
+    M, N = lat.M, lat.N
+    lines = dict.fromkeys(tuple(c - u[0] for c in u)
+                          for u in (*M.gens, *M.rels, *N.gens, *N.rels))
+    bound = 0
     for x in lines:
-        bound = _max_bottleneck(barcode(restrict_diagonal(P_M, x)),
-                                barcode(restrict_diagonal(P_N, x)), bound)
+        bound = _max_bottleneck(_line_bars(M, x), _line_bars(N, x), bound)
         if bound == INF:
             break
-    return bound
+    return lat.lift(bound)
 
 
 def interleaving_distance(P_M, P_N, budget=DEFAULT_BUDGET):
@@ -119,7 +141,9 @@ def interleaving_distance(P_M, P_N, budget=DEFAULT_BUDGET):
     and the distance is inf if none is. When LB is inf or above every
     finite candidate the answer is inf without any probe. At most
     ceil(log2(#finite candidates)) + 1 probes are made, and the witness
-    is the one is_interleaved finds at the distance.
+    is the one is_interleaved finds at the distance. Every probe is on
+    one lattice, and d_I is the e of the probe that found the witness
+    (the witness's shift).
 
     The inputs are checked before any work, as the first probe would
     check them: DimensionMismatch when n differs, FieldMismatch when
@@ -138,29 +162,30 @@ def interleaving_distance(P_M, P_N, budget=DEFAULT_BUDGET):
             "verification and system export are available")
     Pm = minimize(P_M)
     Pn = minimize(P_N)
-    finite = _candidates(Pm, Pn).finite()
+    lat = _Lattice(Pm, Pn)
+    finite = _candidates(lat)
 
     # d_I is in finite[lo:hi], or else it is finite[hi] (answered Yes),
     # or inf when hi == len(finite); every candidate below lo is below
     # the bound or answered No
-    lo, hi = bisect_left(finite, diagonal_lower_bound(Pm, Pn)), len(finite)
-    mid, witness = lo, None
+    lb = diagonal_lower_bound(Pm, Pn)
+    lo, hi = bisect_left(finite, lb * lat.L), len(finite)
+    mid, d, witness = lo, INF, None
     while lo < hi:
-        prob = InterleavingProblem(Pm, Pn, finite[mid])
+        prob = InterleavingProblem._at(lat, finite[mid])
         try:
             w = is_interleaved(prob, budget)
         except BudgetExceeded as exc:
             upper = finite[hi] if hi < len(finite) else INF
             raise BudgetExceeded(exc.required, exc.budget,
-                                 bracket=(finite[lo], upper)) from exc
+                                 bracket=(lat.lift(finite[lo]),
+                                          lat.lift(upper))) from exc
         if w is None:
             lo = mid + 1
         else:
-            hi, witness = mid, w
+            hi, d, witness = mid, prob.e, w
         mid = (lo + hi) // 2
-    if hi == len(finite):
-        return INF, None
-    return finite[hi], witness
+    return d, witness
 
 
 def is_isomorphic(P_M, P_N, budget=DEFAULT_BUDGET):

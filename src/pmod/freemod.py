@@ -39,15 +39,20 @@ class GradedSet:
     """An ordered list of (name, grade). Order fixes matrix indexing.
 
     Graded sets are small and live as long as every matrix over them,
-    so they hold the two tuples only; position() scans the names.
+    so they hold the two tuples and one table only; position() scans
+    the names. The table interns the residue rows of the F_p matrices
+    with this domain, so that many matrices over one graded set (a
+    distance matrix keeps a witness per pair) share their equal rows
+    for as long as the graded set lives, and no longer.
     """
 
-    __slots__ = ("names", "grades")
+    __slots__ = ("names", "grades", "_rows", "__weakref__")
 
     def __init__(self, items):
         items = list(items)
         self.names = tuple(name for name, _ in items)
         self.grades = tuple(grade for _, grade in items)
+        self._rows = {}
         if len(set(self.names)) != len(self.names):
             raise ValueError(f"duplicate names in graded set: {self.names}")
         for g in self.grades[1:]:
@@ -170,7 +175,13 @@ class MorphismMatrix:
                         f"entry ({i},{j}): {self.codomain.names[i]}@"
                         f"{self.codomain.grades[i]} <= {self.domain.names[j]}@"
                         f"{self.domain.grades[j]} + {self.shift} fails")
-        self.entries = tuple(tuple(row) for row in entries)
+        rows = [tuple(row) for row in entries]
+        if p:
+            # residue rows hold ints alone, so equal rows are the same
+            # value under every prime; Q rows stay unshared
+            table = domain._rows
+            rows = [table.setdefault(row, row) for row in rows]
+        self.entries = tuple(rows)
 
     def _allowed(self, i, j):
         return grade_leq(self.codomain.grades[i],

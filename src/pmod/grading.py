@@ -4,6 +4,18 @@ Grades are compared componentwise (a partial order for n >= 2) and
 shifted diagonally: a + eps means eps added to every coordinate. An
 epsilon is a plain nonnegative Fraction; check_epsilon validates one at
 the entry points that accept user values.
+
+Grade, grade_leq and grade_shift are the public, exact view, and the
+certificate re-checks (check_closure, MorphismMatrix's zero pattern)
+use them. The interleaving search, its candidate set and its diagonal
+lower bound do not: they compare and shift grades on an integer
+lattice built once per query (interleave._Lattice). Every grade
+coordinate of both presentations, and the shift, is multiplied by
+L = 2 * lcm(all their denominators), so grades become int tuples and
+every candidate, shift and half-difference is an int in units of 1/L.
+Values are lifted back as Fraction(v, L) only where they leave the
+search: the distance, each probe's public e, the bound and the
+candidate set.
 """
 
 import re

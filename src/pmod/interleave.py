@@ -30,10 +30,26 @@ budget bounds.
 Everything here works with a presentation as given; the answer only
 depends on the presented module, which is checked as a property test
 elsewhere (a presentation and its minimization give equal answers).
+
+The zero patterns and spans are grade comparisons, and they all run on
+one integer grade lattice per problem (_Lattice): every grade of both
+presentations, and e, times L = 2 * lcm(all their denominators), so
+grades are int tuples and e and 2e are ints. interleaving_distance
+builds one lattice per call and puts every probe on it, so the
+annihilators, memoized per presentation by the bitmask of relations
+present at a grade, carry over from probe to probe. Values are lifted
+back only at the boundary: the problem's public e is Fraction(k, L),
+and the witness is two MorphismMatrix objects on the caller's
+presentations. check_closure and MorphismMatrix's own pattern check
+stay independent re-checks on the Fraction grades.
 """
 
+import math
+from fractions import Fraction
+from operator import le
+
 from .scalars import FieldMismatch
-from .grading import grade_leq, grade_shift, check_epsilon, DimensionMismatch
+from .grading import grade_shift, check_epsilon, DimensionMismatch
 from .freemod import (MorphismMatrix, compose, make_element,
                       span_membership, nullspace, rref, _solve)
 
@@ -55,9 +71,74 @@ class BudgetExceeded(Exception):
         super().__init__(msg)
 
 
+def _leq(a, b):
+    """Componentwise a <= b of two int grade tuples."""
+    return all(map(le, a, b))
+
+
+def _up(a, k):
+    """The int grade a + k on every coordinate."""
+    return tuple(x + k for x in a)
+
+
+class _Scaled:
+    """One presentation on a lattice: its generator and relation grades
+    as int tuples in units of 1/L, the relations' raw coefficients, and
+    the memo of _annihilator, keyed by the bitmask of the relations
+    present at a grade."""
+
+    __slots__ = ("P", "gens", "rels", "coeffs", "ann")
+
+    def __init__(self, P, L):
+        def scaled(g):
+            return tuple(c.numerator * (L // c.denominator)
+                         for c in g.coords)
+        self.P = P
+        self.gens = [scaled(g) for g in P.generators.grades]
+        self.rels = [scaled(el.grade) for el in P.relations]
+        self.coeffs = [el.coeffs for el in P.relations]
+        self.ann = {}
+
+
+class _Lattice:
+    """The integer grade lattice of two presentations (and maybe e).
+
+    L = 2 * lcm of the denominators of every grade coordinate of P_M
+    and P_N and of the given extra values. Each such value times L is
+    an even int, so every difference and every half-difference of two
+    of them is an int in units of 1/L. M and N are the two presentations
+    on the lattice.
+    """
+
+    __slots__ = ("L", "M", "N")
+
+    def __init__(self, P_M, P_N, extra=()):
+        dens = {c.denominator
+                for P in (P_M, P_N)
+                for g in (*P.generators.grades,
+                          *(el.grade for el in P.relations))
+                for c in g.coords}
+        dens.update(x.denominator for x in extra)
+        self.L = L = 2 * math.lcm(*dens)
+        self.M = _Scaled(P_M, L)
+        self.N = _Scaled(P_N, L)
+
+    def scale(self, x):
+        """The rational x as an int in units of 1/L; ValueError when x
+        is not on the lattice."""
+        v = Fraction(x) * self.L
+        if v.denominator != 1:
+            raise ValueError(f"{x} is not a multiple of 1/{self.L}")
+        return v.numerator
+
+    def lift(self, v):
+        """An int (or inf) in units of 1/L as the Fraction (or inf)."""
+        return v if v == math.inf else Fraction(v, self.L)
+
+
 def _mask(row_grades, col_grades, shift):
-    shifted = [grade_shift(cg, shift) for cg in col_grades]
-    return [[grade_leq(rg, cg) for cg in shifted] for rg in row_grades]
+    shifted = [_up(cg, shift) for cg in col_grades]
+    return [[_leq(rg, cg) for cg in shifted] for rg in row_grades]
 
 
 class InterleavingProblem:
@@ -69,9 +150,10 @@ class InterleavingProblem:
     every other entry is forced to zero. Note the comparison runs
     row <= col + shift; the other direction would forbid genuine
     interleavings (maps lower grades by at most the shift, never raise).
+    The patterns are computed on the problem's integer lattice.
     """
 
-    __slots__ = ("P_M", "P_N", "e", "field", "n",
+    __slots__ = ("P_M", "P_N", "e", "field", "n", "_lat", "_k",
                  "pat_A", "pat_B", "pat_C", "pat_D", "pat_E", "pat_F")
 
     def __init__(self, P_M, P_N, e):
@@ -79,22 +161,33 @@ class InterleavingProblem:
             raise FieldMismatch(f"{P_M.field} vs {P_N.field}")
         if P_M.n != P_N.n:
             raise DimensionMismatch(f"n={P_M.n} vs n={P_N.n}")
-        self.P_M = P_M
-        self.P_N = P_N
-        self.e = check_epsilon(e)
-        self.field = P_M.field
-        self.n = P_M.n
-        gm = P_M.generators.grades
-        gn = P_N.generators.grades
-        rm = tuple(el.grade for el in P_M.relations)
-        rn = tuple(el.grade for el in P_N.relations)
-        e2 = 2 * self.e
-        self.pat_A = _mask(gn, gm, self.e)
-        self.pat_B = _mask(gm, gn, self.e)
-        self.pat_C = _mask(rn, rm, self.e)
-        self.pat_D = _mask(rm, rn, self.e)
-        self.pat_E = _mask(rm, gm, e2)
-        self.pat_F = _mask(rn, gn, e2)
+        e = check_epsilon(e)
+        lat = _Lattice(P_M, P_N, (e,))
+        self._on(lat, lat.scale(e), e)
+
+    @classmethod
+    def _at(cls, lat, k):
+        """The problem at e = k / L on an existing lattice, sharing its
+        annihilator memos; the caller has checked the presentations."""
+        prob = cls.__new__(cls)
+        prob._on(lat, k, lat.lift(k))
+        return prob
+
+    def _on(self, lat, k, e):
+        M, N = lat.M, lat.N
+        self.P_M = M.P
+        self.P_N = N.P
+        self.e = e
+        self.field = M.P.field
+        self.n = M.P.n
+        self._lat = lat
+        self._k = k
+        self.pat_A = _mask(N.gens, M.gens, k)
+        self.pat_B = _mask(M.gens, N.gens, k)
+        self.pat_C = _mask(N.rels, M.rels, k)
+        self.pat_D = _mask(M.rels, N.rels, k)
+        self.pat_E = _mask(M.rels, M.gens, 2 * k)
+        self.pat_F = _mask(N.rels, N.gens, 2 * k)
 
     def sides(self, direction):
         if direction == "M->N":
@@ -103,6 +196,14 @@ class InterleavingProblem:
             return self.P_N, self.P_M, self.pat_B
         raise ValueError(f"direction must be 'M->N' or 'N->M', "
                          f"got {direction!r}")
+
+    def _scaled_sides(self, direction):
+        """sides(direction) with the two presentations on the lattice."""
+        _, _, mask = self.sides(direction)
+        lat = self._lat
+        if direction == "M->N":
+            return lat.M, lat.N, mask
+        return lat.N, lat.M, mask
 
 
 class InterleavingWitness:
@@ -118,15 +219,25 @@ class InterleavingWitness:
         return f"InterleavingWitness(A={self.A!r}, B={self.B!r})"
 
 
-def _annihilator(P, u):
-    """Raw functionals on <G_P> vanishing on span[R_P at u].
+def _annihilator(S, u):
+    """Raw functionals on <G_P> vanishing on span[R_P at u], for P on a
+    lattice as S and u an int grade.
 
     The admissible relations (grade <= u) are exactly the ones present
     at grade u; a vector lies in their span iff every functional here
-    kills it.
+    kills it. The functionals depend only on which relations are
+    admissible, so they are memoized by that bitmask; callers share the
+    returned lists and must not modify them.
     """
-    rows = [el.coeffs for el in P.relations if grade_leq(el.grade, u)]
-    return nullspace(rows, len(P.generators), P.field.p)
+    mask = 0
+    for k, g in enumerate(S.rels):
+        if _leq(g, u):
+            mask |= 1 << k
+    ann = S.ann.get(mask)
+    if ann is None:
+        rows = [c for k, c in enumerate(S.coeffs) if mask >> k & 1]
+        ann = S.ann[mask] = nullspace(rows, len(S.gens), S.P.field.p)
+    return ann
 
 
 def _free_positions(mask):
@@ -134,15 +245,16 @@ def _free_positions(mask):
             for j, ok in enumerate(row) if ok]
 
 
-def _condition_rows(src, tgt, e, free):
+def _condition_rows(src, tgt, k, free):
     """Condition 1 as raw rows over the free entries of X: <G_src> ->
-    <G_tgt(e)>. X satisfies it (each relation of src lands in the span
-    of tgt's relations at the shifted grade) iff every row kills X's
-    free entries; the rows' nullspace is V."""
+    <G_tgt(e)>, for src and tgt on a lattice and e = k / L. X satisfies
+    it (each relation of src lands in the span of tgt's relations at
+    the shifted grade) iff every row kills X's free entries; the rows'
+    nullspace is V."""
     rows = []
-    for w in src.relations:
-        for kappa in _annihilator(tgt, grade_shift(w.grade, e)):
-            rows.append([kappa[i] * w.coeffs[j] for (i, j) in free])
+    for g, w in zip(src.rels, src.coeffs):
+        for kappa in _annihilator(tgt, _up(g, k)):
+            rows.append([kappa[i] * w[j] for (i, j) in free])
     return rows
 
 
@@ -153,18 +265,18 @@ def constraint_space(prob, direction):
     of the source must land in the span of the target's relations at
     the shifted grade). Returned as a list of patterned matrices.
     """
-    src, tgt, mask = prob.sides(direction)
+    src, tgt, mask = prob._scaled_sides(direction)
     free = _free_positions(mask)
     field = prob.field
-    basis = nullspace(_condition_rows(src, tgt, prob.e, free), len(free),
+    basis = nullspace(_condition_rows(src, tgt, prob._k, free), len(free),
                       field.p)
     matrices = []
     for coords in basis:
-        entries = [[field.coerce(0)] * len(src.generators)
-                   for _ in range(len(tgt.generators))]
+        entries = [[field.coerce(0)] * len(src.gens)
+                   for _ in range(len(tgt.gens))]
         for (i, j), c in zip(free, coords):
             entries[i][j] = c
-        matrices.append(MorphismMatrix(src.generators, tgt.generators,
+        matrices.append(MorphismMatrix(src.P.generators, tgt.P.generators,
                                        entries, prob.e, field))
     return matrices
 
@@ -218,11 +330,13 @@ def _complement(V, Z, width, p):
 class _Side:
     """Everything the search needs to enumerate one direction.
 
-    src, tgt: the fixed matrix F maps <G_src> -> <G_tgt(e)>; the partner
-    Y solved per candidate maps back. rows are the condition-1 rows over
-    the free entries of F, and U is a basis (in free-entry coordinates)
-    of V/Z, the translation-pruned candidate space. Everything is int
-    residues, as in the witness matrices materialize builds.
+    src, tgt: the two presentations on the problem's lattice; the fixed
+    matrix F maps <G_src> -> <G_tgt(e)>, and the partner Y solved per
+    candidate maps back. rows are the condition-1 rows over the free
+    entries of F, and U is a basis (in free-entry coordinates) of V/Z,
+    the translation-pruned candidate space. Everything is int residues,
+    as in the witness matrices materialize builds, and every grade is
+    an int tuple.
 
     The data for the partner solve is built by pair_with, only for the
     side that is enumerated.
@@ -232,21 +346,21 @@ class _Side:
                  "yfree", "rows2", "K2", "K3", "_nsrc", "_ntgt")
 
     def __init__(self, prob, direction):
-        src, tgt, mask = prob.sides(direction)
+        src, tgt, mask = prob._scaled_sides(direction)
         self.prob = prob
         self.src = src
         self.tgt = tgt
         self.free = free = _free_positions(mask)
-        self._nsrc = len(src.generators)
-        self._ntgt = len(tgt.generators)
-        e = prob.e
+        self._nsrc = len(src.gens)
+        self._ntgt = len(tgt.gens)
+        k = prob._k
         p = prob.field.p
 
-        self.rows = _condition_rows(src, tgt, e, free)
+        self.rows = _condition_rows(src, tgt, k, free)
         V = nullspace(self.rows, len(free), p)
         zrows = []
-        for j, g in enumerate(src.generators.grades):
-            for kappa in _annihilator(tgt, grade_shift(g, e)):
+        for j, g in enumerate(src.gens):
+            for kappa in _annihilator(tgt, _up(g, k)):
                 zrows.append([kappa[i] if jj == j else 0
                               for (i, jj) in free])
         Z = nullspace(zrows, len(free), p)
@@ -260,11 +374,9 @@ class _Side:
         """
         self.yfree = other.free
         self.rows2 = other.rows
-        e2 = 2 * self.prob.e
-        self.K2 = [_annihilator(self.src, grade_shift(g, e2))
-                   for g in self.src.generators.grades]
-        self.K3 = [_annihilator(self.tgt, grade_shift(g, e2))
-                   for g in self.tgt.generators.grades]
+        k2 = 2 * self.prob._k
+        self.K2 = [_annihilator(self.src, _up(g, k2)) for g in self.src.gens]
+        self.K3 = [_annihilator(self.tgt, _up(g, k2)) for g in self.tgt.gens]
 
     def count(self):
         p = self.prob.field.p
@@ -321,13 +433,12 @@ class _Side:
     def materialize(self, F, y):
         """The (F, y) hit as the two morphism matrices."""
         field = self.prob.field
-        F_mat = MorphismMatrix(self.src.generators, self.tgt.generators,
-                               F, self.prob.e, field)
+        gsrc, gtgt = self.src.P.generators, self.tgt.P.generators
+        F_mat = MorphismMatrix(gsrc, gtgt, F, self.prob.e, field)
         y_entries = [[0] * self._ntgt for _ in range(self._nsrc)]
         for (i, j), c in zip(self.yfree, y):
             y_entries[i][j] = c
-        Y_mat = MorphismMatrix(self.tgt.generators, self.src.generators,
-                               y_entries, self.prob.e, field)
+        Y_mat = MorphismMatrix(gtgt, gsrc, y_entries, self.prob.e, field)
         return F_mat, Y_mat
 
 

@@ -10,14 +10,18 @@ Extended values: deaths and distances may be +infinity, represented by
 math.inf. The one convention that needs code is inf - inf = 0 when
 comparing two deaths (two essential classes cost nothing to match).
 
-Both loops run on raw values. The reduction holds sparse columns of the
-presentation's own coefficients: residues mod p or Fractions over Q.
-The bottleneck costs are integers: every finite endpoint of both
-diagrams is multiplied by S = 2 * lcm(all endpoint denominators), so
-every endpoint distance and every halfwidth is an exact int in units of
-1/S. Scaling by S > 0 keeps the order, which is all the matching looks
-at. The candidate values are lifted back once per diagram pair, so
+Both loops run on raw values. The reduction, _bars, holds sparse columns
+of the presentation's own coefficients (residues mod p or Fractions over
+Q) and works on any ordered birth and death values. The bottleneck core,
+_Costs, works on ints: every endpoint distance and every halfwidth must
+be an exact int. The public functions scale every finite endpoint of
+both diagrams by S = 2 * lcm(all endpoint denominators) to get there,
+and lift the candidate values back once, as Fraction(v, S) or inf, so
 every public function takes and returns Fractions and inf as before.
+The interleaving distance's lower bound (distance.diagonal_lower_bound)
+calls _bars and _Costs directly on the integer grade lattice of its
+query (interleave._Lattice), whose grades are already even ints, and
+lifts only the bound.
 """
 
 import math
@@ -143,43 +147,57 @@ def barcode(P):
     """Persistence diagram of a one-parameter presentation.
 
     Standard graded column reduction (Zomorodian and Carlsson,
-    *Computing persistent homology*, DCG 2005). Generators are ordered
-    by (grade, index); each relation column, in grade order, is a sparse
-    {row: raw value} dict (residues mod p, Fractions over Q), reduced
-    against the previously kept columns by cancelling its lowest
-    nonzero row. A kept column is scaled so its low entry is 1, so the
-    factor of a cancellation is the current column's low entry. A
-    column surviving with low row g pairs gr(g) with the relation's
-    grade; generators never chosen as a low stay alive forever.
-    Zero-length intervals are dropped (they are how non-minimality of
-    the input shows up, and present no bar).
+    *Computing persistent homology*, DCG 2005), run by _bars on P's
+    grades and relations in their stored (grade) order. Zero-length
+    intervals are dropped (they are how non-minimality of the input
+    shows up, and present no bar).
     """
     if P.n != 1:
         raise NotOneParameter(f"barcode needs n=1, got n={P.n}")
-    p = P.field.p
     births = [g.coords[0] for g in P.generators.grades]
+    rels = [(el.grade.coords[0], el.coeffs) for el in P.relations]
+    return diagram_of(Interval(b, d) for b, d in
+                      _bars(births, rels, P.field.p))
+
+
+def _bars(births, rels, p):
+    """The (birth, death) pairs, birth < death, of a one-parameter
+    presentation given as its generators' births and its relations as
+    (grade, raw coefficients) pairs in ascending grade order.
+
+    Generators are ordered by (birth, index); each relation column, in
+    the given order, is a sparse {row: raw value} dict (residues mod p,
+    Fractions over Q when p is None), reduced against the previously
+    kept columns by cancelling its lowest nonzero row. A kept column is
+    scaled so its low entry is 1, so the factor of a cancellation is the
+    current column's low entry. A column surviving with low row g pairs
+    gr(g) with the relation's grade; generators never chosen as a low
+    stay alive forever (death inf). Pairs come in generator order.
+    """
     # a stable sort: equal grades keep index order
     order = sorted(range(len(births)), key=births.__getitem__)
-    row_of = {i: r for r, i in enumerate(order)}
+    row_of = [0] * len(order)
+    for r, i in enumerate(order):
+        row_of[i] = r
 
     reduced = {}   # low row -> kept column, low entry 1
-    death_of = {}  # low row -> death coordinate
-    for el in P.relations:
-        col = {row_of[i]: c for i, c in enumerate(el.coeffs) if c}
+    death_of = {}  # low row -> death
+    for grade, coeffs in rels:
+        col = {row_of[i]: c for i, c in enumerate(coeffs) if c}
         low = _reduce(col, reduced, p)
         if low is not None:
             f = 1 / col[low] if p is None else pow(col[low], -1, p)
             reduced[low] = {r: (v * f if p is None else v * f % p)
                             for r, v in col.items()}
-            death_of[low] = el.grade.coords[0]
+            death_of[low] = grade
 
-    intervals = []
+    bars = []
     for r, i in enumerate(order):
         b = births[i]
         d = death_of.get(r, INF)
         if b < d:
-            intervals.append(Interval(b, d))
-    return diagram_of(intervals)
+            bars.append((b, d))
+    return bars
 
 
 def _reduce(col, reduced, p):
@@ -217,17 +235,25 @@ def interval_bottleneck(I1, I2):
     return max(db, dd)
 
 
-def _hopcroft_karp(adj, nleft, nright):
+def _hopcroft_karp(adj, nleft, nright, match_l=None):
     """Maximum bipartite matching. Returns (size, left_match).
 
-    The augmenting depth-first search keeps its own stack of (vertex,
-    next edge) frames rather than recursing: an augmenting path can be
-    longer than the interpreter's recursion limit. It tries the edges in
-    the same order a recursive search would, so it finds the same
-    matching.
+    match_l, when given, is a matching of the same graph or of a
+    subgraph to start from (it is not modified); the search then only
+    augments it. The augmenting depth-first search keeps its own stack
+    of (vertex, next edge) frames rather than recursing: an augmenting
+    path can be longer than the interpreter's recursion limit. It tries
+    the edges in the same order a recursive search would, so it finds
+    the same matching.
     """
-    match_l = [-1] * nleft
     match_r = [-1] * nright
+    if match_l is None:
+        match_l = [-1] * nleft
+    else:
+        match_l = list(match_l)
+        for i, j in enumerate(match_l):
+            if j != -1:
+                match_r[j] = i
     while True:
         dist = [-1] * nleft
         queue = deque()
@@ -276,60 +302,50 @@ def _hopcroft_karp(adj, nleft, nright):
 
 
 class _Costs:
-    """Everything the matching graph of two diagrams is built from,
+    """Everything the matching graph of two int diagrams is built from,
     computed once per diagram pair.
 
-    L1, L2 list each diagram's intervals with multiplicity. values is
-    the sorted candidate list: 0, inf, every halfwidth and every
-    pairwise interval_bottleneck. The costs are stored as indices into
-    values, so whether an edge exists at tolerance values[t] is an int
-    comparison with t.
-
-    The costs are computed on ints in units of 1/S, S = 2 * lcm(all
-    endpoint denominators); the factor 2 makes the halfwidths whole.
-    Scaling keeps the order, so the ranks are those of the rational
-    costs, and values is lifted back once, as Fraction(v, S) or inf.
+    E1, E2 list each diagram's bars with multiplicity, as (birth, death)
+    with int endpoints, death possibly inf, and every finite width
+    even, so that every endpoint distance and every halfwidth is an
+    exact int. values is the sorted candidate list: 0, inf, every
+    halfwidth and every pairwise interval_bottleneck, all ints or inf.
+    The costs are stored as indices into values, so whether an edge
+    exists at tolerance values[t] is an int comparison with t.
     """
 
-    __slots__ = ("L1", "L2", "values", "cost", "half1", "half2")
+    __slots__ = ("values", "cost", "half1", "half2")
 
-    def __init__(self, D1, D2):
-        self.L1 = [i for i, m in D1.pairs() for _ in range(m)]
-        self.L2 = [j for j, m in D2.pairs() for _ in range(m)]
-        ends = [x for I in chain(D1.mult, D2.mult)
-                for x in (I.birth, I.death) if x != INF]
-        S = 2 * math.lcm(*(x.denominator for x in ends))
-        scaled = {x: x.numerator * (S // x.denominator) for x in ends}
-        E1 = [(scaled[I.birth], scaled.get(I.death)) for I in self.L1]
-        E2 = [(scaled[J.birth], scaled.get(J.death)) for J in self.L2]
+    def __init__(self, E1, E2):
         cost = []
         for b, d in E1:
-            if d is None:  # inf - inf = 0: only births count
-                cost.append([abs(b - b2) if d2 is None else INF
+            if d == INF:  # inf - inf = 0: only births count
+                cost.append([abs(b - b2) if d2 == INF else INF
                              for b2, d2 in E2])
             else:
-                cost.append([INF if d2 is None
+                cost.append([INF if d2 == INF
                              else max(abs(b - b2), abs(d - d2))
                              for b2, d2 in E2])
-        half1 = [INF if d is None else (d - b) // 2 for b, d in E1]
-        half2 = [INF if d is None else (d - b) // 2 for b, d in E2]
-        ints = sorted({0, INF, *half1, *half2, *chain.from_iterable(cost)})
-        rank = {v: t for t, v in enumerate(ints)}
+        half1 = [INF if d == INF else (d - b) // 2 for b, d in E1]
+        half2 = [INF if d == INF else (d - b) // 2 for b, d in E2]
+        values = sorted({0, INF, *half1, *half2, *chain.from_iterable(cost)})
+        rank = {v: t for t, v in enumerate(values)}
         self.cost = [[rank[c] for c in row] for row in cost]
         self.half1 = [rank[h] for h in half1]
         self.half2 = [rank[h] for h in half2]
-        self.values = [INF if v == INF else Fraction(v, S) for v in ints]
+        self.values = values
 
-    def matching(self, t):
-        """Left side of a perfect matching of the dummy-augmented graph
-        at tolerance values[t], or None when there is none.
+    def matching(self, t, seed=None):
+        """(perfect, left side of a maximum matching) of the
+        dummy-augmented graph at tolerance values[t]; seed is a matching
+        at a lower tolerance to start from.
 
         Side 1 holds the intervals of D1 plus one dummy per interval of
         D2, side 2 symmetrically. An interval pair is an edge when its
         cost is <= the tolerance; dummies accept any interval whose
         halfwidth is (it goes to the diagonal) and each other.
         """
-        m, k = len(self.L1), len(self.L2)
+        m, k = len(self.half1), len(self.half2)
         # left nodes: 0..m-1 real, m..m+k-1 dummy
         # right nodes: 0..k-1 real, k..k+m-1 dummy
         dummies2 = range(k, k + m)
@@ -342,21 +358,55 @@ class _Costs:
         diag2 = [b for b, h in enumerate(self.half2) if h <= t]
         diag2.extend(dummies2)
         adj.extend(diag2 for _ in range(k))  # read only: one list serves all
-        size, match_l = _hopcroft_karp(adj, m + k, k + m)
-        return match_l if size == m + k else None
+        size, match_l = _hopcroft_karp(adj, m + k, k + m, seed)
+        return size == m + k, match_l
 
-    def least_feasible(self, lo):
-        """Least t >= lo with a matching at tolerance values[t], found by
-        binary search; feasibility is monotone in t and holds at inf,
-        the last value."""
+    def least_feasible(self, lo, seed=None):
+        """Least t >= lo with a perfect matching at tolerance values[t],
+        found by binary search; feasibility is monotone in t and holds
+        at inf, the last value. seed is a maximum matching at a
+        tolerance below values[lo], or None.
+
+        An edge present at one tolerance is present at every larger
+        one, so the maximum matching of the largest failing step so far
+        is a matching at every step still to come, and each step starts
+        from it instead of from empty.
+        """
         hi = len(self.values) - 1
         while lo < hi:
             mid = (lo + hi) // 2
-            if self.matching(mid) is not None:
+            perfect, match_l = self.matching(mid, seed)
+            if perfect:
                 hi = mid
             else:
                 lo = mid + 1
+                seed = match_l
         return lo
+
+
+def _scaled_costs(D1, D2):
+    """(L1, L2, S, costs) for two diagrams of Fractions.
+
+    L1, L2 list each diagram's intervals with multiplicity, and costs
+    is the _Costs of their endpoints in units of 1/S, S = 2 * lcm(all
+    endpoint denominators); the factor 2 makes the halfwidths whole.
+    Scaling keeps the order, so the ranks are those of the rational
+    costs, and costs.values[t] / S is the rational candidate.
+    """
+    L1 = [i for i, m in D1.pairs() for _ in range(m)]
+    L2 = [j for j, m in D2.pairs() for _ in range(m)]
+    ends = [x for I in chain(D1.mult, D2.mult)
+            for x in (I.birth, I.death) if x != INF]
+    S = 2 * math.lcm(*(x.denominator for x in ends))
+    scaled = {x: x.numerator * (S // x.denominator) for x in ends}
+    scaled[INF] = INF
+    costs = _Costs([(scaled[I.birth], scaled[I.death]) for I in L1],
+                   [(scaled[J.birth], scaled[J.death]) for J in L2])
+    return L1, L2, S, costs
+
+
+def _lift(v, S):
+    return INF if v == INF else Fraction(v, S)
 
 
 def matching_feasible(D1, D2, e):
@@ -370,14 +420,14 @@ def matching_feasible(D1, D2, e):
     """
     if not e >= 0:  # also catches NaN
         raise ValueError(f"tolerance must be >= 0, got {e}")
-    costs = _Costs(D1, D2)
+    L1, L2, S, costs = _scaled_costs(D1, D2)
     # every cost is a candidate value, so cost <= e exactly when it is
     # <= the largest candidate value <= e
-    match_l = costs.matching(bisect_right(costs.values, e) - 1)
-    if match_l is None:
+    eS = INF if e == INF else Fraction(e) * S
+    perfect, match_l = costs.matching(bisect_right(costs.values, eS) - 1)
+    if not perfect:
         return False, None
 
-    L1, L2 = costs.L1, costs.L2
     m, k = len(L1), len(L2)
     matched = Counter()
     un1 = Counter()
@@ -402,7 +452,8 @@ def matching_feasible(D1, D2, e):
 def bottleneck_candidates(D1, D2):
     """Sorted values the bottleneck distance could take: 0, inf, every
     halfwidth and every pairwise interval_bottleneck."""
-    return _Costs(D1, D2).values
+    _, _, S, costs = _scaled_costs(D1, D2)
+    return [_lift(v, S) for v in costs.values]
 
 
 def diagram_bottleneck(D1, D2):
@@ -415,20 +466,21 @@ def diagram_bottleneck(D1, D2):
     computed once; each step of the search runs one perfect-matching
     test on them.
     """
-    costs = _Costs(D1, D2)
-    return costs.values[costs.least_feasible(0)]
+    _, _, S, costs = _scaled_costs(D1, D2)
+    return _lift(costs.values[costs.least_feasible(0)], S)
 
 
-def _max_bottleneck(D1, D2, bound):
-    """max(bound, diagram_bottleneck(D1, D2)) for a bound >= 0, on one
-    cost table.
+def _max_bottleneck(E1, E2, bound):
+    """max(bound, d_B) of two int bar lists (as _Costs takes them) for
+    an int bound >= 0, on one cost table.
 
     One matching test at bound settles the common case, d_B <= bound;
-    only when it fails are the candidates above bound binary-searched.
-    No Multibijection is built.
+    only when it fails are the candidates above bound binary-searched,
+    starting from that test's matching. No Multibijection is built.
     """
-    costs = _Costs(D1, D2)
+    costs = _Costs(E1, E2)
     t = bisect_right(costs.values, bound)
-    if costs.matching(t - 1) is not None:
+    perfect, match_l = costs.matching(t - 1)
+    if perfect:
         return bound
-    return costs.values[costs.least_feasible(t)]
+    return costs.values[costs.least_feasible(t, match_l)]

@@ -31,12 +31,20 @@ from .freemod import (GradedSet, make_element, span_membership,
                       BasisMismatch)
 
 
-# Grades and names are immutable, and a caller may keep many parsed
-# modules alive (a distance matrix keeps a witness per pair, and each
-# witness holds its modules' generators). So parse hands out one Grade
-# object per distinct grade while any is alive, and interns generator
-# names.
+# Grades, names and graded sets are immutable, and a caller may keep
+# many parsed modules alive (a distance matrix keeps a witness per pair,
+# and each witness holds its modules' generators, with the rows of its
+# matrices interned on them). So parse hands out one Grade object per
+# distinct grade while any is alive and interns generator names, and
+# parse and minimize hand out one GradedSet per distinct generator list
+# while any is alive.
 _PARSED_GRADES = weakref.WeakValueDictionary()
+_GRADED_SETS = weakref.WeakValueDictionary()
+
+
+def _graded_set(items):
+    gens = GradedSet(items)
+    return _GRADED_SETS.setdefault((gens.names, gens.grades), gens)
 
 
 class ParseError(Exception):
@@ -188,12 +196,18 @@ def parse(text):
         fail(f"params must be a positive integer, got "
              f"{header['params'][0]!r}", header["params"][1])
 
+    grade_of_text = {}  # each distinct grade text is parsed once
+
     def parse_grade_here(textpart, lineno):
-        try:
-            g = parse_grade(textpart, n)
-        except (ValueError, DimensionMismatch) as exc:
-            fail(str(exc), lineno)
-        return _PARSED_GRADES.setdefault(g.coords, g)
+        g = grade_of_text.get(textpart)
+        if g is None:
+            try:
+                g = parse_grade(textpart, n)
+            except (ValueError, DimensionMismatch) as exc:
+                fail(str(exc), lineno)
+            g = _PARSED_GRADES.setdefault(g.coords, g)
+            grade_of_text[textpart] = g
+        return g
 
     for lineno, body in significant[3:]:
         kind = body.split(None, 1)[0]
@@ -222,7 +236,7 @@ def parse(text):
         else:
             fail(f"unrecognized directive {kind!r}", lineno)
 
-    gens = GradedSet(gen_items)
+    gens = _graded_set(gen_items)
     position = {gname: j for j, gname in enumerate(gens.names)}
     p = field.p
     zero = field.coerce(0)
@@ -318,7 +332,7 @@ def minimize(P):
         for entry in rels:
             del entry[2][gi]
 
-    gens = GradedSet(gen_items)
+    gens = _graded_set(gen_items)
     elems = [(nm, make_element(gens, grade, coeffs, field))
              for nm, grade, coeffs in rels]
 

@@ -331,3 +331,26 @@ def test_hopcroft_karp_matches_recursive_reference():
             rng.shuffle(a)
         assert _hopcroft_karp(adj, nleft, nright) == \
             _recursive_hopcroft_karp(adj, nleft, nright)
+
+
+def test_hopcroft_karp_from_a_subgraph_matching():
+    """Started from a maximum matching of a subgraph, as each step of
+    the bottleneck search starts from its largest failing step, the
+    search still ends at a maximum matching of the whole graph, keeps
+    every seeded vertex matched and leaves the seed as it was."""
+    rng = random.Random(606)
+    for _ in range(300):
+        nleft, nright = rng.randint(0, 12), rng.randint(0, 12)
+        density = rng.random()
+        adj = [[j for j in range(nright) if rng.random() < density]
+               for _ in range(nleft)]
+        sub = [[j for j in a if rng.random() < 0.5] for a in adj]
+        _, seed = _recursive_hopcroft_karp(sub, nleft, nright)
+        frozen = list(seed)
+        size, match_l = _hopcroft_karp(adj, nleft, nright, seed)
+        assert seed == frozen
+        assert size == _recursive_hopcroft_karp(adj, nleft, nright)[0]
+        matched = [j for j in match_l if j != -1]
+        assert len(matched) == size == len(set(matched))
+        assert all(j == -1 or j in adj[i] for i, j in enumerate(match_l))
+        assert all(match_l[i] != -1 for i, j in enumerate(seed) if j != -1)
