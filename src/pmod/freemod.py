@@ -22,6 +22,7 @@ Q. The bottom of the file is the one exact Gaussian elimination kernel
 """
 
 from fractions import Fraction
+from operator import le
 
 from .grading import grade_leq, grade_shift, DimensionMismatch
 from .scalars import FieldMismatch
@@ -122,7 +123,8 @@ class HomogeneousElement:
 def make_element(B, u, coeffs, field):
     """Build a homogeneous element of <B> at grade u over field.
 
-    Raises FieldMismatch if some coefficient is not a raw value of field
+    Raises DimensionMismatch if u and B's grades differ in dimension,
+    FieldMismatch if some coefficient is not a raw value of field
     (FieldSpec.coerce makes one), and PatternViolation if some
     coefficient is nonzero at a generator whose grade is not <= u.
     """
@@ -130,12 +132,16 @@ def make_element(B, u, coeffs, field):
     if len(coeffs) != len(B):
         raise BasisMismatch(
             f"{len(coeffs)} coefficients for a basis of size {len(B)}")
+    if B.grades and len(B.grades[0]) != len(u):
+        raise DimensionMismatch(
+            f"grades of different dimension: {len(B.grades[0])} vs {len(u)}")
     p = field.p
     kind = int if p else Fraction
-    for c, (name, g) in zip(coeffs, B):
+    top = u.coords
+    for c, name, g in zip(coeffs, B.names, B.grades):
         if type(c) is not kind or p and not 0 <= c < p:
             raise FieldMismatch(f"coefficient {c!r} is not a value of {field}")
-        if c and not grade_leq(g, u):
+        if c and not all(map(le, g.coords, top)):
             raise PatternViolation(
                 f"coefficient on {name}@{g} in an element at grade {u}")
     return HomogeneousElement(B, u, coeffs, field)

@@ -10,18 +10,33 @@ Extended values: deaths and distances may be +infinity, represented by
 math.inf. The one convention that needs code is inf - inf = 0 when
 comparing two deaths (two essential classes cost nothing to match).
 
-Both loops run on raw values. The reduction, _bars, holds sparse columns
-of the presentation's own coefficients (residues mod p or Fractions over
-Q) and works on any ordered birth and death values. The bottleneck core,
-_Costs, works on ints: every endpoint distance and every halfwidth must
-be an exact int. The public functions scale every finite endpoint of
-both diagrams by S = 2 * lcm(all endpoint denominators) to get there,
-and lift the candidate values back once, as Fraction(v, S) or inf, so
-every public function takes and returns Fractions and inf as before.
-The interleaving distance's lower bound (distance.diagonal_lower_bound)
+Both loops run on ints where they can. The reduction, _bars, holds
+sparse columns of the presentation's own coefficients: residues mod p,
+or over Q each column's Fractions scaled to ints by the lcm of their
+denominators, so that cancelling stays on ints (each column is a
+nonzero multiple of its reduction over Q, with the same low rows, and
+so the same bars). barcode hands it the grades scaled to ints once per
+presentation, and builds each Interval from the grade Fractions
+themselves. The bottleneck core, _Costs, works on ints: every endpoint
+distance and every halfwidth must be an exact int. The public
+functions scale every finite endpoint of both diagrams by
+S = 2 * lcm(all endpoint denominators) to get there, and lift the
+candidate values back once, as Fraction(v, S) or inf, so every public
+function takes and returns Fractions and inf as before.
+
+d_B is the least candidate at which the dummy-augmented graph has a
+perfect matching, searched as in Kerber, Morozov and Nigmetov,
+*Geometry helps to compare persistence diagrams* (JEA 2017), with
+Hopcroft-Karp matchings over a binary search of the candidates. The
+search starts at a floor: every bar is matched to a partner or sent to
+the diagonal, so d_B is at least the cheaper of the two for every bar
+of both diagrams. One matching test at the floor usually settles d_B;
+only when it fails are the candidates above it binary-searched. The
+interleaving distance's lower bound (distance.diagonal_lower_bound)
 calls _bars and _Costs directly on the integer grade lattice of its
 query (interleave._Lattice), whose grades are already even ints, and
-lifts only the bound.
+lifts only the bound; its search starts at the larger of the bound so
+far and the floor.
 """
 
 import math
@@ -29,6 +44,7 @@ from bisect import bisect_right
 from collections import Counter, deque
 from fractions import Fraction
 from itertools import chain
+from operator import index
 
 INF = math.inf
 
@@ -51,9 +67,11 @@ class Interval:
     __slots__ = ("birth", "death")
 
     def __init__(self, birth, death):
+        # Fractions are immutable, so one given as an endpoint is kept
         try:
-            self.birth = Fraction(birth)
-            self.death = INF if death == INF else Fraction(death)
+            self.birth = birth if type(birth) is Fraction else Fraction(birth)
+            self.death = (death if type(death) is Fraction
+                          else INF if death == INF else Fraction(death))
         except OverflowError:  # Fraction of an infinite float
             raise ValueError(f"interval [{birth}, {death}) needs a finite "
                              f"birth and a finite or +inf death")
@@ -78,17 +96,24 @@ class Interval:
 
 
 class PersistenceDiagram:
-    """Finite multiset of intervals."""
+    """Finite multiset of intervals; each multiplicity is an int >= 0,
+    and the intervals of multiplicity 0 are dropped."""
 
     __slots__ = ("mult",)
 
     def __init__(self, pairs=()):
-        mult = Counter()
+        mult = {}
         for interval, m in pairs:
+            try:
+                m = index(m)
+            except TypeError:
+                raise ValueError(f"multiplicity {m!r} for {interval} is "
+                                 f"not an int") from None
             if m < 0:
                 raise ValueError(f"negative multiplicity {m} for {interval}")
-            mult[interval] += m
-        self.mult = {i: m for i, m in mult.items() if m > 0}
+            if m:
+                mult[interval] = mult.get(interval, 0) + m
+        self.mult = mult
 
     def support(self):
         return sorted(self.mult, key=Interval.sort_key)
@@ -148,16 +173,24 @@ def barcode(P):
 
     Standard graded column reduction (Zomorodian and Carlsson,
     *Computing persistent homology*, DCG 2005), run by _bars on P's
-    grades and relations in their stored (grade) order. Zero-length
+    grades and relations in their stored (grade) order. The grades go
+    to _bars as ints, scaled by the lcm of their denominators, and each
+    Interval gets back the grade Fractions themselves. Zero-length
     intervals are dropped (they are how non-minimality of the input
     shows up, and present no bar).
     """
     if P.n != 1:
         raise NotOneParameter(f"barcode needs n=1, got n={P.n}")
-    births = [g.coords[0] for g in P.generators.grades]
-    rels = [(el.grade.coords[0], el.coeffs) for el in P.relations]
-    return diagram_of(Interval(b, d) for b, d in
-                      _bars(births, rels, P.field.p))
+    grades = [g.coords[0] for g in P.generators.grades]
+    grades.extend(el.grade.coords[0] for el in P.relations)
+    L = math.lcm(*(x.denominator for x in grades))
+    scaled = [x.numerator * (L // x.denominator) for x in grades]
+    value = dict(zip(scaled, grades))
+    value[INF] = INF
+    k = len(P.generators)
+    rels = zip(scaled[k:], (el.coeffs for el in P.relations))
+    return diagram_of(Interval(value[b], value[d]) for b, d in
+                      _bars(scaled[:k], rels, P.field.p))
 
 
 def _bars(births, rels, p):
@@ -166,13 +199,17 @@ def _bars(births, rels, p):
     (grade, raw coefficients) pairs in ascending grade order.
 
     Generators are ordered by (birth, index); each relation column, in
-    the given order, is a sparse {row: raw value} dict (residues mod p,
-    Fractions over Q when p is None), reduced against the previously
-    kept columns by cancelling its lowest nonzero row. A kept column is
-    scaled so its low entry is 1, so the factor of a cancellation is the
-    current column's low entry. A column surviving with low row g pairs
-    gr(g) with the relation's grade; generators never chosen as a low
-    stay alive forever (death inf). Pairs come in generator order.
+    the given order, is a sparse {row: value} dict, reduced against the
+    previously kept columns by cancelling its lowest nonzero row (see
+    _reduce). Over F_p the values are residues, and a kept column is
+    scaled so its low entry is 1. Over Q (p is None) the column's
+    Fractions are scaled to ints by the lcm of their denominators, and
+    the reduction stays on ints. Scaling a column by a nonzero constant
+    changes neither its low row nor whether it reduces to 0, so the
+    pairs are those of the reduction over Q. A column surviving with
+    low row g pairs gr(g) with the relation's grade; generators never
+    chosen as a low stay alive forever (death inf). Pairs come in
+    generator order.
     """
     # a stable sort: equal grades keep index order
     order = sorted(range(len(births)), key=births.__getitem__)
@@ -180,15 +217,20 @@ def _bars(births, rels, p):
     for r, i in enumerate(order):
         row_of[i] = r
 
-    reduced = {}   # low row -> kept column, low entry 1
+    reduced = {}   # low row -> kept column
     death_of = {}  # low row -> death
     for grade, coeffs in rels:
         col = {row_of[i]: c for i, c in enumerate(coeffs) if c}
+        if p is None:
+            m = math.lcm(*(c.denominator for c in col.values()))
+            col = {r: c.numerator * (m // c.denominator)
+                   for r, c in col.items()}
         low = _reduce(col, reduced, p)
         if low is not None:
-            f = 1 / col[low] if p is None else pow(col[low], -1, p)
-            reduced[low] = {r: (v * f if p is None else v * f % p)
-                            for r, v in col.items()}
+            if p is not None:
+                f = pow(col[low], -1, p)
+                col = {r: v * f % p for r, v in col.items()}
+            reduced[low] = col
             death_of[low] = grade
 
     bars = []
@@ -203,6 +245,12 @@ def _bars(births, rels, p):
 def _reduce(col, reduced, p):
     """Cancel col's low entry against the kept columns (in place) until
     its low row is free; returns that row, or None when col reaches 0.
+
+    With f the low entry of col and g that of the kept column, col
+    becomes g * col - f * other. Over F_p, g is 1 and the values are
+    taken mod p. Over the ints (p is None), f and g are first divided by
+    their gcd, and col by the gcd of its entries after each step, which
+    keeps the entries from growing with the number of steps.
     """
     while col:
         low = max(col)
@@ -210,6 +258,14 @@ def _reduce(col, reduced, p):
         if other is None:
             return low
         f = col[low]
+        if p is None:
+            g = other[low]
+            h = math.gcd(f, g)
+            f //= h
+            g //= h
+            if g != 1:
+                for r in col:
+                    col[r] *= g
         for r, b in other.items():
             v = col.get(r, 0) - f * b
             if p is not None:
@@ -218,6 +274,11 @@ def _reduce(col, reduced, p):
                 col[r] = v
             else:
                 del col[r]
+        if p is None:
+            h = math.gcd(*col.values())
+            if h > 1:
+                for r in col:
+                    col[r] //= h
     return None
 
 
@@ -361,18 +422,37 @@ class _Costs:
         size, match_l = _hopcroft_karp(adj, m + k, k + m, seed)
         return size == m + k, match_l
 
-    def least_feasible(self, lo, seed=None):
-        """Least t >= lo with a perfect matching at tolerance values[t],
-        found by binary search; feasibility is monotone in t and holds
-        at inf, the last value. seed is a maximum matching at a
-        tolerance below values[lo], or None.
+    def floor(self):
+        """Rank of a lower bound on the bottleneck distance.
 
-        An edge present at one tolerance is present at every larger
-        one, so the maximum matching of the largest failing step so far
-        is a matching at every step still to come, and each step starts
-        from it instead of from empty.
+        Every bar is either matched to a bar of the other diagram or
+        sent to the diagonal, so d_B is at least the cheaper of its
+        halfwidth and its cheapest partner, for every bar of both
+        diagrams; the floor is the largest of these.
+        """
+        lo = 0
+        least2 = self.half2
+        for row, h in zip(self.cost, self.half1):
+            lo = max(lo, min([h, *row]))
+            least2 = list(map(min, least2, row))
+        return max([lo, *least2])
+
+    def least_feasible(self, lo):
+        """Least t >= lo with a perfect matching at tolerance values[t];
+        feasibility is monotone in t and holds at inf, the last value.
+
+        One matching test at lo settles it when lo is feasible, as the
+        floor usually is; otherwise the values above lo are binary
+        searched. An edge present at one tolerance is present at every
+        larger one, so the maximum matching of the largest failing step
+        so far is a matching at every step still to come, and each step
+        starts from it instead of from empty.
         """
         hi = len(self.values) - 1
+        perfect, seed = self.matching(lo)
+        if perfect:
+            return lo
+        lo += 1
         while lo < hi:
             mid = (lo + hi) // 2
             perfect, match_l = self.matching(mid, seed)
@@ -387,22 +467,30 @@ class _Costs:
 def _scaled_costs(D1, D2):
     """(L1, L2, S, costs) for two diagrams of Fractions.
 
-    L1, L2 list each diagram's intervals with multiplicity, and costs
-    is the _Costs of their endpoints in units of 1/S, S = 2 * lcm(all
-    endpoint denominators); the factor 2 makes the halfwidths whole.
-    Scaling keeps the order, so the ranks are those of the rational
-    costs, and costs.values[t] / S is the rational candidate.
+    L1, L2 list each diagram's intervals with multiplicity, in
+    (birth, death) order, and costs is the _Costs of their endpoints in
+    units of 1/S, S = 2 * lcm(all endpoint denominators); the factor 2
+    makes the halfwidths whole. Scaling keeps the order, so the ranks
+    are those of the rational costs, and costs.values[t] / S is the
+    rational candidate.
     """
-    L1 = [i for i, m in D1.pairs() for _ in range(m)]
-    L2 = [j for j, m in D2.pairs() for _ in range(m)]
-    ends = [x for I in chain(D1.mult, D2.mult)
-            for x in (I.birth, I.death) if x != INF]
-    S = 2 * math.lcm(*(x.denominator for x in ends))
-    scaled = {x: x.numerator * (S // x.denominator) for x in ends}
-    scaled[INF] = INF
-    costs = _Costs([(scaled[I.birth], scaled[I.death]) for I in L1],
-                   [(scaled[J.birth], scaled[J.death]) for J in L2])
-    return L1, L2, S, costs
+    S = 2 * math.lcm(*(x.denominator for I in chain(D1.mult, D2.mult)
+                       for x in (I.birth, I.death) if x is not INF))
+
+    def scaled(x):
+        return INF if x is INF else x.numerator * (S // x.denominator)
+
+    def listed(D):
+        # distinct intervals scale to distinct pairs: the sort never
+        # compares two Intervals
+        bars = sorted(((scaled(I.birth), scaled(I.death)), I, m)
+                      for I, m in D.mult.items())
+        return ([I for _, I, m in bars for _ in range(m)],
+                [e for e, _, m in bars for _ in range(m)])
+
+    L1, E1 = listed(D1)
+    L2, E2 = listed(D2)
+    return L1, L2, S, _Costs(E1, E2)
 
 
 def _lift(v, S):
@@ -461,26 +549,27 @@ def diagram_bottleneck(D1, D2):
 
     The optimum is always one of bottleneck_candidates: 0, an endpoint
     distance between two intervals, or a halfwidth. Feasibility is
-    monotone in e and always holds at inf, so a binary search over that
-    sorted list finds the exact minimum. The pairwise costs are
-    computed once; each step of the search runs one perfect-matching
-    test on them.
+    monotone in e and always holds at inf, so a search over that sorted
+    list finds the exact minimum. It starts at the floor (_Costs.floor),
+    a lower bound that one matching test usually shows feasible, and
+    binary-searches the candidates above only when that test fails.
+    The pairwise costs are computed once; each step of the search runs
+    one perfect-matching test on them.
     """
     _, _, S, costs = _scaled_costs(D1, D2)
-    return _lift(costs.values[costs.least_feasible(0)], S)
+    return _lift(costs.values[costs.least_feasible(costs.floor())], S)
 
 
 def _max_bottleneck(E1, E2, bound):
     """max(bound, d_B) of two int bar lists (as _Costs takes them) for
     an int bound >= 0, on one cost table.
 
-    One matching test at bound settles the common case, d_B <= bound;
-    only when it fails are the candidates above bound binary-searched,
-    starting from that test's matching. No Multibijection is built.
+    The search starts at the larger of bound and the floor: one
+    matching test there settles the common case, and only when it fails
+    are the candidates above it binary-searched. No Multibijection is
+    built.
     """
     costs = _Costs(E1, E2)
-    t = bisect_right(costs.values, bound)
-    perfect, match_l = costs.matching(t - 1)
-    if perfect:
-        return bound
-    return costs.values[costs.least_feasible(t, match_l)]
+    t = bisect_right(costs.values, bound) - 1
+    t = costs.least_feasible(max(t, costs.floor()))
+    return max(bound, costs.values[t])

@@ -240,29 +240,40 @@ def parse(text):
     position = {gname: j for j, gname in enumerate(gens.names)}
     p = field.p
     zero = field.coerce(0)
+    value_of_text = {}  # each distinct coefficient text is read once
     pairs = []
     seen = set()
     for rname, rgrade, terms, lineno in rel_lines:
         if rname in seen:
             fail(f"duplicate relation {rname!r}", lineno)
         seen.add(rname)
-        coeffs = [zero] * len(gens)
+        terms_at = {}  # generator position -> sum of its terms
         if terms != "0":
             for piece in terms.split("+"):
                 piece = piece.strip()
                 if "*" not in piece:
                     fail(f"expected '<coeff>*<gen>' in term {piece!r}", lineno)
                 ctext, gname = (s.strip() for s in piece.rsplit("*", 1))
-                if gname not in position:
+                j = position.get(gname)
+                if j is None:
                     fail(f"unknown generator {gname!r} in relation {rname!r}",
                          lineno)
-                try:
-                    c = field.coerce(parse_rational(ctext))
-                except ValueError:
-                    fail(f"bad scalar literal for {field}: {ctext!r}", lineno)
-                j = position[gname]
-                c += coeffs[j]
-                coeffs[j] = c % p if p else c
+                c = value_of_text.get(ctext)
+                if c is None:
+                    try:
+                        c = field.coerce(parse_rational(ctext))
+                    except ValueError:
+                        fail(f"bad scalar literal for {field}: {ctext!r}",
+                             lineno)
+                    value_of_text[ctext] = c
+                if j in terms_at:
+                    c += terms_at[j]
+                    if p:
+                        c %= p
+                terms_at[j] = c
+        coeffs = [zero] * len(gens)
+        for j, c in terms_at.items():
+            coeffs[j] = c
         # make_element raises PatternViolation on a bad relation grade;
         # let that escape as-is, it is a semantic error not a syntax one
         pairs.append((rname, make_element(gens, rgrade, coeffs, field)))

@@ -2,8 +2,8 @@ import itertools
 import pytest
 from fractions import Fraction
 
-from pmod import (BasisMismatch, FieldMismatch, FieldSpec, Grade, GradedSet,
-                  RATIONALS, PatternViolation, apply, compose, grade_shift,
+from pmod import (BasisMismatch, DimensionMismatch, FieldMismatch, FieldSpec,
+                  Grade, GradedSet, RATIONALS, PatternViolation, apply, compose, grade_shift,
                   make_element, span_membership, MorphismMatrix)
 from pmod.freemod import _solve, nullspace, rref
 
@@ -51,6 +51,22 @@ def test_make_element_pattern():
                           (RATIONALS, [1, q0, q0]), (RATIONALS, [q0, q0, 0.0])):
         with pytest.raises(FieldMismatch):
             make_element(B1, Grade([3]), coeffs, field)
+
+
+def test_make_element_checks_the_grade_dimension():
+    # once per element, zero coefficients or not, before any pattern or
+    # field check
+    for coeffs in ([0, 0, 0], [1, 0, 0], [5, 0, 0]):
+        with pytest.raises(DimensionMismatch):
+            make_element(B1, Grade([1, 1]), coeffs, F5)
+    B2 = _basis(F5, [("a", (0, 0)), ("b", (1, 2))])
+    with pytest.raises(DimensionMismatch):
+        make_element(B2, Grade([3]), [1, 1], F5)
+    assert make_element(B2, Grade([1, 2]), [1, 1], F5).coeffs == (1, 1)
+    with pytest.raises(PatternViolation):
+        make_element(B2, Grade([2, 1]), [1, 1], F5)
+    # an empty basis has no grades to compare with
+    assert make_element(GradedSet([]), Grade([1, 1]), [], F5).is_zero()
 
 
 def test_matrix_pattern_enforced():

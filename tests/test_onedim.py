@@ -10,7 +10,7 @@ from pmod import (INF, RATIONALS, Interval, NotOneParameter,
                   box_interval, diagram_bottleneck, diagram_of,
                   format_extended, interval_bottleneck, matching_feasible,
                   parse)
-from pmod.onedim import _hopcroft_karp
+from pmod.onedim import _bars, _hopcroft_karp, _scaled_costs
 
 from conftest import (F2, F3, F5, brute_bottleneck, dim_at, random_diagram,
                       random_presentation, rng_for)
@@ -40,6 +40,25 @@ def test_diagram_multiset_semantics():
     assert D.support() == [a, b]
     assert D == diagram_of([a, a, a, b])
     assert PersistenceDiagram([]).total() == 0
+
+
+def test_diagram_rejects_non_int_multiplicities():
+    a = Interval(0, 1)
+    for m in (1.5, Fraction(3, 2), 2.0, Fraction(2), "2", None):
+        with pytest.raises(ValueError):
+            PersistenceDiagram([(a, m)])
+    # ints (bool included, as operator.index takes it) are accepted
+    assert PersistenceDiagram([(a, True), (a, 2)]).mult == {a: 3}
+    with pytest.raises(ValueError):
+        PersistenceDiagram([(a, -1)])
+
+
+def test_interval_keeps_given_fractions():
+    b, d = Fraction(1, 3), Fraction(7, 2)
+    iv = Interval(b, d)
+    assert iv.birth is b and iv.death is d
+    assert Interval(1, 2.0) == Interval(Fraction(1), Fraction(2))
+    assert Interval(0, float("inf")).death is INF
 
 
 def test_barcode_single_generator():
@@ -122,6 +141,69 @@ def test_barcode_matches_pointwise_dimension_at_benchmark_size():
                                     min_rels=8, max_rels=31)
             assert len(P.generators) >= 16
             _check_pointwise_dimension(P, [Fraction(-1)])
+
+
+def _fraction_bars(births, rels):
+    """The column reduction over Q on Fractions: each kept column is
+    scaled to low entry 1, and a column's low entry f cancels against
+    it as col - f * kept."""
+    order = sorted(range(len(births)), key=births.__getitem__)
+    row_of = {i: r for r, i in enumerate(order)}
+    reduced, death_of = {}, {}
+    for grade, coeffs in rels:
+        col = {row_of[i]: Fraction(c) for i, c in enumerate(coeffs) if c}
+        while col and max(col) in reduced:
+            other = reduced[max(col)]
+            f = col[max(col)]
+            for r, b in other.items():
+                col[r] = col.get(r, 0) - f * b
+                if not col[r]:
+                    del col[r]
+        if col:
+            low = max(col)
+            reduced[low] = {r: v / col[low] for r, v in col.items()}
+            death_of[low] = grade
+    return [(births[i], death_of.get(r, INF)) for r, i in enumerate(order)
+            if births[i] < death_of.get(r, INF)]
+
+
+def test_bars_over_q_match_the_fraction_reduction():
+    """Over Q, _bars reduces columns scaled to ints. Dense columns with
+    large and negative coefficients make many cancellations, where the
+    entries would grow; some columns are rational combinations of
+    earlier ones, possibly plus one more entry, so that whether and
+    where a column vanishes depends on exact arithmetic. The bars must
+    be those of the reduction on Fractions."""
+    rng = rng_for(608)
+
+    def rational(big):
+        return Fraction(rng.randint(-big, big), rng.randint(1, big))
+
+    for trial in range(150):
+        k = rng.randint(1, 14)
+        births = [Fraction(rng.randint(0, 12), rng.choice((1, 2, 3, 8)))
+                  for _ in range(k)]
+        rels = []
+        for _ in range(rng.randint(0, 2 * k)):
+            big = rng.choice((3, 10**3, 10**12))
+            if rels and rng.random() < 0.4:
+                (g1, c1), (g2, c2) = rng.choice(rels), rng.choice(rels)
+                grade = max(g1, g2) + rng.randint(0, 2)
+                a, b = rational(big), rational(big)
+                coeffs = [a * x + b * y for x, y in zip(c1, c2)]
+                if rng.random() < 0.5:
+                    i = rng.randrange(k)
+                    if births[i] <= grade:
+                        coeffs[i] += rational(big)
+            else:
+                grade = Fraction(rng.randint(0, 30), rng.choice((1, 4, 6)))
+                coeffs = [rational(big)
+                          if b <= grade and rng.random() < 0.8
+                          else Fraction(0) for b in births]
+            rels.append((grade, coeffs))
+        rels.sort(key=lambda rel: rel[0])
+        assert _bars(births, rels, None) == _fraction_bars(births, rels), \
+            trial
 
 
 def serialize_for_debug(P):
@@ -266,6 +348,47 @@ _intervals = st.builds(
 def test_diagram_bottleneck_is_brute_force_minimum(L1, L2):
     D1, D2 = diagram_of(L1), diagram_of(L2)
     assert diagram_bottleneck(D1, D2) == brute_bottleneck(D1, D2)
+
+
+# eighths and thirds, birth == death allowed, infinite bars, and
+# multiplicities 0-3 (a pair of multiplicity 0 adds no bar)
+_mixed_intervals = st.builds(
+    lambda b, w, unit, infinite: Interval(
+        b * unit, INF if infinite else (b + w) * unit),
+    st.integers(-4, 12), st.integers(0, 12),
+    st.sampled_from((Fraction(1, 8), Fraction(1, 3))), st.booleans())
+_diagrams = st.lists(st.tuples(_mixed_intervals, st.integers(0, 3)),
+                     max_size=5).map(PersistenceDiagram)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_diagrams, _diagrams)
+def test_bottleneck_floor_and_search(D1, D2):
+    """The floor is a lower bound (recomputed here on Fractions), and
+    the search that starts at it finds what a plain binary search of
+    the candidates from 0, one matching_feasible per step, finds."""
+    L1 = [i for i, m in D1.pairs() for _ in range(m)]
+    L2 = [j for j, m in D2.pairs() for _ in range(m)]
+    want = max([Fraction(0)]
+               + [min([i.halfwidth()] + [interval_bottleneck(i, j)
+                                         for j in L2]) for i in L1]
+               + [min([j.halfwidth()] + [interval_bottleneck(i, j)
+                                         for i in L1]) for j in L2])
+    _, _, S, costs = _scaled_costs(D1, D2)
+    floor = costs.floor()
+    assert costs.values[floor] == (INF if want == INF else want * S)
+    assert floor <= costs.least_feasible(0)
+
+    cands = bottleneck_candidates(D1, D2)
+    lo, hi = 0, len(cands) - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if matching_feasible(D1, D2, cands[mid])[0]:
+            hi = mid
+        else:
+            lo = mid + 1
+    assert diagram_bottleneck(D1, D2) == cands[lo]
+    assert diagram_bottleneck(D2, D1) == cands[lo]
 
 
 def test_hopcroft_karp_long_augmenting_path():

@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pmod import (CriticalGrades, DimensionMismatch, FieldMismatch, Grade,
-                  GradeOrderViolation, GradedSet, Interval, ParseError,
+from pmod import (INF, CriticalGrades, DimensionMismatch, FieldMismatch,
+                  Grade, GradeOrderViolation, GradedSet, Interval, ParseError,
                   PatternViolation, Presentation, barcode, box_interval,
                   diagram_of, make_element, minimize, parse,
                   restrict_diagonal, serialize, shift_presentation)
@@ -191,6 +191,40 @@ def test_parse_pattern_violation_escapes():
     text = "module M\nfield F2\nparams 1\ngen a @ 2\nrel r @ 1 = 1*a\n"
     with pytest.raises(PatternViolation):
         parse(text)
+
+
+def test_parse_pattern_violation_names_the_first_generator():
+    # c and b both sit above the relation grade; the message names b,
+    # the first of them in generator order
+    for text, message in (
+            ("module M\nfield F2\nparams 1\ngen a @ 0\ngen b @ 2\n"
+             "gen c @ 3\nrel r @ 1 = 1*c + 1*b + 1*a\n",
+             "coefficient on b@2 in an element at grade 1"),
+            ("module M\nfield Q\nparams 2\ngen a @ (0, 0)\n"
+             "gen b @ (2, 0)\ngen c @ (0, 3/2)\n"
+             "rel r @ (1, 1) = 1/2*c + -1*b + 1*a\n",
+             "coefficient on b@(2, 0) in an element at grade (1, 1)")):
+        with pytest.raises(PatternViolation) as info:
+            parse(text)
+        assert str(info.value) == message
+
+
+@pytest.mark.parametrize("field, terms", [
+    ("Q", "1*a + 1*b + -1*b"),
+    ("Q", "1/2*b + 1*a + -1/2*b"),
+    ("F3", "1*b + 1*a + 2*b"),
+    ("F3", "1*b + -1*b + 1*a + 0*b"),
+])
+def test_parse_cancelled_terms_above_the_grade(field, terms):
+    # the terms on b sum to 0, so b's grade (above the relation's) puts
+    # no constraint on the relation
+    P = parse(f"module M\nfield {field}\nparams 1\ngen a @ 0\n"
+              f"gen b @ 5\nrel r @ 1 = {terms}\n")
+    (rel,) = P.relations
+    assert rel.coeffs == (1, 0)
+    assert [type(c) for c in rel.coeffs] == \
+        [Fraction if field == "Q" else int] * 2
+    assert barcode(P) == diagram_of([Interval(0, 1), Interval(5, INF)])
 
 
 def test_relation_matrix_shape():
