@@ -66,7 +66,7 @@ module_files = [
 eps_opt = click.option("--eps", required=True, type=RATIONAL,
                        help="shift value, a nonnegative rational like 3/4")
 budget_opt = click.option("--budget", default=DEFAULT_BUDGET,
-                          show_default=True,
+                          type=click.IntRange(min=0), show_default=True,
                           help="max candidates per interleaving search")
 json_opt = click.option("--json", "as_json", is_flag=True,
                         help="machine-readable output")

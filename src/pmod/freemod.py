@@ -269,9 +269,9 @@ def span_membership(v, W):
 #
 # One kernel works on raw values: residues mod p over F_p, Fractions
 # over Q (p is None). rref and nullspace are its public face, used by
-# the interleaving search set-up. The enumeration hot loop calls _solve
-# directly, so a solve per candidate stays out of the public (traced)
-# surface.
+# the interleaving search set-up. The enumeration hot loop calls _solve,
+# or over F_2 _xor_solve on rows packed into ints, directly, so a solve
+# per candidate stays out of the public (traced) surface.
 # Pivoting is "first nonzero"; with exact arithmetic there is nothing
 # else to optimize for. All routines tolerate empty shapes (0 rows
 # and/or 0 columns).
@@ -330,6 +330,40 @@ def _solve(rows, width, rhs, p):
     for row, c in zip(red, pivots):
         x[c] = row[width]
     return x
+
+
+def _xor_solve(rows, width):
+    """One solution x (free variables zero) of a system over F_2, or
+    None.
+
+    Each row is an int: bit t < width is its coefficient on x_t, and
+    bit width its right-hand side; x comes back as a list of 0s and 1s.
+    Rows are reduced by XOR against the rows kept so far, each kept row
+    named by its lowest bit, which is its pivot column; a row that comes
+    down to its right-hand side alone makes the system inconsistent.
+    The kept rows form an echelon basis, so their pivots are the
+    reduced row echelon form's, and back-substitution from the highest
+    pivot down gives that form's solution.
+    """
+    top = 1 << width
+    kept = {}
+    for r in rows:
+        while r:
+            low = r & -r
+            b = kept.get(low)
+            if b is None:
+                if low == top:
+                    return None
+                kept[low] = r
+                break
+            r ^= b
+    x = 0
+    for low in sorted(kept, reverse=True):
+        r = kept[low]
+        # r's other columns lie above low, and are already settled
+        if (r >> width ^ (r & x).bit_count()) & 1:
+            x |= low
+    return [x >> t & 1 for t in range(width)]
 
 
 def rref(rows, width, p):

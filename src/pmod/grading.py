@@ -29,12 +29,13 @@ class DimensionMismatch(Exception):
 class Grade:
     """A point of the parameter space: an n-tuple of exact rationals."""
 
-    __slots__ = ("coords", "__weakref__")
+    __slots__ = ("coords", "_hash", "__weakref__")
 
     def __init__(self, coords):
         # Fractions are immutable, so one given as a coordinate is kept
         self.coords = tuple(c if type(c) is Fraction else Fraction(c)
                             for c in coords)
+        self._hash = None
 
     def __len__(self):
         return len(self.coords)
@@ -43,7 +44,11 @@ class Grade:
         return isinstance(other, Grade) and self.coords == other.coords
 
     def __hash__(self):
-        return hash(self.coords)
+        # computed once: hashing Fractions is slow, and interned grades
+        # are hashed again as parts of graded-set keys
+        if self._hash is None:
+            self._hash = hash(self.coords)
+        return self._hash
 
     def __repr__(self):
         return f"Grade({list(self.coords)})"

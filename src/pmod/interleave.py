@@ -27,6 +27,19 @@ The search enumerates the side whose quotient V/Z is smaller. The
 number of candidates actually enumerated, p^dim(V/Z), is what the
 budget bounds.
 
+The partner solve for a candidate F is the linear system
+[S; G(F)] y = [0; c]: S holds the partner's condition-2 rows and does
+not depend on F, G(F) holds the rows of conditions 3 and 4 and is linear
+in F, and c (entries of the annihilating functionals) does not depend
+on F either. So S is reduced once per search, each basis vector U_k of
+V/Z gets one block H_k, the rows of G(U_k) reduced against S (built on
+first use), and the candidates are scanned by an odometer that adds one
+block per digit it moves. A candidate then costs one elimination of
+the small block [H(F) | c] on the columns that are not pivots of S;
+over F_2 its rows are ints, added and eliminated by XOR. The solution
+is read back through S only on a hit, and it is the one a solve of the
+whole system gives, so the least-index witness is the same.
+
 Everything here works with a presentation as given; the answer only
 depends on the presented module, which is checked as a property test
 elsewhere (a presentation and its minimization give equal answers).
@@ -46,12 +59,13 @@ stay independent re-checks on the Fraction grades.
 
 import math
 from fractions import Fraction
-from operator import le
+from operator import le, mul, xor
 
 from .scalars import FieldMismatch
 from .grading import grade_shift, check_epsilon, DimensionMismatch
 from .freemod import (MorphismMatrix, compose, make_element,
-                      span_membership, nullspace, rref, _solve)
+                      span_membership, nullspace, rref, _solve,
+                      _xor_solve)
 
 DEFAULT_BUDGET = 10 ** 7
 
@@ -339,11 +353,12 @@ class _Side:
     an int tuple.
 
     The data for the partner solve is built by pair_with, only for the
-    side that is enumerated.
+    side that is enumerated, and hits scans the candidates.
     """
 
     __slots__ = ("prob", "src", "tgt", "free", "rows", "U",
-                 "yfree", "rows2", "K2", "K3", "_nsrc", "_ntgt")
+                 "yfree", "K2", "K3", "_nsrc", "_ntgt",
+                 "_S", "_pivots", "_cols", "_img", "_rhs", "_blocks")
 
     def __init__(self, prob, direction):
         src, tgt, mask = prob._scaled_sides(direction)
@@ -370,65 +385,157 @@ class _Side:
         """Static data for the partner solve; other is the opposite side.
 
         The partner's condition 2 is the opposite side's condition 1,
-        so its rows are reused as they are.
+        so its rows S are reused as they are, and reduced once. The
+        rows of conditions 3 and 4 are G(F) with right-hand side c: one
+        row per functional in K2 and in K3, and c holds the functionals'
+        own entries, so it does not depend on F.
         """
+        p = self.prob.field.p
         self.yfree = other.free
-        self.rows2 = other.rows
         k2 = 2 * self.prob._k
         self.K2 = [_annihilator(self.src, _up(g, k2)) for g in self.src.gens]
         self.K3 = [_annihilator(self.tgt, _up(g, k2)) for g in self.tgt.gens]
+        self._S, self._pivots = rref(other.rows, len(other.free), p)
+        pivots = dict(zip(self._pivots, self._S))
+        self._cols = cols = [t for t in range(len(other.free))
+                             if t not in pivots]
+        # reducing a row against the reduced S leaves its entries on the
+        # columns cols, and takes f times row r of S off for its entry f
+        # on pivot r; so the t-th unit vector reduces to its column, or
+        # to minus row r of S there (as an int over F_2: bit q is
+        # column cols[q])
+        self._img = img = []
+        for t in range(len(other.free)):
+            if t in pivots:
+                img.append([-pivots[t][c] % p for c in cols])
+            else:
+                img.append([int(c == t) for c in cols])
+        if p == 2:
+            self._img = [sum(a << q for q, a in enumerate(im)) for im in img]
+        self._rhs = ([kappa[j] for j, ks in enumerate(self.K2)
+                      for kappa in ks]
+                     + [kappa[i] for i, ks in enumerate(self.K3)
+                        for kappa in ks])
+        self._blocks = [None] * len(self.U)
 
     def count(self):
         p = self.prob.field.p
         return p ** len(self.U)
 
-    def candidate(self, index):
-        """The index-th candidate, lexicographic over U coordinates.
-
-        Returned as an int entry matrix (rows over tgt generators).
-        """
-        p = self.prob.field.p
-        digits = []
-        for _ in range(len(self.U)):
-            index, d = divmod(index, p)
-            digits.append(d)
-        digits.reverse()  # big-endian: index 0 is the zero matrix
-        coords = [0] * len(self.free)
-        for d, u in zip(digits, self.U):
-            if d:
-                coords = [(a + d * b) % p for a, b in zip(coords, u)]
+    def _entries(self, coords):
+        """F as an int entry matrix (rows over tgt generators), from its
+        coordinates over the free entries."""
         entries = [[0] * self._nsrc for _ in range(self._ntgt)]
         for (i, j), c in zip(self.free, coords):
             entries[i][j] = c
         return entries
 
-    def solve_partner(self, F):
-        """Solve conditions 2-4 for Y given F (int matrix), or None.
+    def _block(self, k):
+        """H_k: the rows of G(U_k) reduced against the reduced S, on the
+        columns that are not pivots of S, as (row index, row) for the
+        rows that are not zero; packed into ints over F_2 (bit q is
+        column q)."""
+        yfree = self.yfree
+        Fcols = list(zip(*self._entries(self.U[k])))
+        rows = []
+        for j, ks in enumerate(self.K2):
+            col = Fcols[j]
+            rows += ([kappa[i] * col[t] for (i, t) in yfree] for kappa in ks)
+        for i, ks in enumerate(self.K3):
+            for kappa in ks:
+                kF = [sum(map(mul, kappa, c)) for c in Fcols]
+                rows.append([kF[t] if jj == i else 0 for (t, jj) in yfree])
+        zero = 0 if self.prob.field.p == 2 else [0] * len(self._cols)
+        block = self._blocks[k] = [
+            (i, h) for i, h in enumerate(map(self._reduced, rows))
+            if h != zero]
+        return block
 
-        Condition 2 rows are static; 3 and 4 depend on F through its
-        columns (Y.F e_j = Y applied to column j of F) and through the
-        row functionals kappa.F.
+    def _reduced(self, g):
+        """The raw row g over the partner's free entries, reduced
+        against the reduced S: the sum of g[t] times the image of the
+        t-th unit vector (see pair_with)."""
+        p = self.prob.field.p
+        if p == 2:
+            h = 0
+            for a, im in zip(g, self._img):
+                if a & 1:
+                    h ^= im
+            return h
+        h = [0] * len(self._cols)
+        for a, im in zip(g, self._img):
+            if a:
+                h = [x + a * y for x, y in zip(h, im)]
+        return [x % p for x in h]
+
+    def hits(self):
+        """Yield (index, F, y) for every candidate F whose partner
+        system is solvable, in index order; y is its solution with the
+        free variables zero, over the partner's free entries.
+
+        Candidates run lexicographically over U coordinates, big-endian,
+        so index 0 is the zero matrix. G is linear in F, so the reduced
+        block H(F) of a candidate is the sum of its digits times H_k;
+        the odometer adds H_k for each digit it advances, and also for
+        one that wraps from p - 1 to 0, since -(p - 1) H_k = H_k. Block
+        k is built when digit k first moves, at index p^(m-1-k). The
+        rows of [S; G(F)] and of [S; H(F)] span the same space, so their
+        pivots, and the solution with the free variables zero, agree:
+        that solution is the reduced block's, with the pivots of S read
+        back from S.
         """
         p = self.prob.field.p
-        yfree = self.yfree
-        rows = list(self.rows2)
-        rhs = [0] * len(rows)
+        m = len(self.U)
+        width = len(self._cols)
+        blocks = self._blocks
+        digits = [0] * m
+        if p == 2:
+            # the right-hand side rides in bit width of each row
+            cur = [c << width for c in self._rhs]
+        else:
+            rhs = self._rhs
+            cur = [[0] * width for _ in rhs]
+        for index in range(p ** m):
+            if index:
+                k = m - 1
+                while True:
+                    H = blocks[k]
+                    if H is None:
+                        H = self._block(k)
+                    if p == 2:
+                        for i, h in H:
+                            cur[i] ^= h
+                    else:
+                        for i, h in H:
+                            cur[i] = [(a + b) % p for a, b in zip(cur[i], h)]
+                    digits[k] = (digits[k] + 1) % p
+                    if digits[k]:
+                        break
+                    k -= 1
+            if p == 2:
+                z = _xor_solve(cur, width)
+            else:
+                # rows that are zero, right-hand side too, hold anything
+                live = [(r, c) for r, c in zip(cur, rhs) if c or any(r)]
+                z = _solve([r for r, _ in live], width,
+                           [c for _, c in live], p)
+            if z is not None:
+                yield (index, *self._hit(digits, z))
 
-        for j in range(self._nsrc):
-            col = [F[t][j] for t in range(self._ntgt)]
-            for kappa in self.K2[j]:
-                rows.append([(kappa[i] * col[t]) % p for (i, t) in yfree])
-                rhs.append(kappa[j])
-        for i in range(self._ntgt):
-            for kappa in self.K3[i]:
-                kF = [sum(kappa[s] * F[s][t]
-                          for s in range(self._ntgt)) % p
-                      for t in range(self._nsrc)]
-                rows.append([kF[t] if jj == i else 0
-                             for (t, jj) in yfree])
-                rhs.append(kappa[i])
-
-        return _solve(rows, len(yfree), rhs, p)
+    def _hit(self, digits, z):
+        """F at the given digits, and the partner solution y whose
+        values on the non-pivot columns of S are z."""
+        p = self.prob.field.p
+        coords = [0] * len(self.free)
+        for d, u in zip(digits, self.U):
+            if d:
+                coords = [(a + d * b) % p for a, b in zip(coords, u)]
+        y = [0] * len(self.yfree)
+        for t, v in zip(self._cols, z):
+            y[t] = v
+        for srow, c in zip(self._S, self._pivots):
+            y[c] = -sum(srow[t] * y[t] for t in self._cols) % p
+        return self._entries(coords), y
 
     def materialize(self, F, y):
         """The (F, y) hit as the two morphism matrices."""
@@ -466,13 +573,10 @@ def is_interleaved(prob, budget=DEFAULT_BUDGET):
     if total > budget:
         raise BudgetExceeded(total, budget)
     side.pair_with(other)
-    for index in range(total):
-        F = side.candidate(index)
-        y = side.solve_partner(F)
-        if y is not None:
-            break
-    else:
+    hit = next(side.hits(), None)
+    if hit is None:
         return None
+    _, F, y = hit
     F_mat, Y_mat = side.materialize(F, y)
     if side is side_a:
         w = InterleavingWitness(F_mat, Y_mat)

@@ -20,6 +20,7 @@ coordinates, stable within ties), so parse and serialize are mutually
 inverse on the nose.
 """
 
+import math
 import sys
 import weakref
 
@@ -37,7 +38,10 @@ from .freemod import (GradedSet, make_element, span_membership,
 # matrices interned on them). So parse hands out one Grade object per
 # distinct grade while any is alive and interns generator names, and
 # parse and minimize hand out one GradedSet per distinct generator list
-# while any is alive.
+# while any is alive. Grades are keyed by their flat (numerator,
+# denominator, ...) int tuple, which is cheaper to hash than the
+# Fractions, and a Grade caches its own hash, so a graded set's key
+# hashes each of its grades once.
 _PARSED_GRADES = weakref.WeakValueDictionary()
 _GRADED_SETS = weakref.WeakValueDictionary()
 
@@ -96,7 +100,12 @@ class Presentation:
                     f"relation grade {el.grade} in a {n}-parameter presentation")
             if el.field != field:
                 raise FieldMismatch(f"relation {nm} over the wrong field")
-        pairs.sort(key=lambda p: p[1].grade.coords)
+        # sort on the grades scaled to ints by the lcm of their
+        # denominators: the same order as on the Fractions, and stable
+        L = math.lcm(*{c.denominator for _, el in pairs
+                       for c in el.grade.coords})
+        pairs.sort(key=lambda p: tuple(c.numerator * (L // c.denominator)
+                                       for c in p[1].grade.coords))
         self.rel_names = tuple(nm for nm, _ in pairs)
         self.relations = tuple(el for _, el in pairs)
 
@@ -205,7 +214,9 @@ def parse(text):
                 g = parse_grade(textpart, n)
             except (ValueError, DimensionMismatch) as exc:
                 fail(str(exc), lineno)
-            g = _PARSED_GRADES.setdefault(g.coords, g)
+            key = tuple(x for c in g.coords
+                        for x in (c.numerator, c.denominator))
+            g = _PARSED_GRADES.setdefault(key, g)
             grade_of_text[textpart] = g
         return g
 

@@ -86,14 +86,16 @@ def random_diagram(rng, max_intervals=3, span=4, denom=4, inf_prob=0.2):
 # dimension oracle (local Gauss over F_p or Q, independent of pmod.freemod)
 # ----------------------------------------------------------------------
 
-def local_rank(rows, width, p):
-    """Rank over F_p of rows of int residues, or over Q of rows of
-    rationals when p is None."""
+def _local_reduce(rows, width, p):
+    """Reduced row echelon form of the first width columns, over F_p
+    for int residues or over Q for rationals when p is None; longer rows
+    carry their extra columns along. Returns (rows, pivot columns)."""
     def red(x):
         return Fraction(x) if p is None else x % p
 
     rows = [[red(x) for x in r] for r in rows]
     rank = 0
+    pivots = []
     for c in range(width):
         piv = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
         if piv is None:
@@ -106,8 +108,28 @@ def local_rank(rows, width, p):
                 f = rows[i][c]
                 rows[i] = [red(a - f * b)
                            for a, b in zip(rows[i], rows[rank])]
+        pivots.append(c)
         rank += 1
-    return rank
+    return rows, pivots
+
+
+def local_rank(rows, width, p):
+    """Rank over F_p of rows of int residues, or over Q of rows of
+    rationals when p is None."""
+    return len(_local_reduce(rows, width, p)[1])
+
+
+def local_solve(rows, width, rhs, p):
+    """The solution of rows . x = rhs with every free variable zero, or
+    None when there is none; values as in local_rank."""
+    red, pivots = _local_reduce([[*r, b] for r, b in zip(rows, rhs)],
+                                width, p)
+    if any(r[width] for r in red[len(pivots):]):
+        return None
+    x = [0 if p else Fraction(0)] * width
+    for r, c in zip(red, pivots):
+        x[c] = r[width]
+    return x
 
 
 def dim_at(P, t):

@@ -169,6 +169,16 @@ def test_error_exit_codes(runner, files, tmp_path):
     assert r.exit_code == 3
     r = runner.invoke(main, ["distance", m, n, "--budget", "1"])
     assert r.exit_code == 3
+    # a negative budget is bad input, not an exhausted search; 0 is a
+    # budget that refuses every search
+    for args in (["interleaved", m, n, "--eps", "1"], ["distance", m, n],
+                 ["isomorphic", m, n], ["characterize", m, n, "--eps", "1"]):
+        r = runner.invoke(main, args + ["--budget", "-1"])
+        assert r.exit_code == 2, args
+        assert "--budget" in r.output, args
+        r = runner.invoke(main, args + ["--budget", "0"])
+        assert r.exit_code == 3, args
+        assert "budget is 0" in r.output, args
     # an unknown option is a usage error
     r = runner.invoke(main, ["distance", m, n, "--threads", "3"])
     assert r.exit_code == 2

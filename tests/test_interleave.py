@@ -16,8 +16,8 @@ from pmod import (BudgetExceeded, DimensionMismatch, FieldMismatch,
                   is_interleaved, minimize, parse, serialize,
                   span_membership)
 
-from conftest import (F2, F5, brute_system_solvable, random_presentation,
-                      rng_for)
+from conftest import (F2, F3, F5, brute_system_solvable, local_solve,
+                      random_presentation, rng_for)
 
 M_TEXT = "module M\nfield F5\nparams 1\ngen a @ 0\nrel r1 @ 3 = 1*a\n"
 N_TEXT = "module N\nfield F5\nparams 1\ngen b @ 1\nrel s1 @ 3 = 1*b\n"
@@ -247,6 +247,74 @@ def test_export_solvability_matches_search():
         checked += 1
         want = is_interleaved(prob) is not None
         assert brute_system_solvable(text, 2) == want, text
+
+
+def _partner_system(side, other, F):
+    """The partner system [S; G(F)] y = [0; c] of candidate F, built
+    whole: S is the opposite side's condition-1 rows, and each
+    functional of K2 (conditions on Y.F) and of K3 (on F.Y) gives one
+    row of G(F), with its own entry as right-hand side."""
+    nsrc, ntgt = len(side.src.gens), len(side.tgt.gens)
+    rows = [list(r) for r in other.rows]
+    rhs = [0] * len(rows)
+    for j, ks in enumerate(side.K2):
+        for kappa in ks:
+            rows.append([kappa[i] * F[t][j] for (i, t) in other.free])
+            rhs.append(kappa[j])
+    for i, ks in enumerate(side.K3):
+        for kappa in ks:
+            kF = [sum(kappa[s] * F[s][t] for s in range(ntgt))
+                  for t in range(nsrc)]
+            rows.append([kF[t] if jj == i else 0 for (t, jj) in other.free])
+            rhs.append(kappa[i])
+    return rows, rhs
+
+
+def test_partner_kernel_matches_full_solve():
+    # every candidate index of random sides, both ways round: the
+    # kernel's verdict, F and y against conftest's solve of the whole
+    # system, with F decoded here from the index's big-endian digits
+    from pmod.interleave import _Side
+    rng = rng_for(909)
+    sides = hits = misses = wraps = 0
+    primes = set()
+    while sides < 40:
+        field = rng.choice([F2, F2, F3, F5])
+        p = field.p
+        P = random_presentation(rng, field, 2, 4, 4, 2, 2)
+        Q = random_presentation(rng, field, 2, 4, 4, 2, 2, name="N")
+        # the upper candidates, where more candidates hit
+        finite = pmod.candidate_set(P, Q).finite()
+        prob = InterleavingProblem(P, Q, rng.choice(finite[len(finite) // 2:]))
+        pair = [_Side(prob, "M->N"), _Side(prob, "N->M")]
+        for side, other in (pair, pair[::-1]):
+            m = len(side.U)
+            if p ** m > 400:
+                continue
+            side.pair_with(other)
+            found = {index: (F, y) for index, F, y in side.hits()}
+            sides += 1
+            primes.add(p)
+            wraps += p ** m > p
+            for index in range(p ** m):
+                digits = [index // p ** (m - 1 - k) % p for k in range(m)]
+                coords = [sum(d * u[t] for d, u in zip(digits, side.U)) % p
+                          for t in range(len(side.free))]
+                F = [[0] * len(side.src.gens) for _ in side.tgt.gens]
+                for (i, j), c in zip(side.free, coords):
+                    F[i][j] = c
+                rows, rhs = _partner_system(side, other, F)
+                y = local_solve(rows, len(other.free), rhs, p)
+                if y is None:
+                    misses += 1
+                    assert index not in found, (index, digits)
+                else:
+                    hits += 1
+                    assert found.get(index) == (F, y), (index, digits)
+            assert len(found) <= p ** m
+    assert hits >= 100 and misses >= 200 and wraps >= 10, (hits, misses,
+                                                           wraps)
+    assert primes == {2, 3, 5}
 
 
 # Run under python -O, where assert statements are stripped: every

@@ -55,6 +55,28 @@ def test_parse_two_params_and_comments():
     assert P.relations[0].grade == Grade([2, 1])
 
 
+def test_relations_sorted_stably_by_grade():
+    # mixed denominators, negative coordinates, and equal grades written
+    # differently (2/6 and 1/3), in the order of a stable sort on the
+    # Fraction coordinates
+    rng = rng_for(313)
+    for _ in range(40):
+        n = rng.choice([1, 2, 3])
+        rels = []
+        for k in range(rng.randint(0, 12)):
+            coords = []
+            for _ in range(n):
+                num, den = rng.randint(-6, 6), rng.randint(1, 6)
+                coords.append((Fraction(num, den), f"{2 * num}/{2 * den}"
+                               if rng.random() < 0.3 else f"{num}/{den}"))
+            rels.append((f"r{k}", tuple(c for c, _ in coords),
+                         "(" + ", ".join(t for _, t in coords) + ")"))
+        text = f"module M\nfield F2\nparams {n}\n" + "".join(
+            f"rel {name} @ {grade} = 0\n" for name, _, grade in rels)
+        want = [name for name, _, _ in sorted(rels, key=lambda r: r[1])]
+        assert list(parse(text).rel_names) == want
+
+
 def test_parse_zero_relation():
     P = parse("module Z\nfield F2\nparams 1\ngen a @ 0\nrel r1 @ 2 = 0\n")
     assert P.relations[0].is_zero()
@@ -82,6 +104,11 @@ def test_parse_shares_grades_and_names():
         assert a is b
     for a, b in zip(P.generators.names, Q.generators.names):
         assert a is b
+    # one grade however it is written, and one graded set for it
+    R, S = (parse(f"module R\nfield F2\nparams 2\ngen a @ {g}\n")
+            for g in ("(1/2, 0)", "(2/4, 0/3)"))
+    assert R.generators.grades[0] is S.generators.grades[0]
+    assert R.generators is S.generators
 
 
 def test_round_trip_random():
