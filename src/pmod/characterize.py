@@ -17,7 +17,9 @@ legitimate when gr(w) + e <= gr(element), since w exists in W2(-e)
 only from grade gr(w) + e onward).
 """
 
-from .grading import grade_shift, grade_leq, check_epsilon
+from operator import itemgetter
+
+from .grading import grade_shift, grade_leq, check_epsilon, sorted_by_grade
 from .freemod import GradedSet, make_element, span_membership, apply
 from .presentation import Presentation
 from .interleave import InterleavingProblem, check_closure, DEFAULT_BUDGET
@@ -64,8 +66,8 @@ class CompatiblePair:
         for nm, el in list(Y1) + list(Y2):
             if el.basis != self.basis:
                 raise ValueError(f"element {nm} is not over W1 ++ W2")
-        self.Y1 = tuple(sorted(Y1, key=lambda p: p[1].grade.coords))
-        self.Y2 = tuple(sorted(Y2, key=lambda p: p[1].grade.coords))
+        self.Y1 = tuple(sorted_by_grade(Y1, lambda p: p[1].grade))
+        self.Y2 = tuple(sorted_by_grade(Y2, lambda p: p[1].grade))
 
     def __repr__(self):
         return (f"CompatiblePair(|W1|={len(self.W1)}, |W2|={len(self.W2)}, "
@@ -153,7 +155,7 @@ def induced_presentations(pair, field, n, names=("M", "N")):
 
     def build(gens_items, rel_data, name):
         gens = GradedSet(gens_items)
-        rel_data = sorted(rel_data, key=lambda t: t[0].coords)
+        rel_data = sorted_by_grade(rel_data, itemgetter(0))
         pairs = [(f"r{k + 1}", make_element(gens, grade, coeffs, field))
                  for k, (grade, coeffs) in enumerate(rel_data)]
         return Presentation(field, n, gens, pairs, name)

@@ -22,7 +22,7 @@ Q. The bottom of the file is the one exact Gaussian elimination kernel
 """
 
 from fractions import Fraction
-from operator import le
+from operator import mul
 
 from .grading import grade_leq, grade_shift, DimensionMismatch
 from .scalars import FieldMismatch
@@ -57,7 +57,7 @@ class GradedSet:
         if len(set(self.names)) != len(self.names):
             raise ValueError(f"duplicate names in graded set: {self.names}")
         for g in self.grades[1:]:
-            if len(g) != len(self.grades[0]):
+            if len(g.nums) != len(self.grades[0].nums):
                 raise DimensionMismatch("mixed grade dimensions in graded set")
 
     def __len__(self):
@@ -132,16 +132,15 @@ def make_element(B, u, coeffs, field):
     if len(coeffs) != len(B):
         raise BasisMismatch(
             f"{len(coeffs)} coefficients for a basis of size {len(B)}")
-    if B.grades and len(B.grades[0]) != len(u):
+    if B.grades and len(B.grades[0].nums) != len(u.nums):
         raise DimensionMismatch(
             f"grades of different dimension: {len(B.grades[0])} vs {len(u)}")
     p = field.p
     kind = int if p else Fraction
-    top = u.coords
     for c, name, g in zip(coeffs, B.names, B.grades):
         if type(c) is not kind or p and not 0 <= c < p:
             raise FieldMismatch(f"coefficient {c!r} is not a value of {field}")
-        if c and not all(map(le, g.coords, top)):
+        if c and not grade_leq(g, u):
             raise PatternViolation(
                 f"coefficient on {name}@{g} in an element at grade {u}")
     return HomogeneousElement(B, u, coeffs, field)
@@ -171,12 +170,15 @@ class MorphismMatrix:
         self.field = field
         p = field.p
         kind = int if p else Fraction
+        # each domain grade shifted once, for its whole column
+        tops = [grade_shift(g, self.shift) for g in domain.grades]
         for i, row in enumerate(entries):
+            cg = codomain.grades[i]
             for j, x in enumerate(row):
                 if type(x) is not kind or p and not 0 <= x < p:
                     raise FieldMismatch(
                         f"entry {x!r} is not a value of {field}")
-                if x and not self._allowed(i, j):
+                if x and not grade_leq(cg, tops[j]):
                     raise PatternViolation(
                         f"entry ({i},{j}): {self.codomain.names[i]}@"
                         f"{self.codomain.grades[i]} <= {self.domain.names[j]}@"
@@ -188,10 +190,6 @@ class MorphismMatrix:
             table = domain._rows
             rows = [table.setdefault(row, row) for row in rows]
         self.entries = tuple(rows)
-
-    def _allowed(self, i, j):
-        return grade_leq(self.codomain.grades[i],
-                         grade_shift(self.domain.grades[j], self.shift))
 
     def __eq__(self, other):
         return (isinstance(other, MorphismMatrix)
@@ -210,8 +208,9 @@ class MorphismMatrix:
 
 def _dot(u, v, field):
     """Raw dot product of two value sequences of field."""
-    s = sum((a * b for a, b in zip(u, v)), field.coerce(0))
-    return s % field.p if field.p else s
+    if field.p:
+        return sum(map(mul, u, v)) % field.p
+    return sum(map(mul, u, v), Fraction(0))
 
 
 def apply(f, v):
@@ -319,16 +318,53 @@ def _row_reduce(rows, width, p):
 def _solve(rows, width, rhs, p):
     """One raw solution x (free variables zero) of rows . x = rhs, or None.
 
-    Values as in _row_reduce. The system is consistent iff every row
-    left without a pivot has a zero right-hand side.
+    Values as in _row_reduce. Forward elimination only: each pivot
+    clears its column in the rows below it, and the system is
+    consistent iff every row left without a pivot has a zero right-hand
+    side. Only then is x found, by back-substitution from the last
+    pivot up; with the free variables zero it is the solution the
+    reduced row echelon form gives, since both have the same pivots.
+    Row lists are replaced, never mutated.
     """
-    red, pivots = _row_reduce([[*row, b] for row, b in zip(rows, rhs)],
-                              width, p)
-    if any(row[width] for row in red[len(pivots):]):
+    rows = list(rows)
+    b = list(rhs)
+    n = len(rows)
+    pivots = []
+    invs = []
+    r = 0
+    for c in range(width):
+        if r == n:
+            break
+        for pr in range(r, n):
+            if rows[pr][c]:
+                break
+        else:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        b[r], b[pr] = b[pr], b[r]
+        pivot, t = rows[r], b[r]
+        inv = 1 / Fraction(pivot[c]) if p is None else pow(pivot[c], -1, p)
+        for i in range(r + 1, n):
+            row = rows[i]
+            if row[c]:
+                f = row[c] * inv
+                if p is None:
+                    rows[i] = [a - f * x for a, x in zip(row, pivot)]
+                    b[i] -= f * t
+                else:
+                    rows[i] = [(a - f * x) % p for a, x in zip(row, pivot)]
+                    b[i] = (b[i] - f * t) % p
+        pivots.append(c)
+        invs.append(inv)
+        r += 1
+    if any(b[r:]):
         return None
     x = [0 if p else Fraction(0)] * width
-    for row, c in zip(red, pivots):
-        x[c] = row[width]
+    for k in range(r - 1, -1, -1):
+        c = pivots[k]
+        row = rows[k]
+        v = (b[k] - sum(map(mul, row[c + 1:], x[c + 1:]))) * invs[k]
+        x[c] = v if p is None else v % p
     return x
 
 

@@ -5,49 +5,87 @@ shifted diagonally: a + eps means eps added to every coordinate. An
 epsilon is a plain nonnegative Fraction; check_epsilon validates one at
 the entry points that accept user values.
 
-Grade, grade_leq and grade_shift are the public, exact view, and the
-certificate re-checks (check_closure, MorphismMatrix's zero pattern)
-use them. The interleaving search, its candidate set and its diagonal
-lower bound do not: they compare and shift grades on an integer
-lattice built once per query (interleave._Lattice). Every grade
-coordinate of both presentations, and the shift, is multiplied by
-L = 2 * lcm(all their denominators), so grades become int tuples and
-every candidate, shift and half-difference is an int in units of 1/L.
-Values are lifted back as Fraction(v, L) only where they leave the
-search: the distance, each probe's public e, the bound and the
-candidate set.
+A Grade holds its coordinates as int numerators over one positive
+common denominator, reduced so that the denominator is the least one.
+Equality, hashing, grade_leq and grade_shift run on those ints, and
+coords is the Fraction view, built on first use. The certificate
+re-checks (check_closure, make_element's and MorphismMatrix's zero
+patterns) compare the presentations' own grades this way. The
+interleaving search, its candidate set and its diagonal lower bound
+go one step further: they put every grade of both presentations, and
+the shift, on one integer lattice per query (interleave._Lattice),
+with scaled (here) giving each grade as an int tuple in units of 1/L,
+so every candidate, shift and half-difference is an int. Values are
+lifted back as Fraction(v, L) only where they leave the search: the
+distance, each probe's public e, the bound and the candidate set.
 """
 
+import math
 import re
 from fractions import Fraction
+from operator import le
 
 
 class DimensionMismatch(Exception):
     pass
 
 
-class Grade:
-    """A point of the parameter space: an n-tuple of exact rationals."""
+def _ratio_of(x):
+    """(numerator, denominator > 0) of the rational x, in lowest terms.
 
-    __slots__ = ("coords", "_hash", "__weakref__")
+    Ints and Fractions are read as they are; anything else goes through
+    Fraction, and ValueError is raised when x is no finite rational
+    (an infinite float overflows in Fraction, NaN and other types do
+    not convert).
+    """
+    if type(x) is not int and type(x) is not Fraction:
+        try:
+            x = Fraction(x)
+        except (OverflowError, TypeError, ValueError):
+            raise ValueError(f"{x!r} is not a finite rational") from None
+    return x.numerator, x.denominator
+
+
+class Grade:
+    """A point of the parameter space: an n-tuple of exact rationals.
+
+    Stored as nums / den: a tuple of int numerators over one positive
+    int denominator, with gcd(den, *nums) = 1, so den is the least
+    common denominator of the coordinates and equal grades store equal
+    ints. coords is the tuple of Fractions.
+    """
+
+    __slots__ = ("den", "nums", "_coords", "_hash", "__weakref__")
 
     def __init__(self, coords):
-        # Fractions are immutable, so one given as a coordinate is kept
-        self.coords = tuple(c if type(c) is Fraction else Fraction(c)
-                            for c in coords)
+        ratios = [_ratio_of(c) for c in coords]
+        # the lcm of lowest-terms denominators leaves gcd(den, *nums) 1
+        self.den = den = math.lcm(*(d for _, d in ratios))
+        self.nums = tuple(x * (den // d) for x, d in ratios)
+        self._coords = None
         self._hash = None
 
+    @property
+    def coords(self):
+        c = self._coords
+        if c is None:
+            den = self.den
+            c = self._coords = tuple(Fraction(x, den) for x in self.nums)
+        return c
+
     def __len__(self):
-        return len(self.coords)
+        return len(self.nums)
 
     def __eq__(self, other):
-        return isinstance(other, Grade) and self.coords == other.coords
+        return other is self or (isinstance(other, Grade)
+                                 and self.den == other.den
+                                 and self.nums == other.nums)
 
     def __hash__(self):
-        # computed once: hashing Fractions is slow, and interned grades
-        # are hashed again as parts of graded-set keys
+        # computed once: interned grades are hashed again as parts of
+        # graded-set keys
         if self._hash is None:
-            self._hash = hash(self.coords)
+            self._hash = hash((self.den, self.nums))
         return self._hash
 
     def __repr__(self):
@@ -57,22 +95,54 @@ class Grade:
         return format_grade(self)
 
 
-def _check_same_n(a, b):
-    if len(a) != len(b):
-        raise DimensionMismatch(
-            f"grades of different dimension: {len(a)} vs {len(b)}")
+def _from_ints(den, nums):
+    """The Grade nums / den, for an int den > 0 and an int tuple nums,
+    reduced by gcd(den, *nums)."""
+    g = math.gcd(den, *nums)
+    if g != 1:
+        den //= g
+        nums = tuple(x // g for x in nums)
+    grade = Grade.__new__(Grade)
+    grade.den = den
+    grade.nums = nums
+    grade._coords = grade._hash = None
+    return grade
+
+
+def scaled(g, L):
+    """The grade g as an int tuple in units of 1/L; L must be a
+    multiple of g.den."""
+    k = L // g.den
+    return g.nums if k == 1 else tuple(x * k for x in g.nums)
+
+
+def sorted_by_grade(items, grade_of):
+    """The items sorted stably by grade_of(item), lexicographically on
+    the coordinates, compared as ints on the items' common lattice."""
+    items = list(items)
+    L = math.lcm(*(grade_of(x).den for x in items))
+    return sorted(items, key=lambda x: scaled(grade_of(x), L))
 
 
 def grade_leq(a, b):
     """Componentwise a <= b (the product partial order)."""
-    _check_same_n(a, b)
-    return all(x <= y for x, y in zip(a.coords, b.coords))
+    an, bn = a.nums, b.nums
+    if len(an) != len(bn):
+        raise DimensionMismatch(
+            f"grades of different dimension: {len(an)} vs {len(bn)}")
+    ad, bd = a.den, b.den
+    if ad == bd:
+        return all(map(le, an, bn))
+    return all(x * bd <= y * ad for x, y in zip(an, bn))
 
 
 def grade_shift(a, e):
     """a + eps on every coordinate."""
-    e = Fraction(e)
-    return Grade(tuple(x + e for x in a.coords))
+    n, d = _ratio_of(e)
+    den = math.lcm(a.den, d)
+    k = den // a.den
+    s = n * (den // d)
+    return _from_ints(den, tuple(x * k + s for x in a.nums))
 
 
 def check_epsilon(e):
@@ -100,16 +170,23 @@ def parse_int(text):
     return int(text)
 
 
+_RATIONAL = re.compile(r"\s*([+-]?[0-9]+)\s*(?:/\s*([+-]?[0-9]+)\s*)?")
+
+
+def _parse_ratio(text):
+    """(numerator, denominator > 0) of 'num/den' or a signed decimal
+    integer of ASCII digits, not reduced. Floats are rejected."""
+    m = _RATIONAL.fullmatch(text)
+    d = int(m[2] or 1) if m else 0
+    if not d:
+        raise ValueError(f"bad rational literal: {text.strip()!r}")
+    x = int(m[1])
+    return (-x, -d) if d < 0 else (x, d)
+
+
 def parse_rational(text):
     """Parse 'num/den' or a signed decimal integer. Floats are rejected."""
-    text = text.strip()
-    try:
-        if "/" in text:
-            num, den = text.split("/", 1)
-            return Fraction(parse_int(num.strip()), parse_int(den.strip()))
-        return Fraction(parse_int(text))
-    except (ValueError, ZeroDivisionError):
-        raise ValueError(f"bad rational literal: {text!r}")
+    return Fraction(*_parse_ratio(text))
 
 
 def parse_grade(text, n=None):
@@ -119,17 +196,22 @@ def parse_grade(text, n=None):
         if not text.endswith(")"):
             raise ValueError(f"unbalanced parentheses in grade: {text!r}")
         inner = text[1:-1].strip()
-        parts = [p for p in inner.split(",")] if inner else []
-        coords = [parse_rational(p) for p in parts]
+        ratios = [_parse_ratio(p) for p in inner.split(",")] if inner else []
     else:
-        coords = [parse_rational(text)]
-    if n is not None and len(coords) != n:
+        ratios = [_parse_ratio(text)]
+    if n is not None and len(ratios) != n:
         raise DimensionMismatch(
-            f"grade {text!r} has {len(coords)} coordinates, expected {n}")
-    return Grade(coords)
+            f"grade {text!r} has {len(ratios)} coordinates, expected {n}")
+    den = math.lcm(*(d for _, d in ratios))
+    return _from_ints(den, tuple(x * (den // d) for x, d in ratios))
 
 
 def format_grade(a):
-    if len(a) == 1:
-        return str(a.coords[0])
-    return "(" + ", ".join(str(c) for c in a.coords) + ")"
+    den = a.den
+    parts = []
+    for x in a.nums:
+        g = math.gcd(x, den)
+        parts.append(str(x // g) if g == den else f"{x // g}/{den // g}")
+    if len(parts) == 1:
+        return parts[0]
+    return "(" + ", ".join(parts) + ")"

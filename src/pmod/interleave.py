@@ -54,7 +54,8 @@ present at a grade, carry over from probe to probe. Values are lifted
 back only at the boundary: the problem's public e is Fraction(k, L),
 and the witness is two MorphismMatrix objects on the caller's
 presentations. check_closure and MorphismMatrix's own pattern check
-stay independent re-checks on the Fraction grades.
+stay independent re-checks: they read the presentations' own int
+grades (grading.Grade), never the lattice or the search's rows.
 """
 
 import math
@@ -62,7 +63,7 @@ from fractions import Fraction
 from operator import le, mul, xor
 
 from .scalars import FieldMismatch
-from .grading import grade_shift, check_epsilon, DimensionMismatch
+from .grading import grade_shift, check_epsilon, scaled, DimensionMismatch
 from .freemod import (MorphismMatrix, compose, make_element,
                       span_membership, nullspace, rref, _solve,
                       _xor_solve)
@@ -104,12 +105,9 @@ class _Scaled:
     __slots__ = ("P", "gens", "rels", "coeffs", "ann")
 
     def __init__(self, P, L):
-        def scaled(g):
-            return tuple(c.numerator * (L // c.denominator)
-                         for c in g.coords)
         self.P = P
-        self.gens = [scaled(g) for g in P.generators.grades]
-        self.rels = [scaled(el.grade) for el in P.relations]
+        self.gens = [scaled(g, L) for g in P.generators.grades]
+        self.rels = [scaled(el.grade, L) for el in P.relations]
         self.coeffs = [el.coeffs for el in P.relations]
         self.ann = {}
 
@@ -127,11 +125,10 @@ class _Lattice:
     __slots__ = ("L", "M", "N")
 
     def __init__(self, P_M, P_N, extra=()):
-        dens = {c.denominator
+        dens = {g.den
                 for P in (P_M, P_N)
                 for g in (*P.generators.grades,
-                          *(el.grade for el in P.relations))
-                for c in g.coords}
+                          *(el.grade for el in P.relations))}
         dens.update(x.denominator for x in extra)
         self.L = L = 2 * math.lcm(*dens)
         self.M = _Scaled(P_M, L)

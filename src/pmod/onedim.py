@@ -15,9 +15,10 @@ sparse columns of the presentation's own coefficients: residues mod p,
 or over Q each column's Fractions scaled to ints by the lcm of their
 denominators, so that cancelling stays on ints (each column is a
 nonzero multiple of its reduction over Q, with the same low rows, and
-so the same bars). barcode hands it the grades scaled to ints once per
-presentation, and builds each Interval from the grade Fractions
-themselves. The bottleneck core, _Costs, works on ints: every endpoint
+so the same bars). barcode hands it the grades as ints once per
+presentation, in units of 1/L for L the lcm of their denominators
+(grading.scaled), and lifts each bar endpoint back as Fraction(v, L).
+The bottleneck core, _Costs, works on ints: every endpoint
 distance and every halfwidth must be an exact int. The public
 functions scale every finite endpoint of both diagrams by
 S = 2 * lcm(all endpoint denominators) to get there, and lift the
@@ -45,6 +46,8 @@ from collections import Counter, deque
 from fractions import Fraction
 from itertools import chain
 from operator import index
+
+from .grading import scaled
 
 INF = math.inf
 
@@ -174,23 +177,20 @@ def barcode(P):
     Standard graded column reduction (Zomorodian and Carlsson,
     *Computing persistent homology*, DCG 2005), run by _bars on P's
     grades and relations in their stored (grade) order. The grades go
-    to _bars as ints, scaled by the lcm of their denominators, and each
-    Interval gets back the grade Fractions themselves. Zero-length
+    to _bars as ints in units of 1/L, L the lcm of their denominators,
+    and each endpoint comes back as Fraction(v, L) (or inf). Zero-length
     intervals are dropped (they are how non-minimality of the input
     shows up, and present no bar).
     """
     if P.n != 1:
         raise NotOneParameter(f"barcode needs n=1, got n={P.n}")
-    grades = [g.coords[0] for g in P.generators.grades]
-    grades.extend(el.grade.coords[0] for el in P.relations)
-    L = math.lcm(*(x.denominator for x in grades))
-    scaled = [x.numerator * (L // x.denominator) for x in grades]
-    value = dict(zip(scaled, grades))
-    value[INF] = INF
+    grades = [*P.generators.grades, *(el.grade for el in P.relations)]
+    L = math.lcm(*(g.den for g in grades))
+    ints = [scaled(g, L)[0] for g in grades]
     k = len(P.generators)
-    rels = zip(scaled[k:], (el.coeffs for el in P.relations))
-    return diagram_of(Interval(value[b], value[d]) for b, d in
-                      _bars(scaled[:k], rels, P.field.p))
+    rels = zip(ints[k:], (el.coeffs for el in P.relations))
+    return diagram_of(Interval(Fraction(b, L), _lift(d, L)) for b, d in
+                      _bars(ints[:k], rels, P.field.p))
 
 
 def _bars(births, rels, p):

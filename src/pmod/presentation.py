@@ -23,11 +23,13 @@ inverse on the nose.
 import math
 import sys
 import weakref
+from fractions import Fraction
+from operator import sub
 
 from .scalars import FieldSpec, FieldMismatch
 from .grading import (Grade, grade_leq, grade_shift, check_epsilon,
                       parse_grade, parse_int, parse_rational, format_grade,
-                      DimensionMismatch)
+                      scaled, sorted_by_grade, DimensionMismatch)
 from .freemod import (GradedSet, make_element, span_membership,
                       BasisMismatch)
 
@@ -38,10 +40,10 @@ from .freemod import (GradedSet, make_element, span_membership,
 # matrices interned on them). So parse hands out one Grade object per
 # distinct grade while any is alive and interns generator names, and
 # parse and minimize hand out one GradedSet per distinct generator list
-# while any is alive. Grades are keyed by their flat (numerator,
-# denominator, ...) int tuple, which is cheaper to hash than the
-# Fractions, and a Grade caches its own hash, so a graded set's key
-# hashes each of its grades once.
+# while any is alive. Grades are keyed by their (den, nums) ints, so
+# equal grades written differently ('2/4' and '1/2') share one Grade,
+# and a Grade caches its own hash, so a graded set's key hashes each of
+# its grades once.
 _PARSED_GRADES = weakref.WeakValueDictionary()
 _GRADED_SETS = weakref.WeakValueDictionary()
 
@@ -85,7 +87,7 @@ class Presentation:
         self.n = n
         self.generators = generators
         for g in generators.grades:
-            if len(g) != n:
+            if len(g.nums) != n:
                 raise DimensionMismatch(
                     f"generator grade {g} in a {n}-parameter presentation")
         pairs = list(relations)
@@ -95,17 +97,12 @@ class Presentation:
         for nm, el in pairs:
             if el.basis != generators:
                 raise BasisMismatch(f"relation {nm} is not over the generators")
-            if len(el.grade) != n:
+            if len(el.grade.nums) != n:
                 raise DimensionMismatch(
                     f"relation grade {el.grade} in a {n}-parameter presentation")
             if el.field != field:
                 raise FieldMismatch(f"relation {nm} over the wrong field")
-        # sort on the grades scaled to ints by the lcm of their
-        # denominators: the same order as on the Fractions, and stable
-        L = math.lcm(*{c.denominator for _, el in pairs
-                       for c in el.grade.coords})
-        pairs.sort(key=lambda p: tuple(c.numerator * (L // c.denominator)
-                                       for c in p[1].grade.coords))
+        pairs = sorted_by_grade(pairs, lambda p: p[1].grade)
         self.rel_names = tuple(nm for nm, _ in pairs)
         self.relations = tuple(el for _, el in pairs)
 
@@ -214,9 +211,7 @@ def parse(text):
                 g = parse_grade(textpart, n)
             except (ValueError, DimensionMismatch) as exc:
                 fail(str(exc), lineno)
-            key = tuple(x for c in g.coords
-                        for x in (c.numerator, c.denominator))
-            g = _PARSED_GRADES.setdefault(key, g)
+            g = _PARSED_GRADES.setdefault((g.den, g.nums), g)
             grade_of_text[textpart] = g
         return g
 
@@ -226,7 +221,8 @@ def parse(text):
             rest = body[len("gen"):].strip()
             if "@" not in rest:
                 fail("expected 'gen <name> @ <grade>'", lineno)
-            gname, gradepart = (s.strip() for s in rest.split("@", 1))
+            gname, _, gradepart = rest.partition("@")
+            gname, gradepart = gname.strip(), gradepart.strip()
             if not gname or " " in gname:
                 fail(f"bad generator name {gname!r}", lineno)
             if gname in gen_lines:
@@ -238,8 +234,10 @@ def parse(text):
             rest = body[len("rel"):].strip()
             if "@" not in rest or "=" not in rest.split("@", 1)[1]:
                 fail("expected 'rel <name> @ <grade> = <terms>'", lineno)
-            rname, rest2 = (s.strip() for s in rest.split("@", 1))
-            gradepart, terms = (s.strip() for s in rest2.split("=", 1))
+            rname, _, rest2 = rest.partition("@")
+            gradepart, _, terms = rest2.partition("=")
+            rname, gradepart, terms = (rname.strip(), gradepart.strip(),
+                                       terms.strip())
             if not rname or " " in rname:
                 fail(f"bad relation name {rname!r}", lineno)
             rel_lines.append(
@@ -264,7 +262,8 @@ def parse(text):
                 piece = piece.strip()
                 if "*" not in piece:
                     fail(f"expected '<coeff>*<gen>' in term {piece!r}", lineno)
-                ctext, gname = (s.strip() for s in piece.rsplit("*", 1))
+                ctext, _, gname = piece.rpartition("*")
+                ctext, gname = ctext.strip(), gname.strip()
                 j = position.get(gname)
                 if j is None:
                     fail(f"unknown generator {gname!r} in relation {rname!r}",
@@ -409,7 +408,9 @@ def restrict_diagonal(P, x):
             f"presentation")
 
     def on_line(u):
-        return Grade((max(a - b for a, b in zip(u.coords, x.coords)),))
+        L = math.lcm(u.den, x.den)
+        t = max(map(sub, scaled(u, L), scaled(x, L)))
+        return Grade((Fraction(t, L),))
 
     gens = GradedSet([(nm, on_line(g)) for nm, g in P.generators])
     pairs = [(nm, make_element(gens, on_line(el.grade), el.coeffs, P.field))

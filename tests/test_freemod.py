@@ -7,7 +7,8 @@ from pmod import (BasisMismatch, DimensionMismatch, FieldMismatch, FieldSpec,
                   make_element, span_membership, MorphismMatrix)
 from pmod.freemod import _solve, nullspace, rref
 
-from conftest import F2, F5, local_rank, rand_grade, random_presentation, rng_for
+from conftest import (F2, F5, local_rank, local_solve, rand_grade,
+                      random_presentation, rng_for)
 
 
 def _basis(field, items):
@@ -251,6 +252,8 @@ def test_solve_rows_round_trip():
                     for _ in range(m)]
             rhs = [_rand_value(rng, field) for _ in range(m)]
             x = _solve(rows, w, rhs, field.p)
+            # the reduced row echelon form's solution, free variables zero
+            assert x == local_solve(rows, w, rhs, field.p)
             if x is None:
                 if not field.is_rationals:
                     # verify infeasibility by brute force over F_5^w (w <= 4)

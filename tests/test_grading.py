@@ -4,7 +4,8 @@ from fractions import Fraction
 from hypothesis import given, strategies as st
 
 from pmod import (DimensionMismatch, Grade, check_epsilon, format_grade,
-                  grade_leq, grade_shift, parse_grade)
+                  grade_leq, grade_shift, parse, parse_grade,
+                  restrict_diagonal)
 from pmod.grading import parse_rational
 
 coord = st.fractions(min_value=-4, max_value=4, max_denominator=6)
@@ -85,3 +86,76 @@ def test_format_grade_round_trip():
     # one parameter serializes bare
     assert format_grade(Grade([Fraction(3, 2)])) == "3/2"
     assert format_grade(Grade([1, 2])) == "(1, 2)"
+
+
+# mixed denominators and signs, so that two grades rarely share one den
+rational = st.fractions(min_value=-6, max_value=6, max_denominator=12)
+pair = st.tuples(rational, rational)
+
+
+@given(pair, pair, st.fractions(min_value=-3, max_value=3,
+                                max_denominator=10))
+def test_int_grade_matches_fraction_reference(a, b, e):
+    """Grades hold ints; a plain tuple of Fractions is the reference."""
+    ga, gb = Grade(a), Grade(b)
+    for g, ref in ((ga, a), (gb, b)):
+        assert g.den == math.lcm(*(x.denominator for x in ref))
+        assert math.gcd(g.den, *g.nums) == 1
+        assert g.coords == ref
+        assert all(type(x) is Fraction for x in g.coords)
+        assert format_grade(g) == "(" + ", ".join(map(str, ref)) + ")"
+        assert parse_grade(format_grade(g), n=2) == g
+    assert (ga == gb) == (a == b)
+    if a == b:
+        assert hash(ga) == hash(gb)
+    assert grade_leq(ga, gb) == all(x <= y for x, y in zip(a, b))
+    shifted = grade_shift(ga, e)
+    ref = tuple(x + e for x in a)
+    assert shifted.coords == ref
+    assert shifted.den == math.lcm(*(x.denominator for x in ref))
+    assert shifted == Grade(ref) and hash(shifted) == hash(Grade(ref))
+    back = grade_shift(shifted, -e)
+    assert back == ga and hash(back) == hash(ga)
+    assert grade_leq(ga, shifted) == (e >= 0)
+
+
+def test_parse_grade_normalizes():
+    g = parse_grade("(2/4, 3/-2, -0/5, +1/2)")
+    assert (g.den, g.nums) == (2, (1, -3, 0, 1))
+    assert g == Grade([Fraction(1, 2), Fraction(-3, 2), 0, Fraction(1, 2)])
+    assert format_grade(g) == "(1/2, -3/2, 0, 1/2)"
+    assert parse_grade(format_grade(g)) == g
+    for text, den, num in (("6/4", 2, 3), ("-0/5", 1, 0), ("+1/2", 2, 1),
+                           ("3/-2", 2, -3), ("-4/-8", 2, 1)):
+        g = parse_grade(text, n=1)
+        assert (g.den, g.nums) == (den, (num,))
+        assert parse_grade(format_grade(g), n=1) == g
+
+
+@given(pair, st.integers(min_value=1, max_value=4), st.booleans())
+def test_parse_interns_equal_grades_written_differently(a, k, flip):
+    def spelled(x):
+        num, den = x.numerator * k, x.denominator * k
+        return f"{-num}/{-den}" if flip else f"{num}/{den}"
+
+    P = parse("module M\nfield F2\nparams 2\n"
+              f"gen a @ ({a[0]}, {a[1]})\n"
+              f"gen b @ ({spelled(a[0])}, {spelled(a[1])})\n")
+    ga, gb = P.generators.grades
+    assert ga is gb and ga == Grade(a)
+
+
+def test_non_finite_coordinates_raise_value_error():
+    P = parse("module M\nfield F2\nparams 2\ngen a @ (0, 0)\n")
+    for bad in (math.inf, -math.inf, float("nan")):
+        with pytest.raises(ValueError):
+            Grade([bad])
+        with pytest.raises(ValueError):
+            Grade([0, bad])
+        with pytest.raises(ValueError):
+            grade_shift(Grade([0, 0]), bad)
+        with pytest.raises(ValueError):
+            restrict_diagonal(P, (bad, 0))
+    for bad in (None, "x", 1j):
+        with pytest.raises(ValueError):
+            Grade([bad])
