@@ -11,17 +11,14 @@ from .grading import (Grade, grade_leq, grade_shift, check_epsilon,
 from .freemod import (GradedSet, HomogeneousElement, MorphismMatrix,
                       make_element, apply, compose, span_membership,
                       PatternViolation, BasisMismatch)
-from .presentation import (Presentation, CriticalGrades, ParseError,
-                           GradeOrderViolation, parse, serialize, minimize,
-                           shift_presentation, restrict_diagonal,
-                           box_interval)
-from .onedim import (Interval, PersistenceDiagram, Multibijection,
-                     NotOneParameter, barcode, interval_bottleneck,
-                     matching_feasible, bottleneck_candidates,
-                     diagram_bottleneck, diagram_of, format_extended, INF)
+from .presentation import (Presentation, ParseError, GradeOrderViolation,
+                           parse, serialize, minimize, box_interval)
+from .onedim import (Interval, PersistenceDiagram, NotOneParameter, barcode,
+                     bottleneck_candidates, diagram_bottleneck, diagram_of,
+                     format_extended, INF)
 from .interleave import (InterleavingProblem, InterleavingWitness,
                          UnsupportedField, BudgetExceeded, DEFAULT_BUDGET,
-                         constraint_space, check_closure, is_interleaved,
+                         check_closure, is_interleaved,
                          export_quadratic_system)
 from .distance import (CandidateSet, candidate_set, diagonal_lower_bound,
                        interleaving_distance, is_isomorphic)

@@ -88,11 +88,12 @@ def _candidates(lat):
 
 def _line_bars(S, x):
     """The bars of S's presentation restricted to the diagonal line
-    through the int grade x (see presentation.restrict_diagonal): the
-    free module at u restricts to the one at max_i(u_i - x_i). The
-    relations are re-sorted by their grade on the line, stably, as the
-    restricted presentation stores them; the column reduction needs
-    them in that order."""
+    {x + t(1, ..., 1)} through the int grade x. Restriction is exact,
+    and the free module at u restricts to the one at the least t with
+    u <= x + t(1, ..., 1), max_i(u_i - x_i); so S's matrix on those
+    grades presents the restriction. The relations are re-sorted by
+    their grade on the line, stably; the column reduction needs them
+    in that order."""
     births = [max(map(sub, g, x)) for g in S.gens]
     rels = sorted(((max(map(sub, g, x)), c)
                    for g, c in zip(S.rels, S.coeffs)), key=itemgetter(0))
@@ -112,12 +113,17 @@ def diagonal_lower_bound(P_M, P_N):
     already match within the bound found so far cannot raise it and
     costs one matching test; the loop stops once the bound is inf.
     For n = 1 there is one line and the bound is d_I itself.
-
-    Everything runs on the two presentations' integer lattice, where
-    every restricted grade is an even int, so the bars go to the
-    bottleneck core as they are; only the bound is lifted back.
     """
-    lat = _Lattice(P_M, P_N)
+    return _diagonal_bound(_Lattice(P_M, P_N))
+
+
+def _diagonal_bound(lat):
+    """diagonal_lower_bound of the lattice's two presentations.
+
+    Everything runs on the lattice, where every restricted grade is an
+    even int, so the bars go to the bottleneck core as they are; only
+    the bound is lifted back.
+    """
     M, N = lat.M, lat.N
     lines = dict.fromkeys(tuple(c - u[0] for c in u)
                           for u in (*M.gens, *M.rels, *N.gens, *N.rels))
@@ -168,7 +174,7 @@ def interleaving_distance(P_M, P_N, budget=DEFAULT_BUDGET):
     # d_I is in finite[lo:hi], or else it is finite[hi] (answered Yes),
     # or inf when hi == len(finite); every candidate below lo is below
     # the bound or answered No
-    lb = diagonal_lower_bound(Pm, Pn)
+    lb = _diagonal_bound(lat)
     lo, hi = bisect_left(finite, lb * lat.L), len(finite)
     mid, d, witness = lo, INF, None
     while lo < hi:

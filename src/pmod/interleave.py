@@ -60,7 +60,7 @@ grades (grading.Grade), never the lattice or the search's rows.
 
 import math
 from fractions import Fraction
-from operator import le, mul, xor
+from operator import le, mul
 
 from .scalars import FieldMismatch
 from .grading import grade_shift, check_epsilon, scaled, DimensionMismatch
@@ -155,17 +155,18 @@ def _mask(row_grades, col_grades, shift):
 class InterleavingProblem:
     """Two same-field, same-n presentations and a shift e >= 0.
 
-    Carries the zero patterns of the six matrices of the quadratic
-    system: a variable entry exists at (i, j) iff the row grade is <=
-    the column grade + shift (shift e for A, B, C, D and 2e for E, F);
-    every other entry is forced to zero. Note the comparison runs
-    row <= col + shift; the other direction would forbid genuine
-    interleavings (maps lower grades by at most the shift, never raise).
-    The patterns are computed on the problem's integer lattice.
+    Carries the zero patterns of A and B, the two maps the search
+    reads: a variable entry exists at (i, j) iff the row grade is <=
+    the column grade + e; every other entry is forced to zero. Note the
+    comparison runs row <= col + e; the other direction would forbid
+    genuine interleavings (maps lower grades by at most the shift,
+    never raise). The patterns are computed on the problem's
+    integer lattice; _patterns adds those of C..F for the exported
+    system.
     """
 
     __slots__ = ("P_M", "P_N", "e", "field", "n", "_lat", "_k",
-                 "pat_A", "pat_B", "pat_C", "pat_D", "pat_E", "pat_F")
+                 "pat_A", "pat_B")
 
     def __init__(self, P_M, P_N, e):
         if P_M.field != P_N.field:
@@ -195,26 +196,15 @@ class InterleavingProblem:
         self._k = k
         self.pat_A = _mask(N.gens, M.gens, k)
         self.pat_B = _mask(M.gens, N.gens, k)
-        self.pat_C = _mask(N.rels, M.rels, k)
-        self.pat_D = _mask(M.rels, N.rels, k)
-        self.pat_E = _mask(M.rels, M.gens, 2 * k)
-        self.pat_F = _mask(N.rels, N.gens, 2 * k)
 
-    def sides(self, direction):
-        if direction == "M->N":
-            return self.P_M, self.P_N, self.pat_A
-        if direction == "N->M":
-            return self.P_N, self.P_M, self.pat_B
-        raise ValueError(f"direction must be 'M->N' or 'N->M', "
-                         f"got {direction!r}")
 
-    def _scaled_sides(self, direction):
-        """sides(direction) with the two presentations on the lattice."""
-        _, _, mask = self.sides(direction)
-        lat = self._lat
-        if direction == "M->N":
-            return lat.M, lat.N, mask
-        return lat.N, lat.M, mask
+def _patterns(prob):
+    """The zero patterns of the six matrices A..F of the quadratic
+    system, in that order: shift e for A, B, C, D and 2e for E, F."""
+    M, N, k = prob._lat.M, prob._lat.N, prob._k
+    return (prob.pat_A, prob.pat_B, _mask(N.rels, M.rels, k),
+            _mask(M.rels, N.rels, k), _mask(M.rels, M.gens, 2 * k),
+            _mask(N.rels, N.gens, 2 * k))
 
 
 class InterleavingWitness:
@@ -267,29 +257,6 @@ def _condition_rows(src, tgt, k, free):
         for kappa in _annihilator(tgt, _up(g, k)):
             rows.append([kappa[i] * w[j] for (i, j) in free])
     return rows
-
-
-def constraint_space(prob, direction):
-    """Basis of the space of candidate matrices for one direction.
-
-    The space combines the zero pattern with condition 1 (each relation
-    of the source must land in the span of the target's relations at
-    the shifted grade). Returned as a list of patterned matrices.
-    """
-    src, tgt, mask = prob._scaled_sides(direction)
-    free = _free_positions(mask)
-    field = prob.field
-    basis = nullspace(_condition_rows(src, tgt, prob._k, free), len(free),
-                      field.p)
-    matrices = []
-    for coords in basis:
-        entries = [[field.coerce(0)] * len(src.gens)
-                   for _ in range(len(tgt.gens))]
-        for (i, j), c in zip(free, coords):
-            entries[i][j] = c
-        matrices.append(MorphismMatrix(src.P.generators, tgt.P.generators,
-                                       entries, prob.e, field))
-    return matrices
 
 
 def check_closure(A, B, prob):
@@ -358,7 +325,14 @@ class _Side:
                  "_S", "_pivots", "_cols", "_img", "_rhs", "_blocks")
 
     def __init__(self, prob, direction):
-        src, tgt, mask = prob._scaled_sides(direction)
+        lat = prob._lat
+        if direction == "M->N":
+            src, tgt, mask = lat.M, lat.N, prob.pat_A
+        elif direction == "N->M":
+            src, tgt, mask = lat.N, lat.M, prob.pat_B
+        else:
+            raise ValueError(f"direction must be 'M->N' or 'N->M', "
+                             f"got {direction!r}")
         self.prob = prob
         self.src = src
         self.tgt = tgt
@@ -605,9 +579,8 @@ def export_quadratic_system(prob):
     def var(name, i, j):
         return f"{name}_{i + 1}_{j + 1}"
 
-    nvars = sum(sum(1 for ok in row if ok) for pat in
-                (prob.pat_A, prob.pat_B, prob.pat_C,
-                 prob.pat_D, prob.pat_E, prob.pat_F) for row in pat)
+    pats = _patterns(prob)
+    nvars = sum(sum(1 for ok in row if ok) for pat in pats for row in pat)
 
     lines = []
 
@@ -620,10 +593,8 @@ def export_quadratic_system(prob):
     # one direction per presentation P: its map X: <G_P> -> <G_Q(e)>,
     # the relation matrix C of X.T_P = T_Q.C and the matrix E of the
     # round trip on P; entry (i, t) of T_P is relation t's coefficient i
-    M_to_N = (prob.P_M, prob.P_N, "A", prob.pat_A, "C", prob.pat_C,
-              "E", prob.pat_E)
-    N_to_M = (prob.P_N, prob.P_M, "B", prob.pat_B, "D", prob.pat_D,
-              "F", prob.pat_F)
+    M_to_N = (prob.P_M, prob.P_N, "A", pats[0], "C", pats[2], "E", pats[4])
+    N_to_M = (prob.P_N, prob.P_M, "B", pats[1], "D", pats[3], "F", pats[5])
     # X.T_P = T_Q.C   (rows: G_Q, cols: R_P)
     for P, Q, X, pat_X, C, pat_C, _, _ in (M_to_N, N_to_M):
         for i in range(len(Q.generators)):

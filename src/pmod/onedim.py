@@ -33,7 +33,7 @@ search starts at a floor: every bar is matched to a partner or sent to
 the diagonal, so d_B is at least the cheaper of the two for every bar
 of both diagrams. One matching test at the floor usually settles d_B;
 only when it fails are the candidates above it binary-searched. The
-interleaving distance's lower bound (distance.diagonal_lower_bound)
+interleaving distance's lower bound (distance._diagonal_bound)
 calls _bars and _Costs directly on the integer grade lattice of its
 query (interleave._Lattice), whose grades are already even ints, and
 lifts only the bound; its search starts at the larger of the bound so
@@ -42,7 +42,7 @@ far and the floor.
 
 import math
 from bisect import bisect_right
-from collections import Counter, deque
+from collections import deque
 from fractions import Fraction
 from itertools import chain
 from operator import index
@@ -137,34 +137,6 @@ class PersistenceDiagram:
 
 def diagram_of(intervals):
     return PersistenceDiagram((i, 1) for i in intervals)
-
-
-class Multibijection:
-    """A matching witness between two diagrams.
-
-    matched maps (I, J) pairs to multiplicities; unmatched1/unmatched2
-    count the intervals on each side sent to the diagonal. Row and
-    column sums reproduce the diagrams exactly.
-    """
-
-    __slots__ = ("matched", "unmatched1", "unmatched2")
-
-    def __init__(self, matched, unmatched1, unmatched2):
-        self.matched = dict(matched)
-        self.unmatched1 = dict(unmatched1)
-        self.unmatched2 = dict(unmatched2)
-
-    def check_against(self, D1, D2):
-        row = Counter()
-        col = Counter()
-        for (i, j), m in self.matched.items():
-            row[i] += m
-            col[j] += m
-        for i, m in self.unmatched1.items():
-            row[i] += m
-        for j, m in self.unmatched2.items():
-            col[j] += m
-        return dict(row) == D1.mult and dict(col) == D2.mult
 
 
 # ----------------------------------------------------------------------
@@ -286,16 +258,6 @@ def _reduce(col, reduced, p):
 # bottleneck distance
 # ----------------------------------------------------------------------
 
-def interval_bottleneck(I1, I2):
-    """max of endpoint distances, with inf - inf = 0."""
-    db = abs(I1.birth - I2.birth)
-    if I1.death == INF and I2.death == INF:
-        dd = Fraction(0)
-    else:
-        dd = abs(I1.death - I2.death)
-    return max(db, dd)
-
-
 def _hopcroft_karp(adj, nleft, nright, match_l=None):
     """Maximum bipartite matching. Returns (size, left_match).
 
@@ -370,7 +332,8 @@ class _Costs:
     with int endpoints, death possibly inf, and every finite width
     even, so that every endpoint distance and every halfwidth is an
     exact int. values is the sorted candidate list: 0, inf, every
-    halfwidth and every pairwise interval_bottleneck, all ints or inf.
+    halfwidth and every pairwise cost (the larger of the birth and the
+    death distance), all ints or inf.
     The costs are stored as indices into values, so whether an edge
     exists at tolerance values[t] is an int comparison with t.
     """
@@ -465,14 +428,14 @@ class _Costs:
 
 
 def _scaled_costs(D1, D2):
-    """(L1, L2, S, costs) for two diagrams of Fractions.
+    """(S, costs) for two diagrams of Fractions.
 
-    L1, L2 list each diagram's intervals with multiplicity, in
-    (birth, death) order, and costs is the _Costs of their endpoints in
-    units of 1/S, S = 2 * lcm(all endpoint denominators); the factor 2
-    makes the halfwidths whole. Scaling keeps the order, so the ranks
-    are those of the rational costs, and costs.values[t] / S is the
-    rational candidate.
+    costs is the _Costs of the diagrams' bars with multiplicity, in
+    (birth, death) order, with their endpoints in units of 1/S,
+    S = 2 * lcm(all endpoint denominators); the factor 2 makes the
+    halfwidths whole. Scaling keeps the order, so the ranks are those
+    of the rational costs, and costs.values[t] / S is the rational
+    candidate.
     """
     S = 2 * math.lcm(*(x.denominator for I in chain(D1.mult, D2.mult)
                        for x in (I.birth, I.death) if x is not INF))
@@ -481,66 +444,21 @@ def _scaled_costs(D1, D2):
         return INF if x is INF else x.numerator * (S // x.denominator)
 
     def listed(D):
-        # distinct intervals scale to distinct pairs: the sort never
-        # compares two Intervals
-        bars = sorted(((scaled(I.birth), scaled(I.death)), I, m)
-                      for I, m in D.mult.items())
-        return ([I for _, I, m in bars for _ in range(m)],
-                [e for e, _, m in bars for _ in range(m)])
+        return sorted((scaled(I.birth), scaled(I.death))
+                      for I, m in D.mult.items() for _ in range(m))
 
-    L1, E1 = listed(D1)
-    L2, E2 = listed(D2)
-    return L1, L2, S, _Costs(E1, E2)
+    return S, _Costs(listed(D1), listed(D2))
 
 
 def _lift(v, S):
     return INF if v == INF else Fraction(v, S)
 
 
-def matching_feasible(D1, D2, e):
-    """Is there a multibijection moving no interval by more than e?
-
-    Matched pairs must have interval_bottleneck <= e; an interval may
-    instead go unmatched (to the diagonal) when its halfwidth <= e.
-    Decided by perfect matching on the dummy-augmented bipartite graph
-    (_Costs.matching). Returns (feasible, Multibijection or None); the
-    witness is re-checked against both diagrams before it is returned.
-    """
-    if not e >= 0:  # also catches NaN
-        raise ValueError(f"tolerance must be >= 0, got {e}")
-    L1, L2, S, costs = _scaled_costs(D1, D2)
-    # every cost is a candidate value, so cost <= e exactly when it is
-    # <= the largest candidate value <= e
-    eS = INF if e == INF else Fraction(e) * S
-    perfect, match_l = costs.matching(bisect_right(costs.values, eS) - 1)
-    if not perfect:
-        return False, None
-
-    m, k = len(L1), len(L2)
-    matched = Counter()
-    un1 = Counter()
-    un2 = Counter()
-    for a in range(m):
-        j = match_l[a]
-        if j < k:
-            matched[(L1[a], L2[j])] += 1
-        else:
-            un1[L1[a]] += 1
-    for t in range(k):
-        j = match_l[m + t]
-        if j < k:
-            un2[L2[j]] += 1
-    witness = Multibijection(matched, un1, un2)
-    if not witness.check_against(D1, D2):
-        raise AssertionError("matching witness does not reproduce the "
-                             "diagrams")
-    return True, witness
-
-
 def bottleneck_candidates(D1, D2):
     """Sorted values the bottleneck distance could take: 0, inf, every
-    halfwidth and every pairwise interval_bottleneck."""
-    _, _, S, costs = _scaled_costs(D1, D2)
+    halfwidth and, for every pair of intervals, the larger of their
+    birth and death distances (inf - inf = 0)."""
+    S, costs = _scaled_costs(D1, D2)
     return [_lift(v, S) for v in costs.values]
 
 
@@ -556,7 +474,7 @@ def diagram_bottleneck(D1, D2):
     The pairwise costs are computed once; each step of the search runs
     one perfect-matching test on them.
     """
-    _, _, S, costs = _scaled_costs(D1, D2)
+    S, costs = _scaled_costs(D1, D2)
     return _lift(costs.values[costs.least_feasible(costs.floor())], S)
 
 
@@ -566,8 +484,7 @@ def _max_bottleneck(E1, E2, bound):
 
     The search starts at the larger of bound and the floor: one
     matching test there settles the common case, and only when it fails
-    are the candidates above it binary-searched. No Multibijection is
-    built.
+    are the candidates above it binary-searched.
     """
     costs = _Costs(E1, E2)
     t = bisect_right(costs.values, bound) - 1

@@ -20,16 +20,13 @@ coordinates, stable within ties), so parse and serialize are mutually
 inverse on the nose.
 """
 
-import math
 import sys
 import weakref
-from fractions import Fraction
-from operator import sub
 
 from .scalars import FieldSpec, FieldMismatch
-from .grading import (Grade, grade_leq, grade_shift, check_epsilon,
-                      parse_grade, parse_int, parse_rational, format_grade,
-                      scaled, sorted_by_grade, DimensionMismatch)
+from .grading import (Grade, grade_leq, parse_grade, parse_int,
+                      parse_rational, format_grade, sorted_by_grade,
+                      DimensionMismatch)
 from .freemod import (GradedSet, make_element, span_membership,
                       BasisMismatch)
 
@@ -121,41 +118,6 @@ class Presentation:
     def __repr__(self):
         return (f"Presentation({self.name}: {len(self.generators)} gens, "
                 f"{len(self.relations)} rels, {self.field}, n={self.n})")
-
-
-class CriticalGrades:
-    """Per-axis sorted coordinate sets of a minimal presentation."""
-
-    __slots__ = ("axes",)
-
-    def __init__(self, axes):
-        self.axes = tuple(tuple(a) for a in axes)
-        for a in self.axes:
-            if list(a) != sorted(set(a)):
-                raise ValueError("critical grades must be sorted and "
-                                 f"distinct, got {list(a)}")
-
-    @classmethod
-    def of(cls, P):
-        """Per-axis coordinates of P's grades, P taken as given.
-
-        Call this on a minimal presentation (see minimize): only then
-        are the grades the module's own.
-        """
-        axes = []
-        for i in range(P.n):
-            coords = {g.coords[i] for g in P.generators.grades}
-            coords.update(el.grade.coords[i] for el in P.relations)
-            axes.append(sorted(coords))
-        return cls(axes)
-
-    def __eq__(self, other):
-        return isinstance(other, CriticalGrades) and self.axes == other.axes
-
-    def __repr__(self):
-        inside = "; ".join("{" + ", ".join(str(x) for x in a) + "}"
-                           for a in self.axes)
-        return f"CriticalGrades[{inside}]"
 
 
 # ----------------------------------------------------------------------
@@ -369,53 +331,6 @@ def minimize(P):
             i += 1
 
     return Presentation(field, P.n, gens, [elems[j] for j in kept], P.name)
-
-
-def shift_presentation(P, e, direction):
-    """Presentation of the shifted module.
-
-    direction +1 gives P(e), whose graded set lowers every grade by e
-    (an element born at grade u in M appears at u - e in M(e));
-    direction -1 raises every grade by e.
-    """
-    e = check_epsilon(e)
-    if direction not in (1, -1):
-        raise ValueError(f"direction must be +1 or -1, got {direction!r}")
-    delta = -e if direction == 1 else e
-    gens = GradedSet([(nm, grade_shift(g, delta)) for nm, g in P.generators])
-    pairs = []
-    for nm, el in P.rel_pairs():
-        pairs.append((nm, make_element(gens, grade_shift(el.grade, delta),
-                                       el.coeffs, P.field)))
-    return Presentation(P.field, P.n, gens, pairs, P.name)
-
-
-def restrict_diagonal(P, x):
-    """Presentation of the restriction of P's module to a diagonal line.
-
-    The line is {x + t(1, ..., 1) : t real}, and the restriction is the
-    one-parameter module t -> M(x + t(1, ..., 1)). The free module
-    generated at u restricts to the free module generated at the least
-    t with u <= x + t(1, ..., 1), which is max_i(u_i - x_i).
-    Restriction is exact, so P's matrix with every generator and
-    relation grade mapped that way presents the restriction.
-    """
-    if not isinstance(x, Grade):
-        x = Grade(x)
-    if len(x) != P.n:
-        raise DimensionMismatch(
-            f"line through a {len(x)}-parameter point for a {P.n}-parameter "
-            f"presentation")
-
-    def on_line(u):
-        L = math.lcm(u.den, x.den)
-        t = max(map(sub, scaled(u, L), scaled(x, L)))
-        return Grade((Fraction(t, L),))
-
-    gens = GradedSet([(nm, on_line(g)) for nm, g in P.generators])
-    pairs = [(nm, make_element(gens, on_line(el.grade), el.coeffs, P.field))
-             for nm, el in P.rel_pairs()]
-    return Presentation(P.field, 1, gens, pairs, P.name)
 
 
 def box_interval(field, lower, uppers, name="M"):

@@ -132,6 +132,26 @@ def local_solve(rows, width, rhs, p):
     return x
 
 
+def restrict_diagonal(P, x):
+    """P's module restricted to the line {x + t(1, ..., 1) : t real},
+    as a one-parameter presentation on Fraction grades.
+
+    The free module generated at u restricts to the free module
+    generated at the least t with u <= x + t(1, ..., 1), which is
+    max_i(u_i - x_i); restriction is exact, so P's matrix on those
+    grades presents the restriction.
+    """
+    x = [Fraction(c) for c in x]
+
+    def on_line(u):
+        return Grade([max(a - b for a, b in zip(u.coords, x))])
+
+    gens = GradedSet([(nm, on_line(g)) for nm, g in P.generators])
+    pairs = [(nm, make_element(gens, on_line(el.grade), el.coeffs, P.field))
+             for nm, el in P.rel_pairs()]
+    return Presentation(P.field, 1, gens, pairs, P.name)
+
+
 def dim_at(P, t):
     """dim of the presented 1-parameter module at t, by direct count."""
     assert P.n == 1
@@ -146,7 +166,9 @@ def dim_at(P, t):
 # bottleneck oracle (exhaustive over partial injections)
 # ----------------------------------------------------------------------
 
-def _pair_cost(i1, i2):
+def pair_cost(i1, i2):
+    """The cost of matching two intervals: the larger of the birth and
+    the death distance, with inf - inf = 0."""
     db = abs(i1.birth - i2.birth)
     if i1.death == math.inf and i2.death == math.inf:
         dd = 0
@@ -180,7 +202,7 @@ def brute_bottleneck(D1, D2):
         for t in range(k):
             if not (used >> t) & 1:
                 rec(i + 1, used | (1 << t),
-                    max(cur, _pair_cost(L1[i], L2[t])))
+                    max(cur, pair_cost(L1[i], L2[t])))
         rec(i + 1, used, max(cur, _solo_cost(L1[i])))
 
     rec(0, 0, 0)

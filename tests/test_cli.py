@@ -1,7 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from click.testing import CliRunner
 
+import pmod
 from pmod.cli import main
 
 M_TEXT = "module M\nfield F5\nparams 1\ngen a @ 0\nrel r1 @ 3 = 1*a\n"
@@ -205,3 +211,29 @@ def test_distance_inf_needs_no_search(runner, tmp_path):
                              "--budget", "0"])
     assert r.exit_code == 0
     assert r.output == "d_I = inf\n"
+
+
+# Prints the top-level modules that importing pmod and its CLI loads,
+# beyond those the interpreter had loaded at start-up.
+IMPORTS_SCRIPT = """
+import sys
+before = set(sys.modules)
+import pmod, pmod.cli
+print(" ".join(sorted({m.partition(".")[0]
+                       for m in set(sys.modules) - before})))
+"""
+
+
+def test_runtime_dependency_is_click_only():
+    src = str(Path(pmod.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    done = subprocess.run([sys.executable, "-c", IMPORTS_SCRIPT], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    loaded = done.stdout.split()
+    assert "pmod" in loaded and "click" in loaded
+    others = [m for m in loaded if m not in sys.stdlib_module_names
+              and m not in ("click", "pmod")]
+    assert others == []

@@ -200,6 +200,27 @@ def test_loose_bound_search(monkeypatch):
     assert len(log) <= bound
 
 
+def test_one_lattice_per_distance_call(monkeypatch):
+    """The candidates, the bound and every probe share one lattice."""
+    built = []
+
+    class Counting(distance_mod._Lattice):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(distance_mod, "_Lattice", Counting)
+    P, Q = parse(LOOSE_M), parse(LOOSE_N)
+    assert interleaving_distance(P, Q)[0] == 3
+    assert len(built) == 1
+    for M, N in ((M_TEXT, N_TEXT), (N_TEXT, N_TEXT)):
+        built.clear()
+        interleaving_distance(parse(M), parse(N))
+        assert len(built) == 1
+
+
 def test_search_from_any_bound_within_probe_limit(monkeypatch):
     """With the bound anywhere at or below the distance, the search
     finds the least Yes candidate (or inf) and never probes below the
@@ -220,8 +241,8 @@ def test_search_from_any_bound_within_probe_limit(monkeypatch):
                 return "yes" if prob.e >= d else None
 
             monkeypatch.setattr(distance_mod, "is_interleaved", threshold)
-            monkeypatch.setattr(distance_mod, "diagonal_lower_bound",
-                                lambda Pm, Pn, lb=lb: lb)
+            monkeypatch.setattr(distance_mod, "_diagonal_bound",
+                                lambda lat, lb=lb: lb)
             got = interleaving_distance(P, Q)
             assert got == ((d, "yes") if d != INF else (INF, None))
             assert len(probed) <= limit

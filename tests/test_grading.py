@@ -4,8 +4,7 @@ from fractions import Fraction
 from hypothesis import given, strategies as st
 
 from pmod import (DimensionMismatch, Grade, check_epsilon, format_grade,
-                  grade_leq, grade_shift, parse, parse_grade,
-                  restrict_diagonal)
+                  grade_leq, grade_shift, parse, parse_grade)
 from pmod.grading import parse_rational
 
 coord = st.fractions(min_value=-4, max_value=4, max_denominator=6)
@@ -146,7 +145,6 @@ def test_parse_interns_equal_grades_written_differently(a, k, flip):
 
 
 def test_non_finite_coordinates_raise_value_error():
-    P = parse("module M\nfield F2\nparams 2\ngen a @ (0, 0)\n")
     for bad in (math.inf, -math.inf, float("nan")):
         with pytest.raises(ValueError):
             Grade([bad])
@@ -154,8 +152,6 @@ def test_non_finite_coordinates_raise_value_error():
             Grade([0, bad])
         with pytest.raises(ValueError):
             grade_shift(Grade([0, 0]), bad)
-        with pytest.raises(ValueError):
-            restrict_diagonal(P, (bad, 0))
     for bad in (None, "x", 1j):
         with pytest.raises(ValueError):
             Grade([bad])

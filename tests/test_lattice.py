@@ -1,24 +1,25 @@
 """The integer grade lattice against Fraction references.
 
 The search, its candidates and the diagonal bound run on int grades in
-units of 1/L. The references here are computed on the Fraction grades
-with the public one-parameter functions (restrict_diagonal, barcode,
-diagram_bottleneck), CriticalGrades, grade_leq and grade_shift, and a
-local rank; none goes through the lattice.
+units of 1/L. The references here are computed on the Fraction grades:
+the bound from conftest's restriction to a line and the public
+barcode and diagram_bottleneck, the candidates from per-axis
+coordinate sets, the masks with grade_leq and grade_shift, and ranks
+with a local elimination; none goes through the lattice.
 """
 
 from fractions import Fraction
 
 import pytest
 
-from pmod import (INF, CriticalGrades, FieldSpec, GradedSet,
-                  InterleavingProblem, MorphismMatrix, barcode,
-                  candidate_set, diagonal_lower_bound, diagram_bottleneck,
-                  grade_leq, grade_shift, interleaving_distance, minimize,
-                  parse, restrict_diagonal)
-from pmod.interleave import _Lattice, _annihilator
+from pmod import (INF, FieldSpec, GradedSet, InterleavingProblem,
+                  MorphismMatrix, barcode, candidate_set,
+                  diagonal_lower_bound, diagram_bottleneck, grade_leq,
+                  grade_shift, interleaving_distance, minimize, parse)
+from pmod.interleave import _Lattice, _annihilator, _patterns
 
-from conftest import F2, F3, local_rank, random_presentation, rng_for
+from conftest import (F2, F3, local_rank, random_presentation,
+                      restrict_diagonal, rng_for)
 
 Q = FieldSpec()
 
@@ -35,9 +36,15 @@ def _reference_bound(Pm, Pn):
     return bound
 
 
+def _axes(P):
+    """Per axis, the set of P's generator and relation coordinates."""
+    grades = [*P.generators.grades, *(el.grade for el in P.relations)]
+    return [{g.coords[i] for g in grades} for i in range(P.n)]
+
+
 def _reference_candidates(Pm, Pn):
     vals = {Fraction(0), INF}
-    for UM, UN in zip(CriticalGrades.of(Pm).axes, CriticalGrades.of(Pn).axes):
+    for UM, UN in zip(_axes(Pm), _axes(Pn)):
         vals.update(abs(x - y) for x in UM for y in UN)
         for side in (UM, UN):
             vals.update(abs(a - b) / 2 for a in side for b in side)
@@ -143,8 +150,7 @@ def _reference_masks(P_M, P_N, e):
 
 
 def _masks(prob):
-    return [prob.pat_A, prob.pat_B, prob.pat_C, prob.pat_D, prob.pat_E,
-            prob.pat_F]
+    return list(_patterns(prob))
 
 
 def test_int_masks_equal_fraction_masks():
@@ -212,7 +218,7 @@ def test_off_lattice_eps_raises():
     assert prob.e == Fraction(1, 3)
     assert prob._lat.L == 12
     # (0, 1/2) <= (1/3, 5/6), but (1, 3/2) is not <= (2/3, 7/6)
-    assert prob.pat_A == [[True]] and prob.pat_E == [[False]]
+    assert prob.pat_A == [[True]] and _patterns(prob)[4] == [[False]]
 
 
 def test_witnesses_over_the_same_modules_share_sets_and_rows():

@@ -1,4 +1,3 @@
-import math
 import random
 import pytest
 from fractions import Fraction
@@ -8,12 +7,11 @@ from hypothesis import given, settings, strategies as st
 from pmod import (INF, RATIONALS, Interval, NotOneParameter,
                   PersistenceDiagram, barcode, bottleneck_candidates,
                   box_interval, diagram_bottleneck, diagram_of,
-                  format_extended, interval_bottleneck, matching_feasible,
-                  parse)
+                  format_extended, parse)
 from pmod.onedim import _bars, _hopcroft_karp, _scaled_costs
 
-from conftest import (F2, F3, F5, brute_bottleneck, dim_at, random_diagram,
-                      random_presentation, rng_for)
+from conftest import (F2, F3, F5, brute_bottleneck, dim_at, pair_cost,
+                      random_diagram, random_presentation, rng_for)
 
 
 def test_interval_basics():
@@ -212,48 +210,42 @@ def serialize_for_debug(P):
 
 
 def test_interval_bottleneck_values():
-    assert interval_bottleneck(Interval(0, 3), Interval(1, 3)) == 1
-    assert interval_bottleneck(Interval(0, 2), Interval(1, 5)) == 3
-    assert interval_bottleneck(Interval(0, INF), Interval(2, INF)) == 2
-    assert interval_bottleneck(Interval(0, 3), Interval(0, INF)) == INF
-    assert interval_bottleneck(Interval(Fraction(1, 2), 1),
-                               Interval(0, Fraction(3, 2))) == Fraction(1, 2)
+    """The pair costs of conftest's oracle, each one of the candidates
+    of the two one-bar diagrams."""
+    for I1, I2, cost in (
+            (Interval(0, 3), Interval(1, 3), 1),
+            (Interval(0, 2), Interval(1, 5), 3),
+            (Interval(0, INF), Interval(2, INF), 2),
+            (Interval(0, 3), Interval(0, INF), INF),
+            (Interval(Fraction(1, 2), 1), Interval(0, Fraction(3, 2)),
+             Fraction(1, 2))):
+        assert pair_cost(I1, I2) == cost
+        assert cost in bottleneck_candidates(diagram_of([I1]),
+                                             diagram_of([I2]))
 
 
 def test_matching_feasible_identity():
+    """A diagram matches itself at tolerance 0."""
     D = diagram_of([Interval(0, 3), Interval(1, 2), Interval(0, 3)])
-    ok, wit = matching_feasible(D, D, Fraction(0))
-    assert ok
-    assert wit.check_against(D, D)
-    with pytest.raises(ValueError):
-        matching_feasible(D, D, Fraction(-1))
-    with pytest.raises(ValueError):
-        matching_feasible(D, D, float("nan"))
-    assert matching_feasible(D, D, INF)[0]
+    assert diagram_bottleneck(D, D) == brute_bottleneck(D, D) == 0
 
 
 def test_matching_feasible_diagonal_only():
+    """A bar with no partner is feasible from its halfwidth on."""
     D1 = diagram_of([Interval(0, 2)])
     D2 = PersistenceDiagram([])
-    ok, wit = matching_feasible(D1, D2, Fraction(1))
-    assert ok and wit.unmatched1 == {Interval(0, 2): 1}
     # the halfwidth is exactly 1, so anything below is infeasible
-    ok, _ = matching_feasible(D1, D2, Fraction(1, 2))
-    assert not ok
-    ok, _ = matching_feasible(D1, D2, Fraction(1, 4))
-    assert not ok
+    assert diagram_bottleneck(D1, D2) == brute_bottleneck(D1, D2) == 1
 
 
 def test_matching_feasible_infinite_bars_must_pair():
+    """Infinite bars match only each other."""
     D1 = diagram_of([Interval(0, INF)])
     D2 = diagram_of([Interval(3, INF)])
-    ok, wit = matching_feasible(D1, D2, Fraction(3))
-    assert ok and wit.matched == {(Interval(0, INF), Interval(3, INF)): 1}
-    ok, _ = matching_feasible(D1, D2, Fraction(2))
-    assert not ok
+    assert diagram_bottleneck(D1, D2) == brute_bottleneck(D1, D2) == 3
     # an unmatched infinite bar is infeasible at every finite epsilon
-    ok, _ = matching_feasible(D1, PersistenceDiagram([]), Fraction(100))
-    assert not ok
+    empty = PersistenceDiagram([])
+    assert diagram_bottleneck(D1, empty) == brute_bottleneck(D1, empty) == INF
 
 
 def test_diagram_bottleneck_examples():
@@ -276,10 +268,9 @@ def test_bottleneck_candidates_contain_answer():
         d = diagram_bottleneck(D1, D2)
         cans = bottleneck_candidates(D1, D2)
         assert d in cans
-        ok, wit = matching_feasible(D1, D2, d) if d != INF else (True, None)
-        assert ok
-        if wit is not None:
-            assert wit.check_against(D1, D2)
+        # a perfect matching at d, on the candidates' own cost table
+        S, costs = _scaled_costs(D1, D2)
+        assert costs.matching(costs.values.index(d if d == INF else d * S))[0]
 
 
 def _mixed_diagram(rng):
@@ -300,7 +291,7 @@ def _mixed_diagram(rng):
 
 def test_bottleneck_candidates_match_fraction_reference():
     """The candidates are the sorted set of 0, inf, every halfwidth and
-    every pairwise interval_bottleneck, computed here on Fractions; each
+    every pairwise cost (conftest's pair_cost), on Fractions; each
     value is a Fraction or inf, and so is the distance."""
     rng = rng_for(607)
     for _ in range(200):
@@ -309,7 +300,7 @@ def test_bottleneck_candidates_match_fraction_reference():
         L2 = [j for j, m in D2.pairs() for _ in range(m)]
         want = sorted({Fraction(0), INF,
                        *(i.halfwidth() for i in L1 + L2),
-                       *(interval_bottleneck(i, j) for i in L1 for j in L2)})
+                       *(pair_cost(i, j) for i in L1 for j in L2)})
         got = bottleneck_candidates(D1, D2)
         assert got == want
         for v in got + [diagram_bottleneck(D1, D2)]:
@@ -366,15 +357,15 @@ _diagrams = st.lists(st.tuples(_mixed_intervals, st.integers(0, 3)),
 def test_bottleneck_floor_and_search(D1, D2):
     """The floor is a lower bound (recomputed here on Fractions), and
     the search that starts at it finds what a plain binary search of
-    the candidates from 0, one matching_feasible per step, finds."""
+    the candidates from 0, one matching test per step, finds."""
     L1 = [i for i, m in D1.pairs() for _ in range(m)]
     L2 = [j for j, m in D2.pairs() for _ in range(m)]
     want = max([Fraction(0)]
-               + [min([i.halfwidth()] + [interval_bottleneck(i, j)
-                                         for j in L2]) for i in L1]
-               + [min([j.halfwidth()] + [interval_bottleneck(i, j)
-                                         for i in L1]) for j in L2])
-    _, _, S, costs = _scaled_costs(D1, D2)
+               + [min([i.halfwidth()] + [pair_cost(i, j) for j in L2])
+                  for i in L1]
+               + [min([j.halfwidth()] + [pair_cost(i, j) for i in L1])
+                  for j in L2])
+    S, costs = _scaled_costs(D1, D2)
     floor = costs.floor()
     assert costs.values[floor] == (INF if want == INF else want * S)
     assert floor <= costs.least_feasible(0)
@@ -383,7 +374,7 @@ def test_bottleneck_floor_and_search(D1, D2):
     lo, hi = 0, len(cands) - 1
     while lo < hi:
         mid = (lo + hi) // 2
-        if matching_feasible(D1, D2, cands[mid])[0]:
+        if costs.matching(mid)[0]:
             hi = mid
         else:
             lo = mid + 1
