@@ -89,7 +89,8 @@ class HomogeneousElement:
     raw values of field.
 
     Do not construct directly; use make_element, which checks the values
-    and enforces the grade pattern.
+    and enforces the grade pattern. parse, whose values are made by
+    FieldSpec.coerce, checks only the pattern, with _check_terms.
     """
 
     __slots__ = ("basis", "grade", "coeffs", "field")
@@ -126,7 +127,9 @@ def make_element(B, u, coeffs, field):
     Raises DimensionMismatch if u and B's grades differ in dimension,
     FieldMismatch if some coefficient is not a raw value of field
     (FieldSpec.coerce makes one), and PatternViolation if some
-    coefficient is nonzero at a generator whose grade is not <= u.
+    coefficient is nonzero at a generator whose grade is not <= u, in
+    that order. The pattern is checked by _check_terms, on the nonzero
+    coefficients.
     """
     coeffs = tuple(coeffs)
     if len(coeffs) != len(B):
@@ -137,13 +140,31 @@ def make_element(B, u, coeffs, field):
             f"grades of different dimension: {len(B.grades[0])} vs {len(u)}")
     p = field.p
     kind = int if p else Fraction
-    for c, name, g in zip(coeffs, B.names, B.grades):
+    terms = {}
+    for j, c in enumerate(coeffs):
         if type(c) is not kind or p and not 0 <= c < p:
             raise FieldMismatch(f"coefficient {c!r} is not a value of {field}")
-        if c and not grade_leq(g, u):
-            raise PatternViolation(
-                f"coefficient on {name}@{g} in an element at grade {u}")
+        if c:
+            terms[j] = c
+    _check_terms(B, u, terms)
     return HomogeneousElement(B, u, coeffs, field)
+
+
+def _check_terms(B, u, terms):
+    """The grade pattern of an element of <B> at grade u, given by the
+    {position: raw value} map of its terms; zero values are skipped.
+
+    Raises PatternViolation at the first generator, in B's order, with
+    a nonzero term and a grade not <= u, and DimensionMismatch (from
+    grade_leq) at a term whose grade differs from u in dimension. Only
+    the terms are read, so a relation is checked on the generators it
+    was written with.
+    """
+    for j in sorted(terms):
+        g = B.grades[j]
+        if terms[j] and not grade_leq(g, u):
+            raise PatternViolation(
+                f"coefficient on {B.names[j]}@{g} in an element at grade {u}")
 
 
 class MorphismMatrix:

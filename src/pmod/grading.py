@@ -9,8 +9,8 @@ A Grade holds its coordinates as int numerators over one positive
 common denominator, reduced so that the denominator is the least one.
 Equality, hashing, grade_leq and grade_shift run on those ints, and
 coords is the Fraction view, built on first use. The certificate
-re-checks (check_closure, make_element's and MorphismMatrix's zero
-patterns) compare the presentations' own grades this way. The
+re-checks (check_closure, MorphismMatrix's and freemod._check_terms's
+zero patterns) compare the presentations' own grades this way. The
 interleaving search, its candidate set and its diagonal lower bound
 go one step further: they put every grade of both presentations, and
 the shift, on one integer lattice per query (interleave._Lattice),

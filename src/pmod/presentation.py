@@ -20,6 +20,7 @@ coordinates, stable within ties), so parse and serialize are mutually
 inverse on the nose.
 """
 
+import functools
 import sys
 import weakref
 
@@ -27,8 +28,8 @@ from .scalars import FieldSpec, FieldMismatch
 from .grading import (Grade, grade_leq, parse_grade, parse_int,
                       parse_rational, format_grade, sorted_by_grade,
                       DimensionMismatch)
-from .freemod import (GradedSet, make_element, span_membership,
-                      BasisMismatch)
+from .freemod import (GradedSet, HomogeneousElement, make_element,
+                      span_membership, BasisMismatch, _check_terms)
 
 
 # Grades, names and graded sets are immutable, and a caller may keep
@@ -40,9 +41,20 @@ from .freemod import (GradedSet, make_element, span_membership,
 # while any is alive. Grades are keyed by their (den, nums) ints, so
 # equal grades written differently ('2/4' and '1/2') share one Grade,
 # and a Grade caches its own hash, so a graded set's key hashes each of
-# its grades once.
+# its grades once. Grades lie on a grid, so their texts repeat across
+# modules: _grade_of_text keeps the Grade of the 4096 grade texts used
+# last, for the life of the process, which also keeps those grades
+# interned.
 _PARSED_GRADES = weakref.WeakValueDictionary()
 _GRADED_SETS = weakref.WeakValueDictionary()
+
+
+@functools.lru_cache(maxsize=4096)
+def _grade_of_text(n, text):
+    """The interned Grade of an n-parameter grade text. A text that
+    fails raises each time, since lru_cache keeps no exceptions."""
+    g = parse_grade(text, n)
+    return _PARSED_GRADES.setdefault((g.den, g.nums), g)
 
 
 def _graded_set(items):
@@ -164,18 +176,11 @@ def parse(text):
         fail(f"params must be a positive integer, got "
              f"{header['params'][0]!r}", header["params"][1])
 
-    grade_of_text = {}  # each distinct grade text is parsed once
-
     def parse_grade_here(textpart, lineno):
-        g = grade_of_text.get(textpart)
-        if g is None:
-            try:
-                g = parse_grade(textpart, n)
-            except (ValueError, DimensionMismatch) as exc:
-                fail(str(exc), lineno)
-            g = _PARSED_GRADES.setdefault((g.den, g.nums), g)
-            grade_of_text[textpart] = g
-        return g
+        try:
+            return _grade_of_text(n, textpart)
+        except (ValueError, DimensionMismatch) as exc:
+            fail(str(exc), lineno)
 
     for lineno, body in significant[3:]:
         kind = body.split(None, 1)[0]
@@ -243,12 +248,14 @@ def parse(text):
                     if p:
                         c %= p
                 terms_at[j] = c
+        # coerce made every value, so only the pattern is checked, on
+        # the written terms; a PatternViolation escapes as-is, it is a
+        # semantic error not a syntax one
+        _check_terms(gens, rgrade, terms_at)
         coeffs = [zero] * len(gens)
         for j, c in terms_at.items():
             coeffs[j] = c
-        # make_element raises PatternViolation on a bad relation grade;
-        # let that escape as-is, it is a semantic error not a syntax one
-        pairs.append((rname, make_element(gens, rgrade, coeffs, field)))
+        pairs.append((rname, HomogeneousElement(gens, rgrade, coeffs, field)))
 
     return Presentation(field, n, gens, pairs, name)
 

@@ -1,17 +1,21 @@
+import gc
 import re
+import weakref
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pmod import (INF, FieldMismatch, Grade,
+from pmod import (INF, RATIONALS, FieldMismatch, Grade,
                   GradeOrderViolation, GradedSet, Interval, ParseError,
                   PatternViolation, Presentation, barcode, box_interval,
-                  diagram_of, make_element, minimize, parse, serialize)
+                  diagram_of, grade_leq, make_element, minimize, parse,
+                  serialize)
+from pmod.presentation import _grade_of_text
 
-from conftest import (F2, F5, inject_redundancy, local_rank,
-                      rand_grade, random_presentation, restrict_diagonal,
-                      rng_for)
+from conftest import (F2, F3, F5, inject_redundancy, local_rank,
+                      rand_coeff, rand_grade, random_presentation,
+                      restrict_diagonal, rng_for)
 from pmod.cli import INPUT_ERRORS
 
 PAIR_M = """module M
@@ -109,6 +113,115 @@ def test_parse_shares_grades_and_names():
             for g in ("(1/2, 0)", "(2/4, 0/3)"))
     assert R.generators.grades[0] is S.generators.grades[0]
     assert R.generators is S.generators
+
+
+def test_grade_texts_are_parsed_once_per_process():
+    # grades lie on a grid, so their texts repeat across modules: one
+    # table, kept between parse calls, maps each text to its Grade
+    def first_grade(params, grade):
+        return parse(f"module M\nfield F2\nparams {params}\n"
+                     f"gen a @ {grade}\n").generators.grades[0]
+
+    assert first_grade(1, "5/7") is first_grade(1, "5/7")
+    # kept between calls even when no module holds it
+    kept = weakref.ref(first_grade(1, "5/9"))
+    gc.collect()
+    assert kept() is first_grade(1, "5/9")
+    # interned by value, so texts of one grade in two calls share it
+    assert first_grade(1, "1/2") is first_grade(1, "2/4")
+    assert first_grade(2, "(1, 2)") == Grade([1, 2])
+    # the table is keyed by the number of parameters too
+    for _ in range(2):
+        with pytest.raises(ParseError) as err:
+            parse("module M\nfield F2\nparams 1\ngen b @ 0\n"
+                  "gen a @ (1, 2)\n")
+        assert err.value.line == 5
+        assert "expected 1" in str(err.value)
+    # a bad text is not remembered: it fails the same way each time
+    bad = "module M\nfield F2\nparams 1\ngen a @ 0\nrel r @ 1/0 = 1*a\n"
+    errors = []
+    for _ in range(2):
+        with pytest.raises(ParseError) as err:
+            parse(bad)
+        errors.append((err.value.line, str(err.value)))
+    assert errors[0] == errors[1] == (5, errors[0][1])
+    assert "bad rational" in errors[0][1]
+    # the table is bounded
+    assert 0 < _grade_of_text.cache_info().maxsize < 10 ** 5
+
+
+def _written_terms(rng, field, gens, rel):
+    """rel's right-hand side as text, rewritten at random: its terms
+    shuffled and some split in two, cancelling pairs added on any
+    generator, and in one relation of four, nonzero terms added on up to
+    two generators above rel's grade, which break the grade pattern.
+    Returns the text and the dense coefficients it sums to."""
+    names, p = gens.names, field.p
+
+    def literal():
+        if field.is_rationals:
+            return Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+        return rng.randint(-p, 2 * p - 1)
+
+    terms = []
+    for j, c in enumerate(rel.coeffs):
+        if c:
+            if rng.random() < 0.3:
+                x = literal()
+                terms += [(x, j), (c - x, j)]
+            else:
+                terms.append((c, j))
+    for _ in range(rng.randint(0, 2)):
+        j, x = rng.randrange(len(names)), literal()
+        terms += [(x, j), (-x, j)]
+    above = [j for j, g in enumerate(gens.grades)
+             if not grade_leq(g, rel.grade)]
+    if above and rng.random() < 0.25:
+        for j in rng.sample(above, min(2, len(above))):
+            terms.append((rand_coeff(rng, field) or 1, j))
+    rng.shuffle(terms)
+    dense = [0] * len(names)
+    for x, j in terms:
+        dense[j] += x
+    text = " + ".join(f"{x}*{names[j]}" for x, j in terms) or "0"
+    return text, [field.coerce(x) for x in dense]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2 ** 32), st.sampled_from([RATIONALS, F3, F5]),
+       st.integers(1, 2))
+def test_parse_relations_match_make_element(seed, field, n):
+    """parse checks each relation only on its written terms; it must
+    build the element, or raise the PatternViolation, that make_element
+    gives on the same dense coefficients."""
+    rng = rng_for(seed)
+    P = random_presentation(rng, field, n, max_gens=4, max_rels=4)
+    if not len(P.generators):
+        return
+    lines = serialize(P).splitlines()[:3 + len(P.generators)]
+    expected = []  # (name, element or PatternViolation message), text order
+    for name, rel in P.rel_pairs():
+        text, dense = _written_terms(rng, field, P.generators, rel)
+        lines.append(f"rel {name} @ {rel.grade} = {text}")
+        try:
+            expected.append(
+                (name, make_element(P.generators, rel.grade, dense, field)))
+        except PatternViolation as exc:
+            expected.append((name, str(exc)))
+    text = "\n".join(lines) + "\n"
+    failures = [e for _, e in expected if isinstance(e, str)]
+    if failures:
+        with pytest.raises(PatternViolation) as err:
+            parse(text)
+        assert str(err.value) == failures[0]
+        return
+    Q = parse(text)
+    want = dict(expected)
+    assert Q.generators == P.generators
+    assert dict(Q.rel_pairs()) == want
+    for name, el in Q.rel_pairs():
+        assert [type(c) for c in el.coeffs] == \
+            [type(c) for c in want[name].coeffs]
 
 
 def test_round_trip_random():
@@ -239,19 +352,27 @@ def test_parse_pattern_violation_names_the_first_generator():
 @pytest.mark.parametrize("field, terms", [
     ("Q", "1*a + 1*b + -1*b"),
     ("Q", "1/2*b + 1*a + -1/2*b"),
+    ("Q", "1*b + -1*b"),
     ("F3", "1*b + 1*a + 2*b"),
     ("F3", "1*b + -1*b + 1*a + 0*b"),
+    ("F3", "1*b + 2*b"),
 ])
 def test_parse_cancelled_terms_above_the_grade(field, terms):
     # the terms on b sum to 0, so b's grade (above the relation's) puts
-    # no constraint on the relation
+    # no constraint on the relation: parse builds what make_element
+    # builds from the dense coefficients
+    on_a = 1 if "*a" in terms else 0
     P = parse(f"module M\nfield {field}\nparams 1\ngen a @ 0\n"
               f"gen b @ 5\nrel r @ 1 = {terms}\n")
     (rel,) = P.relations
-    assert rel.coeffs == (1, 0)
+    assert rel.coeffs == (on_a, 0)
     assert [type(c) for c in rel.coeffs] == \
         [Fraction if field == "Q" else int] * 2
-    assert barcode(P) == diagram_of([Interval(0, 1), Interval(5, INF)])
+    dense = [P.field.coerce(on_a), P.field.coerce(0)]
+    assert rel == make_element(P.generators, Grade([1]), dense, P.field)
+    death_of_a = 1 if on_a else INF
+    assert barcode(P) == diagram_of([Interval(0, death_of_a),
+                                     Interval(5, INF)])
 
 
 def test_relation_matrix_shape():
