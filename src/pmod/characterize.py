@@ -93,48 +93,35 @@ def compatible_presentations(P_M, P_N, witness, e):
     for mat in (A, B):
         if mat.field != P_M.field:
             raise InvalidWitness("witness over the wrong field")
-    for w in P_M.relations:
-        inside, _ = span_membership(apply(A, w), P_N.relations)
-        if not inside:
-            raise InvalidWitness(
-                f"A carries a relation of {P_M.name} outside the "
-                f"relations of {P_N.name}")
-    for w in P_N.relations:
-        inside, _ = span_membership(apply(B, w), P_M.relations)
-        if not inside:
-            raise InvalidWitness(
-                f"B carries a relation of {P_N.name} outside the "
-                f"relations of {P_M.name}")
+    for name, X, P, Q in (("A", A, P_M, P_N), ("B", B, P_N, P_M)):
+        for w in P.relations:
+            inside, _ = span_membership(apply(X, w), Q.relations)
+            if not inside:
+                raise InvalidWitness(
+                    f"{name} carries a relation of {P.name} outside the "
+                    f"relations of {Q.name}")
     if not check_closure(A, B, prob):
         raise InvalidWitness("round trips are not identity up to relations")
 
     field = P_M.field
     W1, W2 = P_M.generators, P_N.generators
     basis, _ = combined_basis(W1, W2)
-    gm, gn = len(W1), len(W2)
     zero, one = field.coerce(0), field.coerce(1)
 
-    used1 = set()
-    Y1 = [(_unique(nm, used1),
-           make_element(basis, el.grade, list(el.coeffs) + [zero] * gn,
-                        field))
-          for nm, el in P_M.rel_pairs()]
-    for j, (yname, ygrade) in enumerate(W2):
-        coeffs = [field.coerce(-B.entries[i][j]) for i in range(gm)] \
-            + [one if t == j else zero for t in range(gn)]
-        el = make_element(basis, grade_shift(ygrade, e), coeffs, field)
-        Y1.append((_unique(f"m_{yname}", used1), el))
-
-    used2 = set()
-    Y2 = [(_unique(nm, used2),
-           make_element(basis, el.grade, [zero] * gm + list(el.coeffs),
-                        field))
-          for nm, el in P_N.rel_pairs()]
-    for j, (yname, ygrade) in enumerate(W1):
-        coeffs = [one if t == j else zero for t in range(gm)] \
-            + [field.coerce(-A.entries[i][j]) for i in range(gn)]
-        el = make_element(basis, grade_shift(ygrade, e), coeffs, field)
-        Y2.append((_unique(f"m_{yname}", used2), el))
+    # each Y: P's relations, then y - (X's column at y) at gr(y) + e
+    Y1, Y2 = [], []
+    for Y, P, X, W in ((Y1, P_M, B, W2), (Y2, P_N, A, W1)):
+        vecs = [(nm, el.grade, list(el.coeffs), [zero] * len(W))
+                for nm, el in P.rel_pairs()]
+        vecs += [(f"m_{yname}", grade_shift(ygrade, e),
+                  [field.coerce(-row[j]) for row in X.entries],
+                  [one if t == j else zero for t in range(len(W))])
+                 for j, (yname, ygrade) in enumerate(W)]
+        used = set()
+        for nm, g, own, other in vecs:
+            coeffs = own + other if Y is Y1 else other + own
+            el = make_element(basis, g, coeffs, field)
+            Y.append((_unique(nm, used), el))
 
     pair = CompatiblePair(W1, W2, Y1, Y2, e)
     ind_M, ind_N = induced_presentations(pair, field, P_M.n,

@@ -39,6 +39,8 @@ def _load(path):
     try:
         with open(path, encoding="utf-8") as fh:
             return parse(fh.read())
+    except UnicodeDecodeError as exc:
+        _die(f"{path} is not UTF-8 text: {exc}")
     except INPUT_ERRORS as exc:
         _die(exc)
 

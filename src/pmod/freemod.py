@@ -273,9 +273,8 @@ def span_membership(v, W):
             raise FieldMismatch("span members over a different field")
     field = v.field
     admissible = [k for k, w in enumerate(W) if grade_leq(w.grade, v.grade)]
-    rows = [[W[k].coeffs[i] for k in admissible]
-            for i in range(len(v.coeffs))]
-    x = _solve(rows, len(admissible), v.coeffs, field.p)
+    rows = zip(*(W[k].coeffs for k in admissible), v.coeffs)
+    x = _solve(rows, len(admissible), field.p)
     if x is None:
         return False, None
     cert = [field.coerce(0)] * len(W)
@@ -285,107 +284,79 @@ def span_membership(v, W):
 
 
 # ----------------------------------------------------------------------
-# Exact Gaussian elimination over a field.
-#
-# One kernel works on raw values: residues mod p over F_p, Fractions
-# over Q (p is None). rref and nullspace are its public face, used by
-# the interleaving search set-up. The enumeration hot loop calls _solve,
-# or over F_2 _xor_solve on rows packed into ints, directly, so a solve
-# per candidate stays out of the public (traced) surface.
-# Pivoting is "first nonzero"; with exact arithmetic there is nothing
-# else to optimize for. All routines tolerate empty shapes (0 rows
-# and/or 0 columns).
+# Exact linear algebra over a field, on raw values: residues mod p over
+# F_p, Fractions over Q (p is None). _echelon is the one elimination,
+# pivoting on the first nonzero entry and clearing below each pivot
+# only; rref adds a back pass and _solve back-substitution. rref and
+# nullspace are the public (traced) face; the search's per-candidate
+# solves call _solve, or over F_2 _xor_solve on rows packed into ints.
+# An F_p entry may be an unreduced int, but not a nonzero multiple of
+# p, which has no inverse. All routines take 0 rows and 0 columns.
 # ----------------------------------------------------------------------
 
-def _row_reduce(rows, width, p):
-    """Reduce the first width columns of a list of raw rows, in place.
-
-    Rows may be longer than width; the extra columns ride along. Input
-    residues need not be reduced mod p: every row that survives as a
-    pivot row is. Returns (rows, pivot_columns): the first
-    len(pivot_columns) rows are the reduced pivot rows, and the rest are
-    zero in the first width columns. Row lists are replaced, never
-    mutated, so the caller's rows may be shared.
-    """
-    pivots = []
-    r = 0
-    for c in range(width):
-        for pr in range(r, len(rows)):
-            if rows[pr][c]:
-                break
-        else:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        if p is None:
-            scale = 1 / Fraction(rows[r][c])
-            pivot = rows[r] = [x * scale for x in rows[r]]
-        else:
-            scale = pow(rows[r][c], -1, p)
-            pivot = rows[r] = [(x * scale) % p for x in rows[r]]
-        for i, row in enumerate(rows):
-            f = row[c]
-            if f and i != r:
-                if p is None:
-                    rows[i] = [a - f * b for a, b in zip(row, pivot)]
-                else:
-                    rows[i] = [(a - f * b) % p for a, b in zip(row, pivot)]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return rows, pivots
-
-
-def _solve(rows, width, rhs, p):
-    """One raw solution x (free variables zero) of rows . x = rhs, or None.
-
-    Values as in _row_reduce. Forward elimination only: each pivot
-    clears its column in the rows below it, and the system is
-    consistent iff every row left without a pivot has a zero right-hand
-    side. Only then is x found, by back-substitution from the last
-    pivot up; with the free variables zero it is the solution the
-    reduced row echelon form gives, since both have the same pivots.
-    Row lists are replaced, never mutated.
+def _echelon(rows, width, p):
+    """Row echelon form of the first width columns of raw rows; longer
+    rows carry their extra columns along. Returns (rows, pivots, invs):
+    row k < len(pivots) is zero left of column pivots[k] and invs[k] is
+    the inverse of its entry there, and the other rows are zero in the
+    first width columns. The pivots are those of the reduced row
+    echelon form. Row lists are replaced, never mutated.
     """
     rows = list(rows)
-    b = list(rhs)
     n = len(rows)
     pivots = []
     invs = []
     r = 0
     for c in range(width):
-        if r == n:
-            break
         for pr in range(r, n):
             if rows[pr][c]:
                 break
         else:
             continue
         rows[r], rows[pr] = rows[pr], rows[r]
-        b[r], b[pr] = b[pr], b[r]
-        pivot, t = rows[r], b[r]
-        inv = 1 / Fraction(pivot[c]) if p is None else pow(pivot[c], -1, p)
-        for i in range(r + 1, n):
+        pivot = rows[r]
+        inv = pivot[c]
+        if p is None:
+            inv = 1 / Fraction(inv)
+        elif inv != 1:  # 1 is its own inverse, and F_2 has no other
+            inv = pow(inv, -1, p)
+        # rows r + 1 to pr were passed by the search: zero in column c
+        for i in range(pr + 1, n):
             row = rows[i]
-            if row[c]:
-                f = row[c] * inv
+            f = row[c]
+            if f:
+                f *= inv
                 if p is None:
-                    rows[i] = [a - f * x for a, x in zip(row, pivot)]
-                    b[i] -= f * t
+                    rows[i] = [a - f * b for a, b in zip(row, pivot)]
                 else:
-                    rows[i] = [(a - f * x) % p for a, x in zip(row, pivot)]
-                    b[i] = (b[i] - f * t) % p
+                    rows[i] = [(a - f * b) % p for a, b in zip(row, pivot)]
         pivots.append(c)
         invs.append(inv)
         r += 1
-    if any(b[r:]):
-        return None
+        if r == n:
+            break
+    return rows, pivots, invs
+
+
+def _solve(rows, width, p):
+    """One raw solution x (free variables zero) of a linear system, or
+    None. Each row holds its coefficients in the first width columns and
+    its right-hand side in column width, as _xor_solve's rows do in bit
+    width. The system is consistent iff every row _echelon leaves
+    without a pivot has a zero right-hand side; back-substitution then
+    gives the reduced row echelon form's solution, as the pivots agree.
+    """
+    rows, pivots, invs = _echelon(rows, width, p)
+    r = len(pivots)
+    for row in rows[r:]:
+        if row[width]:
+            return None
     x = [0 if p else Fraction(0)] * width
     for k in range(r - 1, -1, -1):
         c = pivots[k]
         row = rows[k]
-        v = (b[k] - sum(map(mul, row[c + 1:], x[c + 1:]))) * invs[k]
-        x[c] = v if p is None else v % p
+        v = row[width] - sum(map(mul, row[c + 1:width], x[c + 1:]))
+        x[c] = v * invs[k] if p is None else v * invs[k] % p
     return x
 
 
@@ -424,12 +395,30 @@ def _xor_solve(rows, width):
 
 
 def rref(rows, width, p):
-    """Reduced row echelon form of raw rows (values as in _row_reduce).
-
-    Returns (reduced_rows, pivot_columns); zero rows are dropped.
-    """
-    red, pivots = _row_reduce(list(rows), width, p)
-    return red[:len(pivots)], pivots
+    """Reduced row echelon form of raw rows: _echelon, then from the
+    last pivot up each pivot row is scaled to a pivot of 1 and clears
+    its column in the rows above it. Returns (reduced_rows,
+    pivot_columns); zero rows are dropped."""
+    rows, pivots, invs = _echelon(rows, width, p)
+    r = len(pivots)
+    del rows[r:]
+    while r:
+        r -= 1
+        c = pivots[r]
+        inv = invs[r]
+        if p is None:
+            pivot = rows[r] = [x * inv for x in rows[r]]
+        else:
+            pivot = rows[r] = [x * inv % p for x in rows[r]]
+        for i in range(r):
+            row = rows[i]
+            f = row[c]
+            if f:
+                if p is None:
+                    rows[i] = [a - f * b for a, b in zip(row, pivot)]
+                else:
+                    rows[i] = [(a - f * b) % p for a, b in zip(row, pivot)]
+    return rows, pivots
 
 
 def nullspace(rows, width, p):

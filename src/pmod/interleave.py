@@ -65,8 +65,8 @@ from operator import le, mul
 from .scalars import FieldMismatch
 from .grading import grade_shift, check_epsilon, scaled, DimensionMismatch
 from .freemod import (MorphismMatrix, compose, make_element,
-                      span_membership, nullspace, rref, _solve,
-                      _xor_solve)
+                      span_membership, nullspace, rref, _echelon,
+                      _solve, _xor_solve)
 
 DEFAULT_BUDGET = 10 ** 7
 
@@ -293,15 +293,15 @@ def _complement(V, Z, width, p):
     """RREF basis of a complement of span(Z) inside span(V).
 
     V is a basis and Z must lie in span(V): raises otherwise. The rows
-    of rref(V + Z) whose pivot is not a pivot of rref(Z) span exactly
-    the vectors of span(V) that vanish at every Z pivot, and that space
-    meets span(Z) only in 0.
+    of rref(V + Z) whose pivot is not a pivot of Z (read off its echelon
+    form) span exactly the vectors of span(V) that vanish at every Z
+    pivot, and that space meets span(Z) only in 0.
     """
     red, pivots = rref(V + Z, width, p)
     if len(pivots) != len(V):
         raise AssertionError(
             "translation space not inside the constraint space")
-    zpiv = set(rref(Z, width, p)[1])
+    zpiv = set(_echelon(Z, width, p)[1])
     return [row for row, c in zip(red, pivots) if c not in zpiv]
 
 
@@ -403,9 +403,9 @@ class _Side:
 
     def _block(self, k):
         """H_k: the rows of G(U_k) reduced against the reduced S, on the
-        columns that are not pivots of S, as (row index, row) for the
-        rows that are not zero; packed into ints over F_2 (bit q is
-        column q)."""
+        columns that are not pivots of S and a zero right-hand side, as
+        (row index, row) for the rows that are not zero; packed into
+        ints over F_2 (bit q is column q)."""
         yfree = self.yfree
         Fcols = list(zip(*self._entries(self.U[k])))
         rows = []
@@ -416,7 +416,7 @@ class _Side:
             for kappa in ks:
                 kF = [sum(map(mul, kappa, c)) for c in Fcols]
                 rows.append([kF[t] if jj == i else 0 for (t, jj) in yfree])
-        zero = 0 if self.prob.field.p == 2 else [0] * len(self._cols)
+        zero = 0 if self.prob.field.p == 2 else [0] * (len(self._cols) + 1)
         block = self._blocks[k] = [
             (i, h) for i, h in enumerate(map(self._reduced, rows))
             if h != zero]
@@ -425,7 +425,7 @@ class _Side:
     def _reduced(self, g):
         """The raw row g over the partner's free entries, reduced
         against the reduced S: the sum of g[t] times the image of the
-        t-th unit vector (see pair_with)."""
+        t-th unit vector (see pair_with), then 0 over F_p (see hits)."""
         p = self.prob.field.p
         if p == 2:
             h = 0
@@ -437,7 +437,7 @@ class _Side:
         for a, im in zip(g, self._img):
             if a:
                 h = [x + a * y for x, y in zip(h, im)]
-        return [x % p for x in h]
+        return [x % p for x in h] + [0]
 
     def hits(self):
         """Yield (index, F, y) for every candidate F whose partner
@@ -460,12 +460,11 @@ class _Side:
         width = len(self._cols)
         blocks = self._blocks
         digits = [0] * m
+        # the right-hand side rides in column (bit) width, blocks hold 0
         if p == 2:
-            # the right-hand side rides in bit width of each row
             cur = [c << width for c in self._rhs]
         else:
-            rhs = self._rhs
-            cur = [[0] * width for _ in rhs]
+            cur = [[0] * width + [c] for c in self._rhs]
         for index in range(p ** m):
             if index:
                 k = m - 1
@@ -485,11 +484,8 @@ class _Side:
                     k -= 1
             if p == 2:
                 z = _xor_solve(cur, width)
-            else:
-                # rows that are zero, right-hand side too, hold anything
-                live = [(r, c) for r, c in zip(cur, rhs) if c or any(r)]
-                z = _solve([r for r, _ in live], width,
-                           [c for _, c in live], p)
+            else:  # a row that is zero, right-hand side too, holds anything
+                z = _solve([r for r in cur if any(r)], width, p)
             if z is not None:
                 yield (index, *self._hit(digits, z))
 

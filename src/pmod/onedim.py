@@ -217,6 +217,7 @@ def _bars(births, rels, p):
 def _reduce(col, reduced, p):
     """Cancel col's low entry against the kept columns (in place) until
     its low row is free; returns that row, or None when col reaches 0.
+    This is persistence's column reduction by lowest row, not a solve.
 
     With f the low entry of col and g that of the kept column, col
     becomes g * col - f * other. Over F_p, g is 1 and the values are

@@ -29,7 +29,8 @@ from .grading import (Grade, grade_leq, parse_grade, parse_int,
                       parse_rational, format_grade, sorted_by_grade,
                       DimensionMismatch)
 from .freemod import (GradedSet, HomogeneousElement, make_element,
-                      span_membership, BasisMismatch, _check_terms)
+                      span_membership, BasisMismatch, _check_terms,
+                      _echelon)
 
 
 # Grades, names and graded sets are immutable, and a caller may keep
@@ -309,18 +310,12 @@ def minimize(P):
         if not found:
             break
         ri, gi = found
-        prow = rels[ri][2]
-        pivot_inv = 1 / prow[gi] if p is None else pow(prow[gi], -1, p)
-        for k, (_, _, coeffs) in enumerate(rels):
-            if k == ri or not coeffs[gi]:
-                continue
-            f = coeffs[gi] * pivot_inv
-            rels[k][2] = [(a - f * b) % p if p else a - f * b
-                          for a, b in zip(coeffs, prow)]
-        del rels[ri]
-        del gen_items[gi]
-        for entry in rels:
-            del entry[2][gi]
+        # column gi moved first, under the pivot row: one forward step
+        moved = [[row[gi], *row[:gi], *row[gi + 1:]]
+                 for _, _, row in (rels[ri], *rels[:ri], *rels[ri + 1:])]
+        del rels[ri], gen_items[gi]
+        for entry, row in zip(rels, _echelon(moved, 1, p)[0][1:]):
+            entry[2] = row[1:]
 
     gens = _graded_set(gen_items)
     elems = [(nm, make_element(gens, grade, coeffs, field))

@@ -162,6 +162,11 @@ def test_error_exit_codes(runner, files, tmp_path):
     r = runner.invoke(main, ["barcode", str(bad)])
     assert r.exit_code == 2
     assert "error:" in r.output or "error:" in (r.stderr or "")
+    # a module file that is not UTF-8 text is an input error too
+    bad.write_bytes(b"module M\nfield F5\xff\n")
+    r = runner.invoke(main, ["barcode", str(bad)])
+    assert r.exit_code == 2
+    assert "not UTF-8 text" in r.output or "not UTF-8 text" in (r.stderr or "")
     # bad epsilon literal
     r = runner.invoke(main, ["interleaved", m, n, "--eps", "0.5"])
     assert r.exit_code == 2

@@ -7,7 +7,7 @@ from pmod import (BasisMismatch, DimensionMismatch, FieldMismatch, FieldSpec,
                   make_element, span_membership, MorphismMatrix)
 from pmod.freemod import _solve, nullspace, rref
 
-from conftest import (F2, F5, local_rank, local_solve, rand_grade,
+from conftest import (F2, F3, F5, local_rank, local_solve, rand_grade,
                       random_presentation, rng_for)
 
 
@@ -190,10 +190,24 @@ Q_VALUES = [Fraction(0), Fraction(0), Fraction(1), Fraction(-1), Fraction(2),
             Fraction(1, 2), Fraction(-3, 2)]
 
 
-def _rand_value(rng, field):
+# the kernels' fields; over F_p also with unreduced entries, products
+# of two residues as _condition_rows builds them (never a nonzero
+# multiple of p, which the kernels do not accept)
+KERNEL_CASES = [(F2, False), (F3, False), (F5, False), (RATIONALS, False),
+                (F2, True), (F3, True), (F5, True)]
+
+
+def _rand_value(rng, field, products=False):
     if field.is_rationals:
         return rng.choice(Q_VALUES)
+    if products:
+        return rng.randrange(field.p) * rng.randrange(field.p)
     return rng.randrange(field.p)
+
+
+def _value(field, x):
+    """x as a raw value of field: reduced mod p over F_p."""
+    return x if field.is_rationals else x % field.p
 
 
 def _dot(row, x, field):
@@ -213,11 +227,11 @@ def _checked(field, values):
 
 
 def test_rref_and_rank_against_local_gauss():
-    for field in (F5, RATIONALS):
+    for field, products in KERNEL_CASES:
         rng = rng_for(403)
         for _ in range(40):
             m, w = rng.randint(0, 4), rng.randint(1, 4)
-            rows = [[_rand_value(rng, field) for _ in range(w)]
+            rows = [[_rand_value(rng, field, products) for _ in range(w)]
                     for _ in range(m)]
             copy = [list(row) for row in rows]
             red, pivots = rref(rows, w, field.p)
@@ -239,28 +253,33 @@ def test_rref_and_rank_against_local_gauss():
             for row in rows:
                 acc = [_dot([row[c] for c in pivots], [r[t] for r in red],
                             field) for t in range(w)]
-                assert acc == row
+                assert acc == [_value(field, x) for x in row]
 
 
 def test_solve_rows_round_trip():
-    for field in (F5, RATIONALS):
+    for field, products in KERNEL_CASES:
         rng = rng_for(404)
         hits = 0
         for _ in range(60):
             m, w = rng.randint(1, 4), rng.randint(1, 4)
-            rows = [[_rand_value(rng, field) for _ in range(w)]
+            rows = [[_rand_value(rng, field, products) for _ in range(w)]
                     for _ in range(m)]
-            rhs = [_rand_value(rng, field) for _ in range(m)]
-            x = _solve(rows, w, rhs, field.p)
+            rhs = [_rand_value(rng, field, products) for _ in range(m)]
+            # the right-hand side rides in column w of each row
+            system = [[*row, b] for row, b in zip(rows, rhs)]
+            copy = [list(row) for row in system]
+            x = _solve(system, w, field.p)
+            assert system == copy  # the input is left as it was
             # the reduced row echelon form's solution, free variables zero
             assert x == local_solve(rows, w, rhs, field.p)
             if x is None:
                 if not field.is_rationals:
-                    # verify infeasibility by brute force over F_5^w (w <= 4)
-                    for vals in itertools.product(range(5), repeat=w):
+                    # verify infeasibility by brute force over F_p^w (w <= 4)
+                    p = field.p
+                    for vals in itertools.product(range(p), repeat=w):
                         for row, b in zip(rows, rhs):
-                            s = sum(c * v for c, v in zip(row, vals)) % 5
-                            if s != b:
+                            s = sum(c * v for c, v in zip(row, vals)) % p
+                            if s != b % p:
                                 break
                         else:
                             assert False, "solver missed a solution"
@@ -270,7 +289,7 @@ def test_solve_rows_round_trip():
             x = _checked(field, x)
             assert len(x) == w
             for row, b in zip(rows, rhs):
-                assert _dot(row, x, field) == b
+                assert _dot(row, x, field) == _value(field, b)
         assert hits > 10
 
 
@@ -299,7 +318,7 @@ def test_empty_shapes():
         assert len(rref([], 0, field.p)[1]) == 0
         assert [_checked(field, v) for v in nullspace([], 2, field.p)] == [
             [1, 0], [0, 1]]
-        assert _checked(field, _solve([], 2, [], field.p)) == [0, 0]
+        assert _checked(field, _solve([], 2, field.p)) == [0, 0]
     empty = GradedSet([])
     z = MorphismMatrix(empty, empty, [], 0, F5)
     assert compose(z, z).entries == ()
