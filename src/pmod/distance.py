@@ -110,8 +110,9 @@ def diagonal_lower_bound(P_M, P_N):
     generator and relation grade of the two presentations (pass minimal
     ones, whose grades are the modules'), each line taken once, named
     by its point with first coordinate 0. A line whose restrictions
-    already match within the bound found so far cannot raise it and
-    costs one matching test; the loop stops once the bound is inf.
+    already match within the bound found so far cannot raise it; it
+    costs one matching test, or none when the bars alone show the
+    match. The loop stops once the bound is inf.
     For n = 1 there is one line and the bound is d_I itself.
     """
     return _diagonal_bound(_Lattice(P_M, P_N))

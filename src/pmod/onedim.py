@@ -10,42 +10,46 @@ Extended values: deaths and distances may be +infinity, represented by
 math.inf. The one convention that needs code is inf - inf = 0 when
 comparing two deaths (two essential classes cost nothing to match).
 
-Both loops run on ints where they can. The reduction, _bars, holds
-sparse columns of the presentation's own coefficients: residues mod p,
-or over Q each column's Fractions scaled to ints by the lcm of their
-denominators, so that cancelling stays on ints (each column is a
-nonzero multiple of its reduction over Q, with the same low rows, and
-so the same bars). barcode hands it the grades as ints once per
-presentation, in units of 1/L for L the lcm of their denominators
-(grading.scaled), and lifts each bar endpoint back as Fraction(v, L).
-The bottleneck core, _Costs, works on ints: every endpoint
-distance and every halfwidth must be an exact int. The public
-functions scale every finite endpoint of both diagrams by
-S = 2 * lcm(all endpoint denominators) to get there, and lift the
-candidate values back once, as Fraction(v, S) or inf, so every public
-function takes and returns Fractions and inf as before.
+Both loops run on ints, and ints stay ints up to the public boundary.
+The reduction, _bars, holds sparse columns of the presentation's own
+coefficients: residues mod p, or over Q each column's Fractions scaled
+to ints by the lcm of their denominators, so that cancelling stays on
+ints (each column is a nonzero multiple of its reduction over Q, with
+the same low rows, and so the same bars). barcode hands it the grades
+as ints once per presentation, in units of 1/L for L the lcm of their
+denominators (grading.scaled), and keeps the bars it returns: a
+PersistenceDiagram holds ints over its least denominator, and makes
+Intervals of Fractions only for a caller who reads them. The
+bottleneck core, _Costs, works on ints too: every endpoint distance and
+every halfwidth must be an exact int, so the public functions rescale
+both diagrams' bars to units of 1/S, S = 2 * lcm(den of each), and lift
+the answer back once, as Fraction(v, S) or inf.
 
 d_B is the least candidate at which the dummy-augmented graph has a
 perfect matching, searched as in Kerber, Morozov and Nigmetov,
 *Geometry helps to compare persistence diagrams* (JEA 2017), with
-Hopcroft-Karp matchings over a binary search of the candidates. The
-search starts at a floor: every bar is matched to a partner or sent to
-the diagonal, so d_B is at least the cheaper of the two for every bar
-of both diagrams. One matching test at the floor usually settles d_B;
-only when it fails are the candidates above it binary-searched. The
-interleaving distance's lower bound (distance._diagonal_bound)
-calls _bars and _Costs directly on the integer grade lattice of its
-query (interleave._Lattice), whose grades are already even ints, and
-lifts only the bound; its search starts at the larger of the bound so
-far and the floor.
+Hopcroft-Karp matchings over a binary search of the candidates. _Costs
+keeps the raw costs, so a matching test compares them with the
+tolerance itself. The search starts at a floor: every bar is matched
+to a partner or sent to the diagonal, so d_B is at least the cheaper of
+the two for every bar of both diagrams. One matching test at the floor
+usually settles d_B, and the sorted candidate list is built only when
+it fails, for the binary search above the floor. The interleaving
+distance's lower bound (distance._diagonal_bound) calls _bars and
+_max_bottleneck directly on the integer grade lattice of its query
+(interleave._Lattice), whose grades are already even ints, and lifts
+only the bound. A line whose bars alone show that it cannot raise the
+bound builds no cost table (_within); on any other line the search
+starts at the larger of the bound so far and the floor.
 """
 
 import math
 from bisect import bisect_right
 from collections import deque
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, groupby
 from operator import index
+from types import MappingProxyType
 
 from .grading import scaled
 
@@ -94,18 +98,23 @@ class Interval:
     def __repr__(self):
         return f"[{self.birth}, {format_extended(self.death)})"
 
-    def sort_key(self):
-        return (self.birth, self.death)
-
 
 class PersistenceDiagram:
     """Finite multiset of intervals; each multiplicity is an int >= 0,
-    and the intervals of multiplicity 0 are dropped."""
+    and the intervals of multiplicity 0 are dropped.
 
-    __slots__ = ("mult",)
+    The diagram is held on ints, as a Grade holds its coordinates: den
+    is the least common denominator of the finite endpoints, and bars
+    the sorted tuple of every interval as (birth, death) in units of
+    1/den, death possibly inf, repeated by its multiplicity. mult, the
+    read-only Interval -> multiplicity view, is built from them on
+    first read.
+    """
+
+    __slots__ = ("den", "bars", "_mult")
 
     def __init__(self, pairs=()):
-        mult = {}
+        listed = []
         for interval, m in pairs:
             try:
                 m = index(m)
@@ -115,24 +124,63 @@ class PersistenceDiagram:
             if m < 0:
                 raise ValueError(f"negative multiplicity {m} for {interval}")
             if m:
-                mult[interval] = mult.get(interval, 0) + m
-        self.mult = mult
+                listed.append((interval.birth, interval.death, m))
+        den = math.lcm(*(x.denominator for b, d, _ in listed
+                         for x in (b, d) if x != INF))
+        bars = []
+        for b, d, m in listed:
+            bars += [(_in_units(b, den), _in_units(d, den))] * m
+        self._hold(den, bars)
+
+    @classmethod
+    def _of_ints(cls, L, bars):
+        """The diagram of the int bars (birth, death) in units of 1/L."""
+        D = cls.__new__(cls)
+        D._hold(L, bars)
+        return D
+
+    def _hold(self, L, bars):
+        """Hold the bars, given in units of 1/L, over their least
+        denominator L / g, g the gcd of L and every finite endpoint."""
+        g = math.gcd(L, *(x for bar in bars for x in bar if x != INF))
+        if g > 1:
+            L //= g
+            bars = [(b // g, d if d == INF else d // g) for b, d in bars]
+        self.den = L
+        self.bars = tuple(sorted(bars))
+        self._mult = None
+
+    @property
+    def mult(self):
+        if self._mult is None:
+            L = self.den
+            self._mult = MappingProxyType(
+                {Interval(Fraction(b, L), _lift(d, L)): sum(1 for _ in run)
+                 for (b, d), run in groupby(self.bars)})
+        return self._mult
 
     def support(self):
-        return sorted(self.mult, key=Interval.sort_key)
+        return list(self.mult)
 
     def pairs(self):
-        return [(i, self.mult[i]) for i in self.support()]
+        return list(self.mult.items())
 
     def total(self):
-        return sum(self.mult.values())
+        return len(self.bars)
 
     def __eq__(self, other):
-        return isinstance(other, PersistenceDiagram) and self.mult == other.mult
+        return (isinstance(other, PersistenceDiagram)
+                and self.den == other.den and self.bars == other.bars)
 
     def __repr__(self):
         inside = ", ".join(f"{i} x {m}" for i, m in self.pairs())
         return f"Diagram{{{inside}}}"
+
+
+def _in_units(x, L):
+    """The Fraction x (or inf) in units of 1/L; L must be a multiple of
+    its denominator."""
+    return INF if x == INF else x.numerator * (L // x.denominator)
 
 
 def diagram_of(intervals):
@@ -150,7 +198,7 @@ def barcode(P):
     *Computing persistent homology*, DCG 2005), run by _bars on P's
     grades and relations in their stored (grade) order. The grades go
     to _bars as ints in units of 1/L, L the lcm of their denominators,
-    and each endpoint comes back as Fraction(v, L) (or inf). Zero-length
+    and the diagram keeps the bars it returns as ints. Zero-length
     intervals are dropped (they are how non-minimality of the input
     shows up, and present no bar).
     """
@@ -161,8 +209,7 @@ def barcode(P):
     ints = [scaled(g, L)[0] for g in grades]
     k = len(P.generators)
     rels = zip(ints[k:], (el.coeffs for el in P.relations))
-    return diagram_of(Interval(Fraction(b, L), _lift(d, L)) for b, d in
-                      _bars(ints[:k], rels, P.field.p))
+    return PersistenceDiagram._of_ints(L, _bars(ints[:k], rels, P.field.p))
 
 
 def _bars(births, rels, p):
@@ -332,14 +379,15 @@ class _Costs:
     E1, E2 list each diagram's bars with multiplicity, as (birth, death)
     with int endpoints, death possibly inf, and every finite width
     even, so that every endpoint distance and every halfwidth is an
-    exact int. values is the sorted candidate list: 0, inf, every
-    halfwidth and every pairwise cost (the larger of the birth and the
-    death distance), all ints or inf.
-    The costs are stored as indices into values, so whether an edge
-    exists at tolerance values[t] is an int comparison with t.
+    exact int. cost holds every pairwise cost (the larger of the birth
+    and the death distance) and half1, half2 every halfwidth, all ints
+    or inf, so whether an edge exists at a tolerance is one comparison.
+    The sorted candidate list is built only when asked for
+    (candidates), as the search needs it only when its first test
+    fails.
     """
 
-    __slots__ = ("values", "cost", "half1", "half2")
+    __slots__ = ("cost", "half1", "half2")
 
     def __init__(self, E1, E2):
         cost = []
@@ -351,19 +399,20 @@ class _Costs:
                 cost.append([INF if d2 == INF
                              else max(abs(b - b2), abs(d - d2))
                              for b2, d2 in E2])
-        half1 = [INF if d == INF else (d - b) // 2 for b, d in E1]
-        half2 = [INF if d == INF else (d - b) // 2 for b, d in E2]
-        values = sorted({0, INF, *half1, *half2, *chain.from_iterable(cost)})
-        rank = {v: t for t, v in enumerate(values)}
-        self.cost = [[rank[c] for c in row] for row in cost]
-        self.half1 = [rank[h] for h in half1]
-        self.half2 = [rank[h] for h in half2]
-        self.values = values
+        self.cost = cost
+        self.half1 = [INF if d == INF else (d - b) // 2 for b, d in E1]
+        self.half2 = [INF if d == INF else (d - b) // 2 for b, d in E2]
+
+    def candidates(self):
+        """The sorted values d_B could take: 0, inf, every halfwidth and
+        every pairwise cost."""
+        return sorted({0, INF, *self.half1, *self.half2,
+                       *chain.from_iterable(self.cost)})
 
     def matching(self, t, seed=None):
         """(perfect, left side of a maximum matching) of the
-        dummy-augmented graph at tolerance values[t]; seed is a matching
-        at a lower tolerance to start from.
+        dummy-augmented graph at tolerance t; seed is a matching at a
+        lower tolerance to start from.
 
         Side 1 holds the intervals of D1 plus one dummy per interval of
         D2, side 2 symmetrically. An interval pair is an edge when its
@@ -387,7 +436,7 @@ class _Costs:
         return size == m + k, match_l
 
     def floor(self):
-        """Rank of a lower bound on the bottleneck distance.
+        """A lower bound on the bottleneck distance, itself a candidate.
 
         Every bar is either matched to a bar of the other diagram or
         sent to the diagonal, so d_B is at least the cheaper of its
@@ -402,51 +451,47 @@ class _Costs:
         return max([lo, *least2])
 
     def least_feasible(self, lo):
-        """Least t >= lo with a perfect matching at tolerance values[t];
-        feasibility is monotone in t and holds at inf, the last value.
+        """lo when there is a perfect matching at tolerance lo, else the
+        least candidate above lo with one; feasibility is monotone in
+        the tolerance and holds at inf, the last candidate.
 
         One matching test at lo settles it when lo is feasible, as the
-        floor usually is; otherwise the values above lo are binary
+        floor usually is; otherwise the candidates above lo are binary
         searched. An edge present at one tolerance is present at every
         larger one, so the maximum matching of the largest failing step
         so far is a matching at every step still to come, and each step
         starts from it instead of from empty.
         """
-        hi = len(self.values) - 1
         perfect, seed = self.matching(lo)
         if perfect:
             return lo
-        lo += 1
-        while lo < hi:
-            mid = (lo + hi) // 2
-            perfect, match_l = self.matching(mid, seed)
+        values = self.candidates()
+        i, hi = bisect_right(values, lo), len(values) - 1
+        while i < hi:
+            mid = (i + hi) // 2
+            perfect, match_l = self.matching(values[mid], seed)
             if perfect:
                 hi = mid
             else:
-                lo = mid + 1
+                i = mid + 1
                 seed = match_l
-        return lo
+        return values[i]
 
 
 def _scaled_costs(D1, D2):
-    """(S, costs) for two diagrams of Fractions.
+    """(S, costs) for two diagrams.
 
     costs is the _Costs of the diagrams' bars with multiplicity, in
     (birth, death) order, with their endpoints in units of 1/S,
-    S = 2 * lcm(all endpoint denominators); the factor 2 makes the
-    halfwidths whole. Scaling keeps the order, so the ranks are those
-    of the rational costs, and costs.values[t] / S is the rational
-    candidate.
+    S = 2 * lcm(D1.den, D2.den), which is twice the lcm of all endpoint
+    denominators; the factor 2 makes the halfwidths whole. Scaling keeps
+    the order, and a value v of costs is the rational v / S.
     """
-    S = 2 * math.lcm(*(x.denominator for I in chain(D1.mult, D2.mult)
-                       for x in (I.birth, I.death) if x is not INF))
-
-    def scaled(x):
-        return INF if x is INF else x.numerator * (S // x.denominator)
+    S = 2 * math.lcm(D1.den, D2.den)
 
     def listed(D):
-        return sorted((scaled(I.birth), scaled(I.death))
-                      for I, m in D.mult.items() for _ in range(m))
+        k = S // D.den
+        return [(b * k, d if d == INF else d * k) for b, d in D.bars]
 
     return S, _Costs(listed(D1), listed(D2))
 
@@ -460,7 +505,7 @@ def bottleneck_candidates(D1, D2):
     halfwidth and, for every pair of intervals, the larger of their
     birth and death distances (inf - inf = 0)."""
     S, costs = _scaled_costs(D1, D2)
-    return [_lift(v, S) for v in costs.values]
+    return [_lift(v, S) for v in costs.candidates()]
 
 
 def diagram_bottleneck(D1, D2):
@@ -476,18 +521,46 @@ def diagram_bottleneck(D1, D2):
     one perfect-matching test on them.
     """
     S, costs = _scaled_costs(D1, D2)
-    return _lift(costs.values[costs.least_feasible(costs.floor())], S)
+    return _lift(costs.least_feasible(costs.floor()), S)
+
+
+def _within(E1, E2, bound):
+    """Whether the bars alone show d_B(E1, E2) <= bound, for two int
+    bar lists (as _Costs takes them) and an int bound >= 0.
+
+    They do when every finite bar has width <= 2 * bound and both lists
+    have the same number of essential bars, whose births, paired in
+    sorted order, differ by <= bound: sending every finite bar to the
+    diagonal and matching the essential bars in that order is then a
+    matching within bound.
+    """
+    width = 2 * bound
+    births = ([], [])
+    for E, ess in zip((E1, E2), births):
+        for b, d in E:
+            if d == INF:
+                ess.append(b)
+            elif d - b > width:
+                return False
+    ess1, ess2 = births
+    if len(ess1) != len(ess2):
+        return False
+    ess1.sort()
+    ess2.sort()
+    return all(abs(b1 - b2) <= bound for b1, b2 in zip(ess1, ess2))
 
 
 def _max_bottleneck(E1, E2, bound):
     """max(bound, d_B) of two int bar lists (as _Costs takes them) for
-    an int bound >= 0, on one cost table.
+    an int bound >= 0.
 
-    The search starts at the larger of bound and the floor: one
-    matching test there settles the common case, and only when it fails
-    are the candidates above it binary-searched.
+    When the bars alone show d_B <= bound (_within), that is bound, and
+    no cost table is built. Otherwise the search starts at the larger
+    of bound and the floor: one matching test there settles the common
+    case, and only when it fails are the candidates above it
+    binary-searched.
     """
+    if _within(E1, E2, bound):
+        return bound
     costs = _Costs(E1, E2)
-    t = bisect_right(costs.values, bound) - 1
-    t = costs.least_feasible(max(t, costs.floor()))
-    return max(bound, costs.values[t])
+    return costs.least_feasible(max(bound, costs.floor()))

@@ -8,7 +8,8 @@ from pmod import (INF, RATIONALS, Interval, NotOneParameter,
                   PersistenceDiagram, barcode, bottleneck_candidates,
                   box_interval, diagram_bottleneck, diagram_of,
                   format_extended, parse)
-from pmod.onedim import _bars, _hopcroft_karp, _scaled_costs
+from pmod.onedim import (_bars, _hopcroft_karp, _max_bottleneck,
+                         _scaled_costs, _within)
 
 from conftest import (F2, F3, F5, brute_bottleneck, dim_at, pair_cost,
                       random_diagram, random_presentation, rng_for)
@@ -43,11 +44,12 @@ def test_diagram_multiset_semantics():
 def test_diagram_rejects_non_int_multiplicities():
     a = Interval(0, 1)
     for m in (1.5, Fraction(3, 2), 2.0, Fraction(2), "2", None):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"for \[0, 1\) is not an int"):
             PersistenceDiagram([(a, m)])
     # ints (bool included, as operator.index takes it) are accepted
     assert PersistenceDiagram([(a, True), (a, 2)]).mult == {a: 3}
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError,
+                       match=r"negative multiplicity -1 for \[0, 1\)"):
         PersistenceDiagram([(a, -1)])
 
 
@@ -270,7 +272,9 @@ def test_bottleneck_candidates_contain_answer():
         assert d in cans
         # a perfect matching at d, on the candidates' own cost table
         S, costs = _scaled_costs(D1, D2)
-        assert costs.matching(costs.values.index(d if d == INF else d * S))[0]
+        v = d if d == INF else d * S
+        assert v in costs.candidates()
+        assert costs.matching(v)[0]
 
 
 def _mixed_diagram(rng):
@@ -367,19 +371,86 @@ def test_bottleneck_floor_and_search(D1, D2):
                   for j in L2])
     S, costs = _scaled_costs(D1, D2)
     floor = costs.floor()
-    assert costs.values[floor] == (INF if want == INF else want * S)
+    assert floor == (INF if want == INF else want * S)
     assert floor <= costs.least_feasible(0)
 
     cands = bottleneck_candidates(D1, D2)
+    values = costs.candidates()
     lo, hi = 0, len(cands) - 1
     while lo < hi:
         mid = (lo + hi) // 2
-        if costs.matching(mid)[0]:
+        if costs.matching(values[mid])[0]:
             hi = mid
         else:
             lo = mid + 1
     assert diagram_bottleneck(D1, D2) == cands[lo]
     assert diagram_bottleneck(D2, D1) == cands[lo]
+
+
+def test_diagrams_on_ints_match_diagrams_of_intervals():
+    """A barcode is held on ints over its least denominator; the
+    diagram of its own intervals, built from Fractions, must be the
+    same diagram, with the same intervals, repr and size, and the same
+    bottleneck values and types."""
+    rng = rng_for(609)
+    for field in (RATIONALS, F3, F5):
+        for _ in range(30):
+            built = [barcode(random_presentation(rng, field, 1))
+                     for _ in range(2)]
+            rebuilt = [diagram_of([i for i, m in D.pairs()
+                                   for _ in range(m)]) for D in built]
+            for D, R in zip(built, rebuilt):
+                assert D == R and R == D
+                assert (D.den, D.bars) == (R.den, R.bars)
+                assert D.pairs() == R.pairs()
+                assert repr(D) == repr(R)
+                assert D.total() == R.total() == len(D.bars)
+            for f in (diagram_bottleneck, bottleneck_candidates):
+                got, want = f(*built), f(*rebuilt)
+                # repr tells Fraction(1) from 1 and from 1.0
+                assert got == want and repr(got) == repr(want)
+    D = built[0]
+    with pytest.raises(TypeError):
+        D.mult[Interval(0, 1)] = 1
+    with pytest.raises(AttributeError):
+        D.mult = {}
+
+
+# int bars as _max_bottleneck takes them: even widths, some essential
+_int_bars = st.lists(
+    st.builds(lambda b, w, infinite: (b, INF if infinite else b + 2 * w),
+              st.integers(-6, 10), st.integers(0, 6),
+              st.booleans()),
+    max_size=4)
+
+
+def test_bound_short_cut_against_brute_force():
+    """max(bound, d_B) from the bars alone, when they show it, and
+    from the matching search otherwise, against the brute-force d_B.
+    The short-cut fires exactly when every finite bar is at most
+    2 * bound wide and the essential births, sorted and paired in
+    order, are equal in number and at most bound apart; across the
+    draws it must both fire and decline."""
+    fired = set()
+
+    @settings(max_examples=400, deadline=None)
+    @given(_int_bars, _int_bars, st.integers(0, 12))
+    def check(E1, E2, bound):
+        want = max(bound, brute_bottleneck(
+            diagram_of(Interval(b, d) for b, d in E1),
+            diagram_of(Interval(b, d) for b, d in E2)))
+        ess1, ess2 = (sorted(b for b, d in E if d == INF) for E in (E1, E2))
+        shown = _within(E1, E2, bound)
+        assert shown == (
+            all(d - b <= 2 * bound for b, d in E1 + E2 if d != INF)
+            and len(ess1) == len(ess2)
+            and all(abs(x - y) <= bound for x, y in zip(ess1, ess2)))
+        fired.add(shown)
+        assert not shown or want == bound
+        assert _max_bottleneck(E1, E2, bound) == want
+
+    check()
+    assert fired == {True, False}
 
 
 def test_hopcroft_karp_long_augmenting_path():
