@@ -3,11 +3,14 @@
 Exit codes: 0 for any computed answer (including "No"), 2 for input
 errors (missing or malformed files, bad flags), 3 when the interleaving
 search exceeds its budget. Output is deterministic byte-for-byte for
-fixed inputs and flags.
+fixed inputs and flags. Every command loads its module files first, in
+argument order, computes through _run, which maps errors to exit codes,
+and prints through _emit, as text or with --json as one JSON object.
 """
 
 import json as jsonlib
 import sys
+from pathlib import Path
 
 import click
 
@@ -43,6 +46,36 @@ def _load(path):
         _die(f"{path} is not UTF-8 text: {exc}")
     except INPUT_ERRORS as exc:
         _die(exc)
+
+
+def _run(fn, *args):
+    """fn(*args); a search over its budget ends the command with exit
+    code 3, and an input error with exit code 2."""
+    try:
+        return fn(*args)
+    except BudgetExceeded as exc:
+        _die(exc, 3)
+    except INPUT_ERRORS as exc:
+        _die(exc)
+
+
+def _emit(as_json, doc, text, witness=None):
+    """Print a command's answer: doc as one JSON object with --json,
+    else text as it stands. A witness goes into doc under "witness",
+    with its entries as strings, or after text as the lines A = [...]
+    and B = [...]."""
+    rows = {} if witness is None else {
+        k: [[str(x) for x in row] for row in m.entries]
+        for k, m in (("A", witness.A), ("B", witness.B))}
+    if as_json:
+        if rows:
+            doc = {**doc, "witness": rows}
+        click.echo(jsonlib.dumps(doc, sort_keys=True))
+        return
+    for k, mat in rows.items():
+        inner = ", ".join("[" + ", ".join(row) + "]" for row in mat)
+        text += f"{k} = [{inner}]\n"
+    click.echo(text, nl=False)
 
 
 class RationalType(click.ParamType):
@@ -82,22 +115,6 @@ def _two_files(fn):
     return fn
 
 
-def _fmt_matrix(mat):
-    rows = ", ".join(
-        "[" + ", ".join(str(x) for x in row) + "]" for row in mat.entries)
-    return "[" + rows + "]"
-
-
-def _witness_doc(w):
-    return {"A": [[str(x) for x in row] for row in w.A.entries],
-            "B": [[str(x) for x in row] for row in w.B.entries]}
-
-
-def _echo_witness(w):
-    click.echo(f"A = {_fmt_matrix(w.A)}")
-    click.echo(f"B = {_fmt_matrix(w.B)}")
-
-
 @click.group()
 def main():
     """Exact computations on finitely presented multiparameter modules."""
@@ -112,22 +129,10 @@ def main():
 def interleaved(file_m, file_n, eps, budget, show_witness, as_json):
     """Decide eps-interleaving between two modules."""
     P, Q = _load(file_m), _load(file_n)
-    try:
-        w = is_interleaved(InterleavingProblem(P, Q, eps), budget)
-    except BudgetExceeded as exc:
-        _die(exc, 3)
-    except INPUT_ERRORS as exc:
-        _die(exc)
+    w = _run(is_interleaved, _run(InterleavingProblem, P, Q, eps), budget)
     answer = "Yes" if w is not None else "No"
-    if as_json:
-        doc = {"answer": answer}
-        if w is not None and show_witness:
-            doc["witness"] = _witness_doc(w)
-        click.echo(jsonlib.dumps(doc, sort_keys=True))
-    else:
-        click.echo(answer)
-        if w is not None and show_witness:
-            _echo_witness(w)
+    _emit(as_json, {"answer": answer}, f"{answer}\n",
+          w if show_witness else None)
 
 
 @main.command()
@@ -138,21 +143,9 @@ def interleaved(file_m, file_n, eps, budget, show_witness, as_json):
 def distance(file_m, file_n, budget, show_witness, as_json):
     """Interleaving distance d_I between two modules."""
     P, Q = _load(file_m), _load(file_n)
-    try:
-        d, w = interleaving_distance(P, Q, budget)
-    except BudgetExceeded as exc:
-        _die(exc, 3)
-    except INPUT_ERRORS as exc:
-        _die(exc)
-    if as_json:
-        doc = {"d_I": format_extended(d)}
-        if w is not None and show_witness:
-            doc["witness"] = _witness_doc(w)
-        click.echo(jsonlib.dumps(doc, sort_keys=True))
-    else:
-        click.echo(f"d_I = {format_extended(d)}")
-        if w is not None and show_witness:
-            _echo_witness(w)
+    d, w = _run(interleaving_distance, P, Q, budget)
+    d = format_extended(d)
+    _emit(as_json, {"d_I": d}, f"d_I = {d}\n", w if show_witness else None)
 
 
 @main.command()
@@ -161,16 +154,8 @@ def distance(file_m, file_n, budget, show_witness, as_json):
 def candidates(file_m, file_n, as_json):
     """The finite candidate set the distance is drawn from."""
     P, Q = _load(file_m), _load(file_n)
-    try:
-        cands = candidate_set(P, Q)
-    except INPUT_ERRORS as exc:
-        _die(exc)
-    values = [format_extended(v) for v in cands]
-    if as_json:
-        click.echo(jsonlib.dumps({"candidates": values}, sort_keys=True))
-    else:
-        for v in values:
-            click.echo(v)
+    values = [format_extended(v) for v in _run(candidate_set, P, Q)]
+    _emit(as_json, {"candidates": values}, "".join(f"{v}\n" for v in values))
 
 
 @main.command()
@@ -178,20 +163,11 @@ def candidates(file_m, file_n, as_json):
 @json_opt
 def barcode(file_m, as_json):
     """Barcode of a one-parameter module."""
-    P = _load(file_m)
-    try:
-        D = run_barcode(P)
-    except INPUT_ERRORS as exc:
-        _die(exc)
-    if as_json:
-        doc = {"intervals": [{"birth": str(i.birth),
-                              "death": format_extended(i.death),
-                              "mult": m} for i, m in D.pairs()]}
-        click.echo(jsonlib.dumps(doc, sort_keys=True))
-    else:
-        for interval, m in D.pairs():
-            click.echo(f"interval [{interval.birth}, "
-                       f"{format_extended(interval.death)}) x {m}")
+    pairs = _run(run_barcode, _load(file_m)).pairs()
+    doc = {"intervals": [{"birth": str(i.birth),
+                          "death": format_extended(i.death), "mult": m}
+                         for i, m in pairs]}
+    _emit(as_json, doc, "".join(f"interval {i!r} x {m}\n" for i, m in pairs))
 
 
 @main.command()
@@ -200,15 +176,9 @@ def barcode(file_m, as_json):
 def bottleneck(file_m, file_n, as_json):
     """Bottleneck distance d_B between two one-parameter modules."""
     P, Q = _load(file_m), _load(file_n)
-    try:
-        d = diagram_bottleneck(run_barcode(P), run_barcode(Q))
-    except INPUT_ERRORS as exc:
-        _die(exc)
-    if as_json:
-        click.echo(jsonlib.dumps({"d_B": format_extended(d)},
-                                 sort_keys=True))
-    else:
-        click.echo(f"d_B = {format_extended(d)}")
+    d = format_extended(diagram_bottleneck(_run(run_barcode, P),
+                                           _run(run_barcode, Q)))
+    _emit(as_json, {"d_B": d}, f"d_B = {d}\n")
 
 
 @main.command()
@@ -216,15 +186,8 @@ def bottleneck(file_m, file_n, as_json):
 @json_opt
 def minimize(file_m, as_json):
     """Minimal presentation of a module."""
-    P = _load(file_m)
-    try:
-        text = serialize(run_minimize(P))
-    except INPUT_ERRORS as exc:
-        _die(exc)
-    if as_json:
-        click.echo(jsonlib.dumps({"presentation": text}, sort_keys=True))
-    else:
-        click.echo(text, nl=False)
+    text = serialize(_run(run_minimize, _load(file_m)))
+    _emit(as_json, {"presentation": text}, text)
 
 
 @main.command()
@@ -236,30 +199,12 @@ def minimize(file_m, as_json):
 def characterize(file_m, file_n, eps, budget, show_witness, as_json):
     """Compatible presentation pair at eps, from a found witness."""
     P, Q = _load(file_m), _load(file_n)
-    try:
-        w = is_interleaved(InterleavingProblem(P, Q, eps), budget)
-        if w is not None:
-            pair, _, _ = compatible_presentations(P, Q, w, eps)
-    except BudgetExceeded as exc:
-        _die(exc, 3)
-    except INPUT_ERRORS as exc:
-        _die(exc)
+    w = _run(is_interleaved, _run(InterleavingProblem, P, Q, eps), budget)
     if w is None:
-        if as_json:
-            click.echo(jsonlib.dumps({"answer": "No"}, sort_keys=True))
-        else:
-            click.echo("No")
-        return
-    text = serialize_pair(pair)
-    if as_json:
-        doc = {"answer": "Yes", "pair": text}
-        if show_witness:
-            doc["witness"] = _witness_doc(w)
-        click.echo(jsonlib.dumps(doc, sort_keys=True))
-    else:
-        click.echo(text, nl=False)
-        if show_witness:
-            _echo_witness(w)
+        return _emit(as_json, {"answer": "No"}, "No\n")
+    text = serialize_pair(_run(compatible_presentations, P, Q, w, eps)[0])
+    _emit(as_json, {"answer": "Yes", "pair": text}, text,
+          w if show_witness else None)
 
 
 @main.command()
@@ -269,16 +214,8 @@ def characterize(file_m, file_n, eps, budget, show_witness, as_json):
 def isomorphic(file_m, file_n, budget, as_json):
     """Are the two modules isomorphic (0-interleaved)?"""
     P, Q = _load(file_m), _load(file_n)
-    try:
-        answer = "Yes" if is_isomorphic(P, Q, budget) else "No"
-    except BudgetExceeded as exc:
-        _die(exc, 3)
-    except INPUT_ERRORS as exc:
-        _die(exc)
-    if as_json:
-        click.echo(jsonlib.dumps({"answer": answer}, sort_keys=True))
-    else:
-        click.echo(answer)
+    answer = "Yes" if _run(is_isomorphic, P, Q, budget) else "No"
+    _emit(as_json, {"answer": answer}, f"{answer}\n")
 
 
 @main.command()
@@ -289,18 +226,12 @@ def isomorphic(file_m, file_n, budget, as_json):
 def exportmq(file_m, file_n, eps, out):
     """Export the quadratic system deciding eps-interleaving."""
     P, Q = _load(file_m), _load(file_n)
-    try:
-        text = export_quadratic_system(InterleavingProblem(P, Q, eps))
-    except INPUT_ERRORS as exc:
-        _die(exc)
+    text = _run(export_quadratic_system,
+                _run(InterleavingProblem, P, Q, eps))
     if out is None:
         click.echo(text, nl=False)
     else:
-        try:
-            with open(out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as exc:
-            _die(exc)
+        _run(Path(out).write_text, text, "utf-8")
 
 
 if __name__ == "__main__":

@@ -63,12 +63,20 @@ def candidate_set(P_M, P_N):
     """All values the interleaving distance could take.
 
     Per axis: |x - y| across the two critical-grade sets, plus
-    half-differences within each set separately, plus 0 and inf.
+    half-differences within each set separately, plus 0 and inf. The
+    presentations must have the same n (DimensionMismatch) and field
+    (FieldMismatch), as for interleaving_distance.
     """
-    if P_M.n != P_N.n:
-        raise DimensionMismatch(f"n={P_M.n} vs n={P_N.n}")
+    _check_pair(P_M, P_N)
     lat = _Lattice(minimize(P_M), minimize(P_N))
     return CandidateSet([*map(lat.lift, _candidates(lat)), INF])
+
+
+def _check_pair(P_M, P_N):
+    if P_M.n != P_N.n:
+        raise DimensionMismatch(f"n={P_M.n} vs n={P_N.n}")
+    if P_M.field != P_N.field:
+        raise FieldMismatch(f"{P_M.field} vs {P_N.field}")
 
 
 def _candidates(lat):
@@ -159,10 +167,7 @@ def interleaving_distance(P_M, P_N, budget=DEFAULT_BUDGET):
     least candidate >= LB above every No so far, hi the least candidate
     confirmed Yes, or inf.
     """
-    if P_M.n != P_N.n:
-        raise DimensionMismatch(f"n={P_M.n} vs n={P_N.n}")
-    if P_M.field != P_N.field:
-        raise FieldMismatch(f"{P_M.field} vs {P_N.field}")
+    _check_pair(P_M, P_N)
     if P_M.field.is_rationals:
         raise UnsupportedField(
             "enumeration needs a finite field; over Q only witness "

@@ -34,13 +34,16 @@ tolerance itself. The search starts at a floor: every bar is matched
 to a partner or sent to the diagonal, so d_B is at least the cheaper of
 the two for every bar of both diagrams. One matching test at the floor
 usually settles d_B, and the sorted candidate list is built only when
-it fails, for the binary search above the floor. The interleaving
-distance's lower bound (distance._diagonal_bound) calls _bars and
-_max_bottleneck directly on the integer grade lattice of its query
-(interleave._Lattice), whose grades are already even ints, and lifts
-only the bound. A line whose bars alone show that it cannot raise the
-bound builds no cost table (_within); on any other line the search
-starts at the larger of the bound so far and the floor.
+it fails, for the binary search above the floor. Every d_B goes through
+_max_bottleneck(E1, E2, bound), which is max(bound, d_B):
+diagram_bottleneck calls it with bound 0 on the rescaled bars, and the
+interleaving distance's lower bound (distance._diagonal_bound) on the
+bars of each diagonal line of its query's integer grade lattice
+(interleave._Lattice), whose grades are already even ints, lifting only
+the bound. Two bar lists with different numbers of essential bars are
+at d_B = inf, and lists whose bars alone show d_B <= bound (_within)
+build no cost table; otherwise the search starts at the larger of the
+bound and the floor.
 """
 
 import math
@@ -306,25 +309,17 @@ def _reduce(col, reduced, p):
 # bottleneck distance
 # ----------------------------------------------------------------------
 
-def _hopcroft_karp(adj, nleft, nright, match_l=None):
+def _hopcroft_karp(adj, nleft, nright):
     """Maximum bipartite matching. Returns (size, left_match).
 
-    match_l, when given, is a matching of the same graph or of a
-    subgraph to start from (it is not modified); the search then only
-    augments it. The augmenting depth-first search keeps its own stack
-    of (vertex, next edge) frames rather than recursing: an augmenting
-    path can be longer than the interpreter's recursion limit. It tries
-    the edges in the same order a recursive search would, so it finds
-    the same matching.
+    The augmenting depth-first search keeps its own stack of (vertex,
+    next edge) frames rather than recursing: an augmenting path can be
+    longer than the interpreter's recursion limit. It tries the edges in
+    the same order a recursive search would, so it finds the same
+    matching.
     """
     match_r = [-1] * nright
-    if match_l is None:
-        match_l = [-1] * nleft
-    else:
-        match_l = list(match_l)
-        for i, j in enumerate(match_l):
-            if j != -1:
-                match_r[j] = i
+    match_l = [-1] * nleft
     while True:
         dist = [-1] * nleft
         queue = deque()
@@ -409,10 +404,9 @@ class _Costs:
         return sorted({0, INF, *self.half1, *self.half2,
                        *chain.from_iterable(self.cost)})
 
-    def matching(self, t, seed=None):
-        """(perfect, left side of a maximum matching) of the
-        dummy-augmented graph at tolerance t; seed is a matching at a
-        lower tolerance to start from.
+    def feasible(self, t):
+        """Whether the dummy-augmented graph at tolerance t has a
+        perfect matching.
 
         Side 1 holds the intervals of D1 plus one dummy per interval of
         D2, side 2 symmetrically. An interval pair is an edge when its
@@ -432,8 +426,7 @@ class _Costs:
         diag2 = [b for b, h in enumerate(self.half2) if h <= t]
         diag2.extend(dummies2)
         adj.extend(diag2 for _ in range(k))  # read only: one list serves all
-        size, match_l = _hopcroft_karp(adj, m + k, k + m, seed)
-        return size == m + k, match_l
+        return _hopcroft_karp(adj, m + k, k + m)[0] == m + k
 
     def floor(self):
         """A lower bound on the bottleneck distance, itself a candidate.
@@ -457,35 +450,30 @@ class _Costs:
 
         One matching test at lo settles it when lo is feasible, as the
         floor usually is; otherwise the candidates above lo are binary
-        searched. An edge present at one tolerance is present at every
-        larger one, so the maximum matching of the largest failing step
-        so far is a matching at every step still to come, and each step
-        starts from it instead of from empty.
+        searched.
         """
-        perfect, seed = self.matching(lo)
-        if perfect:
+        if self.feasible(lo):
             return lo
         values = self.candidates()
         i, hi = bisect_right(values, lo), len(values) - 1
         while i < hi:
             mid = (i + hi) // 2
-            perfect, match_l = self.matching(values[mid], seed)
-            if perfect:
+            if self.feasible(values[mid]):
                 hi = mid
             else:
                 i = mid + 1
-                seed = match_l
         return values[i]
 
 
-def _scaled_costs(D1, D2):
-    """(S, costs) for two diagrams.
+def _scaled_bars(D1, D2):
+    """(S, E1, E2) for two diagrams.
 
-    costs is the _Costs of the diagrams' bars with multiplicity, in
-    (birth, death) order, with their endpoints in units of 1/S,
+    E1 and E2 are the diagrams' bars with multiplicity, in (birth,
+    death) order, with their endpoints in units of 1/S,
     S = 2 * lcm(D1.den, D2.den), which is twice the lcm of all endpoint
-    denominators; the factor 2 makes the halfwidths whole. Scaling keeps
-    the order, and a value v of costs is the rational v / S.
+    denominators; the factor 2 makes the halfwidths whole, as _Costs
+    needs. Scaling keeps the order, and a value v computed from them is
+    the rational v / S.
     """
     S = 2 * math.lcm(D1.den, D2.den)
 
@@ -493,7 +481,7 @@ def _scaled_costs(D1, D2):
         k = S // D.den
         return [(b * k, d if d == INF else d * k) for b, d in D.bars]
 
-    return S, _Costs(listed(D1), listed(D2))
+    return S, listed(D1), listed(D2)
 
 
 def _lift(v, S):
@@ -504,8 +492,8 @@ def bottleneck_candidates(D1, D2):
     """Sorted values the bottleneck distance could take: 0, inf, every
     halfwidth and, for every pair of intervals, the larger of their
     birth and death distances (inf - inf = 0)."""
-    S, costs = _scaled_costs(D1, D2)
-    return [_lift(v, S) for v in costs.candidates()]
+    S, E1, E2 = _scaled_bars(D1, D2)
+    return [_lift(v, S) for v in _Costs(E1, E2).candidates()]
 
 
 def diagram_bottleneck(D1, D2):
@@ -514,25 +502,26 @@ def diagram_bottleneck(D1, D2):
     The optimum is always one of bottleneck_candidates: 0, an endpoint
     distance between two intervals, or a halfwidth. Feasibility is
     monotone in e and always holds at inf, so a search over that sorted
-    list finds the exact minimum. It starts at the floor (_Costs.floor),
-    a lower bound that one matching test usually shows feasible, and
-    binary-searches the candidates above only when that test fails.
-    The pairwise costs are computed once; each step of the search runs
-    one perfect-matching test on them.
+    list finds the exact minimum. The search is _max_bottleneck's at
+    bound 0: it starts at the floor (_Costs.floor), a lower bound that
+    one matching test usually shows feasible, and binary-searches the
+    candidates above only when that test fails. The pairwise costs are
+    computed once; each step of the search runs one perfect-matching
+    test on them.
     """
-    S, costs = _scaled_costs(D1, D2)
-    return _lift(costs.least_feasible(costs.floor()), S)
+    S, E1, E2 = _scaled_bars(D1, D2)
+    return _lift(_max_bottleneck(E1, E2, 0), S)
 
 
 def _within(E1, E2, bound):
     """Whether the bars alone show d_B(E1, E2) <= bound, for two int
-    bar lists (as _Costs takes them) and an int bound >= 0.
+    bar lists (as _Costs takes them) with the same number of essential
+    bars and an int bound >= 0.
 
-    They do when every finite bar has width <= 2 * bound and both lists
-    have the same number of essential bars, whose births, paired in
-    sorted order, differ by <= bound: sending every finite bar to the
-    diagonal and matching the essential bars in that order is then a
-    matching within bound.
+    They do when every finite bar has width <= 2 * bound and the
+    essential births, paired in sorted order, differ by <= bound:
+    sending every finite bar to the diagonal and matching the essential
+    bars in that order is then a matching within bound.
     """
     width = 2 * bound
     births = ([], [])
@@ -543,8 +532,6 @@ def _within(E1, E2, bound):
             elif d - b > width:
                 return False
     ess1, ess2 = births
-    if len(ess1) != len(ess2):
-        return False
     ess1.sort()
     ess2.sort()
     return all(abs(b1 - b2) <= bound for b1, b2 in zip(ess1, ess2))
@@ -554,12 +541,15 @@ def _max_bottleneck(E1, E2, bound):
     """max(bound, d_B) of two int bar lists (as _Costs takes them) for
     an int bound >= 0.
 
-    When the bars alone show d_B <= bound (_within), that is bound, and
-    no cost table is built. Otherwise the search starts at the larger
-    of bound and the floor: one matching test there settles the common
-    case, and only when it fails are the candidates above it
-    binary-searched.
+    An essential bar can only be matched to an essential bar, so lists
+    with different numbers of them are at d_B = inf. When the bars
+    alone show d_B <= bound (_within), that is bound. Neither builds a
+    cost table. Otherwise the search starts at the larger of bound and
+    the floor: one matching test there settles the common case, and
+    only when it fails are the candidates above it binary-searched.
     """
+    if sum(d == INF for _, d in E1) != sum(d == INF for _, d in E2):
+        return INF
     if _within(E1, E2, bound):
         return bound
     costs = _Costs(E1, E2)

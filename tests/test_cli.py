@@ -167,6 +167,15 @@ def test_error_exit_codes(runner, files, tmp_path):
     r = runner.invoke(main, ["barcode", str(bad)])
     assert r.exit_code == 2
     assert "not UTF-8 text" in r.output or "not UTF-8 text" in (r.stderr or "")
+    # modules over different fields have no candidate set, as they
+    # have no distance
+    f2, f3 = tmp_path / "f2.pmod", tmp_path / "f3.pmod"
+    f2.write_text(M_TEXT.replace("F5", "F2"))
+    f3.write_text(N_TEXT.replace("F5", "F3"))
+    for cmd in ("candidates", "distance"):
+        r = runner.invoke(main, [cmd, str(f2), str(f3)])
+        assert r.exit_code == 2, cmd
+        assert r.stderr == "error: F2 vs F3\n", cmd
     # bad epsilon literal
     r = runner.invoke(main, ["interleaved", m, n, "--eps", "0.5"])
     assert r.exit_code == 2

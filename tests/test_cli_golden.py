@@ -1,10 +1,13 @@
 """Byte-for-byte CLI transcripts.
 
 cli_golden.json holds, for every command line in CASES, its exit code
-and its exact stdout. The inputs are the tests/test_cli.py pair, an F5
-pair whose witness and mixed relations hold entries other than 0 and 1,
-and two Q modules with negative and fractional coefficients. After an
-intended change of output, re-record with
+and its exact stdout and stderr. The inputs are the tests/test_cli.py
+pair, an F5 pair whose witness and mixed relations hold entries other
+than 0 and 1, two Q modules with negative and fractional coefficients,
+and files the commands must reject with exit code 2. An argument
+written @name is the path name in the scratch directory, which the
+transcripts show as $TMP. After an intended change of output, re-record
+with
 
     PYTHONPATH=src python tests/test_cli_golden.py
 """
@@ -43,6 +46,8 @@ MODULES = {
            "rel r4 @ 3 = 2*a + 4*b\n"),
     "Q2": ("module Q2\nfield Q\nparams 1\ngen x @ 1/4\ngen y @ 1\n"
            "rel s1 @ 3/2 = -2/3*x + 5/7*y\nrel s2 @ 5/2 = -1*y\n"),
+    "bad": "module M\nfield F5\n",
+    "latin1": b"module M\nfield F5\xff\n",
 }
 
 CASES = [
@@ -85,19 +90,51 @@ CASES = [
     ["candidates", "Q1", "Q2"],
     ["exportmq", "Q1", "Q2", "--eps", "1/2"],
     ["exportmq", "Q2", "Q1", "--eps", "3/4"],
+    # --json on No answers, and without --witness
+    ["interleaved", "M", "N", "--eps", "1/2", "--json"],
+    ["characterize", "M", "N", "--eps", "1/2", "--json"],
+    ["isomorphic", "M", "N", "--json"],
+    ["distance", "M", "N", "--json"],
+    ["interleaved", "M", "N", "--eps", "1", "--json"],
+    # a budget that refuses every search: exit code 3
+    ["interleaved", "M", "N", "--eps", "1", "--budget", "0"],
+    ["distance", "M", "N", "--budget", "0"],
+    ["characterize", "M", "N", "--eps", "1", "--budget", "0"],
+    ["isomorphic", "M", "N", "--budget", "0"],
+    # input errors: exit code 2
+    ["barcode", "bad"],
+    ["distance", "M", "bad"],
+    ["distance", "bad", "latin1"],
+    ["barcode", "latin1"],
+    ["distance", "M", "Q1"],
+    ["barcode", "M5"],
+    ["exportmq", "M", "N", "--eps", "1", "--out", "@nodir/system.txt"],
 ]
+
+
+def _arg(tmp_path, a):
+    if a in MODULES:
+        return str(tmp_path / f"{a}.pmod")
+    if a.startswith("@"):
+        return str(tmp_path / a[1:])
+    return a
 
 
 def _run(tmp_path):
     for name, text in MODULES.items():
-        (tmp_path / f"{name}.pmod").write_text(text)
+        path = tmp_path / f"{name}.pmod"
+        if isinstance(text, bytes):
+            path.write_bytes(text)
+        else:
+            path.write_text(text)
     runner = CliRunner()
     out = {}
     for args in CASES:
-        argv = [str(tmp_path / f"{a}.pmod") if a in MODULES else a
-                for a in args]
-        r = runner.invoke(main, argv)
-        out[" ".join(args)] = {"exit_code": r.exit_code, "stdout": r.stdout}
+        r = runner.invoke(main, [_arg(tmp_path, a) for a in args])
+        out[" ".join(args)] = {
+            "exit_code": r.exit_code,
+            "stdout": r.stdout.replace(str(tmp_path), "$TMP"),
+            "stderr": r.stderr.replace(str(tmp_path), "$TMP")}
     return out
 
 
