@@ -20,7 +20,9 @@ only from grade gr(w) + e onward).
 from operator import itemgetter
 
 from .grading import grade_shift, grade_leq, check_epsilon, sorted_by_grade
-from .freemod import GradedSet, make_element, span_membership, apply
+from .scalars import FieldMismatch
+from .freemod import (GradedSet, BasisMismatch, make_element,
+                      span_membership, apply)
 from .presentation import Presentation
 from .interleave import InterleavingProblem, check_closure, DEFAULT_BUDGET
 from .distance import is_isomorphic
@@ -77,22 +79,17 @@ class CompatiblePair:
 def compatible_presentations(P_M, P_N, witness, e):
     """Build the pair and the two induced presentations.
 
-    The witness is revalidated from scratch (shapes, shift, pattern
-    spaces, closure); InvalidWitness on any failure. Returns
-    (pair, induced_M, induced_N).
+    The witness is revalidated from scratch; InvalidWitness names the
+    first failure among its type (check_closure's refusal), conditions
+    1 and 2, and the round trips. Returns (pair, induced_M, induced_N).
     """
     e = check_epsilon(e)
     prob = InterleavingProblem(P_M, P_N, e)
     A, B = witness.A, witness.B
-    if A.domain != P_M.generators or A.codomain != P_N.generators:
-        raise InvalidWitness("A does not map M's generators to N's")
-    if B.domain != P_N.generators or B.codomain != P_M.generators:
-        raise InvalidWitness("B does not map N's generators to M's")
-    if A.shift != e or B.shift != e:
-        raise InvalidWitness(f"witness shift ({A.shift}, {B.shift}) != {e}")
-    for mat in (A, B):
-        if mat.field != P_M.field:
-            raise InvalidWitness("witness over the wrong field")
+    try:
+        closed = check_closure(A, B, prob)
+    except (BasisMismatch, FieldMismatch, ValueError) as exc:
+        raise InvalidWitness(str(exc)) from exc
     for name, X, P, Q in (("A", A, P_M, P_N), ("B", B, P_N, P_M)):
         for w in P.relations:
             inside, _ = span_membership(apply(X, w), Q.relations)
@@ -100,7 +97,7 @@ def compatible_presentations(P_M, P_N, witness, e):
                 raise InvalidWitness(
                     f"{name} carries a relation of {P.name} outside the "
                     f"relations of {Q.name}")
-    if not check_closure(A, B, prob):
+    if not closed:
         raise InvalidWitness("round trips are not identity up to relations")
 
     field = P_M.field

@@ -21,12 +21,11 @@ import math
 from bisect import bisect_left
 from operator import itemgetter, sub
 
-from .scalars import FieldMismatch
-from .grading import DimensionMismatch
 from .presentation import minimize
 from .onedim import _bars, _max_bottleneck
 from .interleave import (InterleavingProblem, is_interleaved, _Lattice,
-                         BudgetExceeded, UnsupportedField, DEFAULT_BUDGET)
+                         _check_pair, _check_finite, BudgetExceeded,
+                         DEFAULT_BUDGET)
 
 INF = math.inf
 
@@ -63,20 +62,13 @@ def candidate_set(P_M, P_N):
     """All values the interleaving distance could take.
 
     Per axis: |x - y| across the two critical-grade sets, plus
-    half-differences within each set separately, plus 0 and inf. The
-    presentations must have the same n (DimensionMismatch) and field
-    (FieldMismatch), as for interleaving_distance.
+    half-differences within each set separately, plus 0 and inf.
+    DimensionMismatch when n differs, else FieldMismatch when the
+    fields do.
     """
     _check_pair(P_M, P_N)
     lat = _Lattice(minimize(P_M), minimize(P_N))
     return CandidateSet([*map(lat.lift, _candidates(lat)), INF])
-
-
-def _check_pair(P_M, P_N):
-    if P_M.n != P_N.n:
-        raise DimensionMismatch(f"n={P_M.n} vs n={P_N.n}")
-    if P_M.field != P_N.field:
-        raise FieldMismatch(f"{P_M.field} vs {P_N.field}")
 
 
 def _candidates(lat):
@@ -121,8 +113,10 @@ def diagonal_lower_bound(P_M, P_N):
     already match within the bound found so far cannot raise it; it
     costs one matching test, or none when the bars alone show the
     match. The loop stops once the bound is inf.
-    For n = 1 there is one line and the bound is d_I itself.
+    For n = 1 there is one line and the bound is d_I itself. The
+    inputs are checked as for candidate_set.
     """
+    _check_pair(P_M, P_N)
     return _diagonal_bound(_Lattice(P_M, P_N))
 
 
@@ -160,18 +154,14 @@ def interleaving_distance(P_M, P_N, budget=DEFAULT_BUDGET):
     one lattice, and d_I is the e of the probe that found the witness
     (the witness's shift).
 
-    The inputs are checked before any work, as the first probe would
-    check them: DimensionMismatch when n differs, FieldMismatch when
-    the fields do, and UnsupportedField over Q. BudgetExceeded from a
-    probe carries bracket = (lo, hi) with lo <= d_I <= hi: lo is the
-    least candidate >= LB above every No so far, hi the least candidate
-    confirmed Yes, or inf.
+    The inputs are checked before any work, as for candidate_set, and
+    then UnsupportedField over Q. BudgetExceeded from a probe carries
+    bracket = (lo, hi) with lo <= d_I <= hi: lo is the least candidate
+    >= LB above every No so far, hi the least candidate confirmed Yes,
+    or inf.
     """
     _check_pair(P_M, P_N)
-    if P_M.field.is_rationals:
-        raise UnsupportedField(
-            "enumeration needs a finite field; over Q only witness "
-            "verification and system export are available")
+    _check_finite(P_M.field)
     Pm = minimize(P_M)
     Pn = minimize(P_N)
     lat = _Lattice(Pm, Pn)

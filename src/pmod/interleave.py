@@ -64,8 +64,8 @@ from operator import le, mul
 
 from .scalars import FieldMismatch
 from .grading import grade_shift, check_epsilon, scaled, DimensionMismatch
-from .freemod import (MorphismMatrix, compose, make_element,
-                      span_membership, nullspace, rref, _echelon,
+from .freemod import (MorphismMatrix, BasisMismatch, make_element,
+                      span_membership, nullspace, rref, _dot, _echelon,
                       _solve, _xor_solve)
 
 DEFAULT_BUDGET = 10 ** 7
@@ -73,6 +73,22 @@ DEFAULT_BUDGET = 10 ** 7
 
 class UnsupportedField(Exception):
     pass
+
+
+def _check_pair(P_M, P_N):
+    """DimensionMismatch when n differs, else FieldMismatch."""
+    if P_M.n != P_N.n:
+        raise DimensionMismatch(f"n={P_M.n} vs n={P_N.n}")
+    if P_M.field != P_N.field:
+        raise FieldMismatch(f"{P_M.field} vs {P_N.field}")
+
+
+def _check_finite(field):
+    """The search's refusal of Q, which it cannot enumerate."""
+    if field.is_rationals:
+        raise UnsupportedField(
+            "enumeration needs a finite field; over Q only witness "
+            "verification and system export are available")
 
 
 class BudgetExceeded(Exception):
@@ -169,10 +185,7 @@ class InterleavingProblem:
                  "pat_A", "pat_B")
 
     def __init__(self, P_M, P_N, e):
-        if P_M.field != P_N.field:
-            raise FieldMismatch(f"{P_M.field} vs {P_N.field}")
-        if P_M.n != P_N.n:
-            raise DimensionMismatch(f"n={P_M.n} vs n={P_N.n}")
+        _check_pair(P_M, P_N)
         e = check_epsilon(e)
         lat = _Lattice(P_M, P_N, (e,))
         self._on(lat, lat.scale(e), e)
@@ -262,23 +275,30 @@ def _condition_rows(src, tgt, k, free):
 def check_closure(A, B, prob):
     """Conditions 3 and 4: BA and AB are identities up to relations.
 
-    Column j of BA - I must lie in the span of M's relations at grade
-    gr(G_M, j) + 2e, and symmetrically for AB - I over N. The 2e is
-    forced: the round trip shifts twice. Raises FieldMismatch when A or
-    B is not over the problem's field.
+    First the witness's type: A maps M's generators to N's and B back
+    (else BasisMismatch), at shift e (ValueError), over the problem's
+    field (FieldMismatch). Then each column j of BA - I, read from the
+    entries, must lie in the span of M's relations at gr(G_M, j) + 2e
+    (the round trip shifts twice), and likewise AB - I over N.
     """
-    e2 = 2 * prob.e
-    field = prob.field
+    G_M, G_N = prob.P_M.generators, prob.P_N.generators
+    e, e2, field = prob.e, 2 * prob.e, prob.field
+    if A.domain != G_M or A.codomain != G_N:
+        raise BasisMismatch("A does not map M's generators to N's")
+    if B.domain != G_N or B.codomain != G_M:
+        raise BasisMismatch("B does not map N's generators to M's")
+    if A.shift != e or B.shift != e:
+        raise ValueError(f"witness shift ({A.shift}, {B.shift}) != {e}")
     if A.field != field or B.field != field:
-        raise FieldMismatch(f"witness over {A.field} and {B.field}, "
-                            f"problem over {field}")
+        raise FieldMismatch(f"witness over the wrong field: {A.field} and "
+                            f"{B.field}, problem over {field}")
     for P, first, second in ((prob.P_M, A, B), (prob.P_N, B, A)):
-        round_trip = compose(second, first)
-        gens = P.generators
-        for j, g in enumerate(gens.grades):
-            coeffs = [row[j] for row in round_trip.entries]
+        for j, g in enumerate(P.generators.grades):
+            col = [row[j] for row in first.entries]
+            coeffs = [_dot(row, col, field) for row in second.entries]
             coeffs[j] = field.coerce(coeffs[j] - 1)
-            v = make_element(gens, grade_shift(g, e2), coeffs, field)
+            v = make_element(P.generators, grade_shift(g, e2), coeffs,
+                             field)
             inside, _ = span_membership(v, P.relations)
             if not inside:
                 return False
@@ -388,10 +408,6 @@ class _Side:
                      + [kappa[i] for i, ks in enumerate(self.K3)
                         for kappa in ks])
         self._blocks = [None] * len(self.U)
-
-    def count(self):
-        p = self.prob.field.p
-        return p ** len(self.U)
 
     def _entries(self, coords):
         """F as an int entry matrix (rows over tgt generators), from its
@@ -528,15 +544,12 @@ def is_interleaved(prob, budget=DEFAULT_BUDGET):
     Deterministic: candidates are scanned in lexicographic coordinate
     order and the least-index witness wins.
     """
-    if prob.field.is_rationals:
-        raise UnsupportedField(
-            "enumeration needs a finite field; over Q only witness "
-            "verification and system export are available")
+    _check_finite(prob.field)
     side_a = _Side(prob, "M->N")
     side_b = _Side(prob, "N->M")
-    side, other = ((side_a, side_b) if side_a.count() <= side_b.count()
+    side, other = ((side_a, side_b) if len(side_a.U) <= len(side_b.U)
                    else (side_b, side_a))
-    total = side.count()
+    total = prob.field.p ** len(side.U)
     if total > budget:
         raise BudgetExceeded(total, budget)
     side.pair_with(other)

@@ -91,14 +91,15 @@ def test_pair_zero_modules_two_params():
 
 def test_invalid_witness_shift():
     M, N, w = _offset_pair()
-    with pytest.raises(InvalidWitness):
+    with pytest.raises(InvalidWitness, match=r"^witness shift \(1, 1\) != 2$"):
         compatible_presentations(M, N, w, Fraction(2))
 
 
 def test_invalid_witness_shapes():
     M, N, w = _offset_pair()
     swapped = type(w)(w.B, w.A)
-    with pytest.raises(InvalidWitness):
+    with pytest.raises(InvalidWitness,
+                       match="^A does not map M's generators to N's$"):
         compatible_presentations(M, N, swapped, Fraction(1))
     # the same residues over F2 are no witness for F5 modules
     over_f2 = type(w)(*(MorphismMatrix(m.domain, m.codomain, m.entries,

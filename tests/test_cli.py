@@ -204,6 +204,20 @@ def test_error_exit_codes(runner, files, tmp_path):
     assert r.exit_code == 2
 
 
+def test_pair_errors_name_n_before_the_field(runner, files, tmp_path):
+    # an F5 module with n = 1 against an F2 module with n = 2: every
+    # two-module command reports the first check, n, and nothing else
+    m, _ = files
+    n2 = tmp_path / "n2.pmod"
+    n2.write_text("module N\nfield F2\nparams 2\ngen b @ (1, 1)\n")
+    for cmd, *opts in (["interleaved", "--eps", "1"], ["isomorphic"],
+                       ["characterize", "--eps", "1"], ["distance"],
+                       ["candidates"], ["exportmq", "--eps", "1"]):
+        r = runner.invoke(main, [cmd, m, str(n2), *opts])
+        assert r.exit_code == 2, cmd
+        assert (r.stdout, r.stderr) == ("", "error: n=1 vs n=2\n"), cmd
+
+
 def test_outputs_deterministic(runner, files):
     m, n = files
     for args in (["distance", m, n, "--witness"],

@@ -1,3 +1,4 @@
+import itertools
 import math
 import pytest
 from fractions import Fraction
@@ -8,7 +9,7 @@ from pmod import (INF, BudgetExceeded, CandidateSet, DimensionMismatch,
                   UnsupportedField, barcode, box_interval, candidate_set,
                   check_closure, diagonal_lower_bound, diagram_bottleneck,
                   interleaving_distance, is_interleaved, is_isomorphic,
-                  minimize, parse)
+                  minimize, parse, serialize)
 
 from conftest import F2, F3, F5, random_presentation, rng_for
 
@@ -317,6 +318,66 @@ def test_input_checks_come_before_the_bound():
     Q_zero = parse("module Z\nfield Q\nparams 1\n")
     with pytest.raises(UnsupportedField):
         interleaving_distance(Q_free, Q_zero)
+
+
+def test_every_pair_entry_checks_n_then_the_field():
+    F5_n1 = parse(M_TEXT)
+    F3_n1 = parse(N_TEXT.replace("F5", "F3"))
+    entries = (candidate_set, diagonal_lower_bound, interleaving_distance,
+               is_isomorphic, lambda P, Q: InterleavingProblem(P, Q, 1))
+    for call in entries:
+        # n differs, and then the field may too: n is named either way
+        for field in (F5, F2):
+            with pytest.raises(DimensionMismatch, match=r"^n=1 vs n=2$"):
+                call(F5_n1, box_interval(field, [0, 0], [[1, 1]]))
+        with pytest.raises(FieldMismatch, match=r"^F5 vs F3$"):
+            call(F5_n1, F3_n1)
+
+
+def _free_module(rng, field, n, count, name):
+    """A module with count generators and no relations, its grades on
+    the 1/4 grid in [0, 2]^n."""
+    lines = [f"module {name}", f"field {field}", f"params {n}"]
+    for k in range(count):
+        coords = ", ".join(str(Fraction(rng.randint(0, 8), 4))
+                           for _ in range(n))
+        lines.append(f"gen g{k + 1} @ ({coords})")
+    return parse("\n".join(lines) + "\n")
+
+
+def _matching_distance(P, Q):
+    """The least, over bijections of the generators, of the largest
+    l-infinity distance between matched grades; inf when the counts
+    differ. Brute force over permutations."""
+    G = [g.coords for g in P.generators.grades]
+    H = [h.coords for h in Q.generators.grades]
+    if len(G) != len(H):
+        return INF
+    return min(max(max(abs(a - b) for a, b in zip(g, H[k]))
+                   for g, k in zip(G, perm))
+               for perm in itertools.permutations(range(len(H))))
+
+
+def test_free_modules_against_the_matching_oracle():
+    """For modules with no relations d_I is the bottleneck cost of a
+    perfect matching of the generator grades under the l-infinity
+    distance (inf when the counts differ)."""
+    rng = rng_for(811)
+    finite = 0
+    for field, most in ((F2, 4), (F3, 3)):
+        for n in (2, 3):
+            for _ in range(75):
+                k = rng.randint(1, most)
+                # equal counts half the time, so most distances are finite
+                l = k if rng.random() < 0.5 else rng.randint(1, most)
+                P = _free_module(rng, field, n, k, "M")
+                Q = _free_module(rng, field, n, l, "N")
+                d, w = interleaving_distance(P, Q)
+                assert d == _matching_distance(P, Q), (
+                    serialize(P), serialize(Q))
+                assert (w is None) == (d == INF)
+                finite += d != INF
+    assert finite >= 150, finite
 
 
 def test_witness_is_the_search_at_the_distance():

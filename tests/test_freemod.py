@@ -2,9 +2,10 @@ import itertools
 import pytest
 from fractions import Fraction
 
-from pmod import (BasisMismatch, DimensionMismatch, FieldMismatch, FieldSpec,
-                  Grade, GradedSet, RATIONALS, PatternViolation, apply, compose, grade_shift,
-                  make_element, span_membership, MorphismMatrix)
+from pmod import (BasisMismatch, CompatiblePair, DimensionMismatch,
+                  FieldMismatch, FieldSpec, Grade, GradedSet, RATIONALS,
+                  PatternViolation, Presentation, apply, compose,
+                  grade_shift, make_element, span_membership, MorphismMatrix)
 from pmod.freemod import _solve, nullspace, rref
 
 from conftest import (F2, F3, F5, local_rank, local_solve, rand_grade,
@@ -113,6 +114,59 @@ def test_apply_and_compose():
     qq = compose(q, q)
     assert qq.entries[0] == (Fraction(1, 4), Fraction(0), Fraction(0))
     assert all(type(x) is Fraction for row in qq.entries for x in row)
+
+
+# Shape and basis checks that no other test or workload reaches: each
+# builds one mismatched input, with the names of B1 or a one-generator
+# basis that is not B1.
+B_OTHER = _basis(F5, [("x", 0)])
+E0 = GradedSet([])
+
+
+def _on(B, *coeffs):
+    return make_element(B, Grade([2]), list(coeffs), F5)
+
+
+MISMATCHES = {
+    "matrix rows": (
+        BasisMismatch, "2 rows for a codomain of size 3",
+        lambda: MorphismMatrix(B1, B1, [[0, 0, 0]] * 2, 0, F5)),
+    "matrix row length": (
+        BasisMismatch, "row of length 2 for a domain of size 3",
+        lambda: MorphismMatrix(B1, B1, [[0, 0]] * 3, 0, F5)),
+    "apply": (
+        BasisMismatch, "not over the morphism's domain",
+        lambda: apply(MorphismMatrix(B1, B1, [[0] * 3] * 3, 0, F5),
+                      _on(B_OTHER, 1))),
+    "compose": (
+        BasisMismatch, "codomain of f is not the domain of g",
+        lambda: compose(MorphismMatrix(B1, B1, [[0] * 3] * 3, 0, F5),
+                        MorphismMatrix(B1, B_OTHER, [[0] * 3], 0, F5))),
+    "span_membership": (
+        BasisMismatch, "span members over a different basis",
+        lambda: span_membership(_on(B1, 1, 0, 0), [_on(B_OTHER, 1)])),
+    "presentation generator grades": (
+        DimensionMismatch, "generator grade 0 in a 2-parameter",
+        lambda: Presentation(F5, 2, B_OTHER, [])),
+    "presentation relation basis": (
+        BasisMismatch, "relation r is not over the generators",
+        lambda: Presentation(F5, 1, B1, [("r", _on(B_OTHER, 1))])),
+    "presentation relation grade": (
+        DimensionMismatch, r"relation grade \(0, 0\) in a 1-parameter",
+        lambda: Presentation(F5, 1, E0, [
+            ("r", make_element(E0, Grade([0, 0]), [], F5))])),
+    "compatible pair basis": (
+        ValueError, r"element y is not over W1 \+\+ W2",
+        lambda: CompatiblePair(B1, B_OTHER, [("y", _on(B1, 1, 0, 0))], [],
+                               0)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MISMATCHES))
+def test_shape_and_basis_checks_raise(case):
+    exc, message, build = MISMATCHES[case]
+    with pytest.raises(exc, match=message):
+        build()
 
 
 def test_apply_is_linear_random():

@@ -9,11 +9,11 @@ from fractions import Fraction
 
 import pmod
 
-from pmod import (BudgetExceeded, DimensionMismatch, FieldMismatch,
-                  FieldSpec, InterleavingProblem, MorphismMatrix,
-                  UnsupportedField, apply, box_interval, check_closure,
-                  export_quadratic_system, is_interleaved, minimize, parse,
-                  serialize, span_membership)
+from pmod import (BasisMismatch, BudgetExceeded, DimensionMismatch,
+                  FieldMismatch, FieldSpec, InterleavingProblem,
+                  MorphismMatrix, UnsupportedField, apply, box_interval,
+                  check_closure, export_quadratic_system, is_interleaved,
+                  minimize, parse, serialize, span_membership)
 from pmod.freemod import nullspace
 from pmod.interleave import _Side, _condition_rows, _patterns
 
@@ -137,6 +137,28 @@ def test_check_closure_offset_intervals():
     for pair in ((A2, B2), (A, B2), (A2, B)):
         with pytest.raises(FieldMismatch):
             check_closure(*pair, prob)
+
+
+def test_check_closure_refuses_a_witness_of_another_type():
+    prob = _pair(1)
+    G_M, G_N = prob.P_M.generators, prob.P_N.generators
+    A = MorphismMatrix(G_M, G_N, [[1]], 1, F5)
+    B = MorphismMatrix(G_N, G_M, [[1]], 1, F5)
+    # O is M with its generator named c
+    G_O = parse("module O\nfield F5\nparams 1\ngen c @ 0\n"
+                "rel r1 @ 3 = 1*c\n").generators
+    for bad, msg in (((MorphismMatrix(G_O, G_N, [[1]], 1, F5), B), "A does"),
+                     ((A, MorphismMatrix(G_N, G_O, [[1]], 1, F5)), "B does"),
+                     ((B, A), "A does")):
+        with pytest.raises(BasisMismatch, match=msg):
+            check_closure(*bad, prob)
+    # the same maps at shift 7 round-trip to the identity too, but they
+    # are no witness for the problem at e = 1
+    A7 = MorphismMatrix(G_M, G_N, [[1]], 7, F5)
+    B7 = MorphismMatrix(G_N, G_M, [[1]], 7, F5)
+    for bad in ((A7, B7), (A, B7), (A7, B)):
+        with pytest.raises(ValueError, match=r"witness shift \(.*\) != 1"):
+            check_closure(*bad, prob)
 
 
 def test_check_closure_box_against_zero():
@@ -365,6 +387,14 @@ except FieldMismatch:
     pass
 else:
     raise SystemExit("a witness over another field was checked")
+# nor is a witness at another shift
+I7 = MorphismMatrix(M.generators, M.generators, [[1]], 7, FieldSpec(5))
+try:
+    check_closure(I7, I7, InterleavingProblem(M, M, 0))
+except ValueError:
+    pass
+else:
+    raise SystemExit("a witness at another shift was checked")
 
 pmod.interleave.check_closure = lambda A, B, prob: False
 try:

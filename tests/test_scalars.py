@@ -1,10 +1,12 @@
+import math
+
 import pytest
 from fractions import Fraction
 
 from pmod import (FieldMismatch, FieldSpec, Grade, GradedSet, MorphismMatrix,
                   ParseError, Presentation, apply, compose, make_element,
                   parse, span_membership)
-from pmod.scalars import MAX_PRIME, RATIONALS
+from pmod.scalars import MAX_PRIME, RATIONALS, _is_prime
 
 F2 = FieldSpec(2)
 F5 = FieldSpec(5)
@@ -26,6 +28,18 @@ def test_field_spec_validation():
     assert FieldSpec(MAX_PRIME).p == MAX_PRIME
     with pytest.raises(ValueError):
         FieldSpec(2305843009213693967)  # next prime above the bound
+    # composites with no factor up to 37 go through the Miller-Rabin
+    # rounds to their refusal (2501 - 1 = 4 * 625, so 2501 squares once);
+    # 3215031751 is a strong pseudoprime to 2, 3, 5 and 7
+    for bad in (1763, 2501, 3215031751):
+        with pytest.raises(ValueError, match="not a prime"):
+            FieldSpec(bad)
+    # primes with 2^4 or more in p - 1 square their way to p - 1
+    for good in (1009, 65537, 998244353):
+        assert FieldSpec(good).p == good
+    for n in range(5000):
+        want = n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+        assert _is_prime(n) is want, n
 
 
 def test_field_spec_parse_and_str():
