@@ -51,16 +51,22 @@ def _unique(name, used):
 
 
 class CompatiblePair:
-    """(W1, W2, Y1, Y2, e) with Y-lists as (name, element) pairs.
+    """(W1, W2, Y1, Y2, e) with Y-lists as (name, element) pairs, over
+    the field of an n-parameter pair of modules.
 
     Elements live over combined_basis(W1, W2); each Y-list is stored
-    sorted by grade (stable). The shifted-grade invariants are not
-    enforced here; verify_compatible checks them.
+    sorted by grade (stable). The field and n are held, not read off
+    the elements and grades, as a pair of zero modules has none. The
+    shifted-grade invariants are not enforced here; verify_compatible
+    checks them.
     """
 
-    __slots__ = ("W1", "W2", "Y1", "Y2", "e", "basis", "w2_names")
+    __slots__ = ("field", "n", "W1", "W2", "Y1", "Y2", "e", "basis",
+                 "w2_names")
 
-    def __init__(self, W1, W2, Y1, Y2, e):
+    def __init__(self, field, n, W1, W2, Y1, Y2, e):
+        self.field = field
+        self.n = n
         self.W1 = W1
         self.W2 = W2
         self.e = check_epsilon(e)
@@ -120,20 +126,20 @@ def compatible_presentations(P_M, P_N, witness, e):
             el = make_element(basis, g, coeffs, field)
             Y.append((_unique(nm, used), el))
 
-    pair = CompatiblePair(W1, W2, Y1, Y2, e)
-    ind_M, ind_N = induced_presentations(pair, field, P_M.n,
-                                         (P_M.name, P_N.name))
+    pair = CompatiblePair(field, P_M.n, W1, W2, Y1, Y2, e)
+    ind_M, ind_N = induced_presentations(pair, (P_M.name, P_N.name))
     return pair, ind_M, ind_N
 
 
-def induced_presentations(pair, field, n, names=("M", "N")):
+def induced_presentations(pair, names=("M", "N")):
     """The two quotients presented by a compatible pair.
 
     For M: generators W1 at their own grades and W2 raised by e;
     relations Y1 at their own grades and Y2 raised by e. For N the
-    roles swap. Relations are renamed r1..rk in grade order.
+    roles swap. Relations are renamed r1..rk in grade order. Both are
+    over the pair's field and number of parameters.
     """
-    e = pair.e
+    e, field, n = pair.e, pair.field, pair.n
     w1_items = list(pair.W1)
     w2_items = [(nm, g) for nm, (_, g) in zip(pair.w2_names, pair.W2)]
 
@@ -157,7 +163,8 @@ def induced_presentations(pair, field, n, names=("M", "N")):
 def verify_compatible(pair, P_M, P_N, budget=DEFAULT_BUDGET):
     """Self-check of a pair against the two original presentations.
 
-    (a) grade bookkeeping: W1/W2 reproduce the generator data, and
+    (a) grade bookkeeping: the pair's field and n are the modules',
+    W1/W2 reproduce the generator data, and
     every mixed coefficient respects the shifted reading (a W2
     coefficient in Y1 needs gr(w) + e <= gr(element), symmetrically
     for Y2); (b) the induced presentations are isomorphic to the
@@ -165,7 +172,8 @@ def verify_compatible(pair, P_M, P_N, budget=DEFAULT_BUDGET):
     """
     e = pair.e
     gm = len(pair.W1)
-    if pair.W1 != P_M.generators or pair.W2 != P_N.generators:
+    if ((pair.field, pair.n) != (P_M.field, P_M.n)
+            or pair.W1 != P_M.generators or pair.W2 != P_N.generators):
         return False
     for y_list, shifted_block in ((pair.Y1, "W2"), (pair.Y2, "W1")):
         for _, el in y_list:
@@ -178,8 +186,7 @@ def verify_compatible(pair, P_M, P_N, budget=DEFAULT_BUDGET):
                 bound = grade_shift(g, e) if shifted else g
                 if not grade_leq(bound, el.grade):
                     return False
-    ind_M, ind_N = induced_presentations(pair, P_M.field, P_M.n,
-                                         (P_M.name, P_N.name))
+    ind_M, ind_N = induced_presentations(pair, (P_M.name, P_N.name))
     return (is_isomorphic(ind_M, P_M, budget)
             and is_isomorphic(ind_N, P_N, budget))
 
@@ -187,13 +194,7 @@ def verify_compatible(pair, P_M, P_N, budget=DEFAULT_BUDGET):
 def serialize_pair(pair):
     """Text form: presentation-format lines tagged W1/W2 and Y1/Y2."""
     from .grading import format_grade
-    ys = pair.Y1 + pair.Y2
-    n = len(pair.W1.grades[0]) if len(pair.W1) else (
-        len(pair.W2.grades[0]) if len(pair.W2) else 1)
-    # the field is held by the elements; a pair without any has none
-    out = [f"field {ys[0][1].field}"] if ys else []
-    out.append(f"params {n}")
-    out.append(f"eps {pair.e}")
+    out = [f"field {pair.field}", f"params {pair.n}", f"eps {pair.e}"]
     for nm, g in pair.W1:
         out.append(f"gen W1 {nm} @ {format_grade(g)}")
     for nm, (_, g) in zip(pair.w2_names, pair.W2):

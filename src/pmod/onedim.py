@@ -25,30 +25,34 @@ every halfwidth must be an exact int, so the public functions rescale
 both diagrams' bars to units of 1/S, S = 2 * lcm(den of each), and lift
 the answer back once, as Fraction(v, S) or inf.
 
-d_B is the least candidate at which the dummy-augmented graph has a
-perfect matching, searched as in Kerber, Morozov and Nigmetov,
-*Geometry helps to compare persistence diagrams* (JEA 2017), with
-Hopcroft-Karp matchings over a binary search of the candidates. _Costs
-keeps the raw costs, so a matching test compares them with the
-tolerance itself. The search starts at a floor: every bar is matched
-to a partner or sent to the diagonal, so d_B is at least the cheaper of
-the two for every bar of both diagrams. One matching test at the floor
-usually settles d_B, and the sorted candidate list is built only when
-it fails, for the binary search above the floor. Every d_B goes through
-_max_bottleneck(E1, E2, bound), which is max(bound, d_B):
-diagram_bottleneck calls it with bound 0 on the rescaled bars, and the
-interleaving distance's lower bound (distance._diagonal_bound) on the
-bars of each diagonal line of its query's integer grade lattice
-(interleave._Lattice), whose grades are already even ints, lifting only
-the bound. Two bar lists with different numbers of essential bars are
-at d_B = inf, and lists whose bars alone show d_B <= bound (_within)
-build no cost table; otherwise the search starts at the larger of the
-bound and the floor.
+d_B is the least candidate tolerance t at which every bar can be
+matched to a bar of the other diagram at cost <= t or sent to the
+diagonal, searched as in Kerber, Morozov and Nigmetov, *Geometry helps
+to compare persistence diagrams* (JEA 2017), as a binary search of the
+candidates. A bar at most 2t wide can always go to the diagonal, so a
+test at t asks only whether the wider bars can all be given partners.
+By the Mendelsohn-Dulmage theorem (1958), one matching covers the wide
+bars of both diagrams iff one matching covers D1's and another covers
+D2's, so the test runs an augmenting-path search from D1's wide bars,
+then from D2's (_covers). _Costs keeps the raw costs, so a test
+compares them with the tolerance itself. The search starts at a floor:
+every bar is matched to a partner or sent to the diagonal, so d_B is
+at least the cheaper of the two for every bar of both diagrams. One
+test at the floor usually settles d_B, and the sorted candidate list
+is built only when it fails, for the binary search above the floor.
+Every d_B goes through _max_bottleneck(E1, E2, bound), which is
+max(bound, d_B): diagram_bottleneck calls it with bound 0 on the
+rescaled bars, and the interleaving distance's lower bound
+(distance._diagonal_bound) on the bars of each diagonal line of its
+query's integer grade lattice (interleave._Lattice), whose grades are
+already even ints, lifting only the bound. Two bar lists with
+different numbers of essential bars are at d_B = inf, and lists whose
+bars alone show d_B <= bound (_within) build no cost table; otherwise
+the search starts at the larger of the bound and the floor.
 """
 
 import math
 from bisect import bisect_right
-from collections import deque
 from fractions import Fraction
 from itertools import chain, groupby
 from operator import index
@@ -309,74 +313,56 @@ def _reduce(col, reduced, p):
 # bottleneck distance
 # ----------------------------------------------------------------------
 
-def _hopcroft_karp(adj, nleft, nright):
-    """Maximum bipartite matching. Returns (size, left_match).
+def _covers(adj, nright):
+    """Whether the bipartite graph that joins each left vertex i to the
+    right vertices adj[i], numbered below nright, has a matching that
+    covers every left vertex.
 
-    The augmenting depth-first search keeps its own stack of (vertex,
-    next edge) frames rather than recursing: an augmenting path can be
-    longer than the interpreter's recursion limit. It tries the edges in
-    the same order a recursive search would, so it finds the same
-    matching.
+    Kuhn's augmenting-path search from each left vertex in turn; the
+    answer is False at the first one it cannot augment. The depth-first
+    search keeps its own stack of (vertex, next edge) frames rather than
+    recursing: an augmenting path can be longer than the interpreter's
+    recursion limit.
     """
     match_r = [-1] * nright
-    match_l = [-1] * nleft
-    while True:
-        dist = [-1] * nleft
-        queue = deque()
-        for i in range(nleft):
-            if match_l[i] == -1:
-                dist[i] = 0
-                queue.append(i)
-        reachable_free = False
-        while queue:
-            i = queue.popleft()
-            for j in adj[i]:
-                w = match_r[j]
-                if w == -1:
-                    reachable_free = True
-                elif dist[w] == -1:
-                    dist[w] = dist[i] + 1
-                    queue.append(w)
-        if not reachable_free:
-            break
-
-        for root in range(nleft):
-            if match_l[root] != -1:
+    for root in range(len(adj)):
+        seen = set()
+        path, edge = [root], [0]
+        while path:
+            i = path[-1]
+            k = edge[-1]
+            if k == len(adj[i]):
+                path.pop()
+                edge.pop()
                 continue
-            path, edge = [root], [0]
-            while path:
-                i = path[-1]
-                k = edge[-1]
-                if k == len(adj[i]):
-                    dist[i] = -1  # dead end for the rest of this phase
-                    path.pop()
-                    edge.pop()
-                    continue
-                edge[-1] = k + 1
-                w = match_r[adj[i][k]]
-                if w == -1:
-                    for i, k in zip(path, edge):
-                        j = adj[i][k - 1]
-                        match_l[i] = j
-                        match_r[j] = i
-                    break
-                if dist[w] == dist[i] + 1:
-                    path.append(w)
-                    edge.append(0)
-    size = sum(1 for j in match_l if j != -1)
-    return size, match_l
+            edge[-1] = k + 1
+            j = adj[i][k]
+            if j in seen:
+                continue
+            seen.add(j)
+            w = match_r[j]
+            if w == -1:
+                for i, k in zip(path, edge):
+                    match_r[adj[i][k - 1]] = i
+                break
+            path.append(w)
+            edge.append(0)
+        else:
+            return False
+    return True
 
 
 class _Costs:
-    """Everything the matching graph of two int diagrams is built from,
-    computed once per diagram pair.
+    """Everything the matching test of two int diagrams reads, computed
+    once per diagram pair.
 
     E1, E2 list each diagram's bars with multiplicity, as (birth, death)
     with int endpoints, death possibly inf, and every finite width
     even, so that every endpoint distance and every halfwidth is an
     exact int. cost holds every pairwise cost (the larger of the birth
     and the death distance) and half1, half2 every halfwidth, all ints
-    or inf, so whether an edge exists at a tolerance is one comparison.
+    or inf, so whether a pair is an edge of the partner graph at a
+    tolerance, or a bar is wide there, is one comparison.
     The sorted candidate list is built only when asked for
     (candidates), as the search needs it only when its first test
     fails.
@@ -405,28 +391,23 @@ class _Costs:
                        *chain.from_iterable(self.cost)})
 
     def feasible(self, t):
-        """Whether the dummy-augmented graph at tolerance t has a
-        perfect matching.
+        """Whether the bars can be matched at tolerance t, each to a bar
+        of the other diagram at cost <= t or to the diagonal.
 
-        Side 1 holds the intervals of D1 plus one dummy per interval of
-        D2, side 2 symmetrically. An interval pair is an edge when its
-        cost is <= the tolerance; dummies accept any interval whose
-        halfwidth is (it goes to the diagonal) and each other.
+        A bar whose halfwidth is <= t can always go to the diagonal, so
+        only the wide bars, halfwidth > t, need partners. By the
+        Mendelsohn-Dulmage theorem one matching of the partner graph
+        covers the wide bars of both diagrams iff one matching covers
+        D1's and another covers D2's, so each side is tested on its own.
         """
-        m, k = len(self.half1), len(self.half2)
-        # left nodes: 0..m-1 real, m..m+k-1 dummy
-        # right nodes: 0..k-1 real, k..k+m-1 dummy
-        dummies2 = range(k, k + m)
-        adj = []
-        for row, h in zip(self.cost, self.half1):
-            a = [b for b, c in enumerate(row) if c <= t]
-            if h <= t:
-                a.extend(dummies2)
-            adj.append(a)
-        diag2 = [b for b, h in enumerate(self.half2) if h <= t]
-        diag2.extend(dummies2)
-        adj.extend(diag2 for _ in range(k))  # read only: one list serves all
-        return _hopcroft_karp(adj, m + k, k + m)[0] == m + k
+        cost = self.cost
+        wide1 = [[j for j, c in enumerate(row) if c <= t]
+                 for row, h in zip(cost, self.half1) if h > t]
+        if not _covers(wide1, len(self.half2)):
+            return False
+        wide2 = [[i for i, row in enumerate(cost) if row[j] <= t]
+                 for j, h in enumerate(self.half2) if h > t]
+        return _covers(wide2, len(cost))
 
     def floor(self):
         """A lower bound on the bottleneck distance, itself a candidate.
@@ -444,11 +425,11 @@ class _Costs:
         return max([lo, *least2])
 
     def least_feasible(self, lo):
-        """lo when there is a perfect matching at tolerance lo, else the
-        least candidate above lo with one; feasibility is monotone in
-        the tolerance and holds at inf, the last candidate.
+        """lo when tolerance lo is feasible, else the least feasible
+        candidate above lo; feasibility is monotone in the tolerance and
+        holds at inf, the last candidate.
 
-        One matching test at lo settles it when lo is feasible, as the
+        One test at lo settles it when lo is feasible, as the
         floor usually is; otherwise the candidates above lo are binary
         searched.
         """
@@ -504,10 +485,9 @@ def diagram_bottleneck(D1, D2):
     monotone in e and always holds at inf, so a search over that sorted
     list finds the exact minimum. The search is _max_bottleneck's at
     bound 0: it starts at the floor (_Costs.floor), a lower bound that
-    one matching test usually shows feasible, and binary-searches the
-    candidates above only when that test fails. The pairwise costs are
-    computed once; each step of the search runs one perfect-matching
-    test on them.
+    one test usually shows feasible, and binary-searches the candidates
+    above only when that test fails. The pairwise costs are computed
+    once; each step of the search runs one feasibility test on them.
     """
     S, E1, E2 = _scaled_bars(D1, D2)
     return _lift(_max_bottleneck(E1, E2, 0), S)
@@ -545,7 +525,7 @@ def _max_bottleneck(E1, E2, bound):
     with different numbers of them are at d_B = inf. When the bars
     alone show d_B <= bound (_within), that is bound. Neither builds a
     cost table. Otherwise the search starts at the larger of bound and
-    the floor: one matching test there settles the common case, and
+    the floor: one feasibility test there settles the common case, and
     only when it fails are the candidates above it binary-searched.
     """
     if sum(d == INF for _, d in E1) != sum(d == INF for _, d in E2):

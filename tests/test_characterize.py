@@ -87,6 +87,12 @@ def test_pair_zero_modules_two_params():
     assert ind_M.n == 2 and ind_N.n == 2
     assert len(ind_M.generators) == 0
     assert verify_compatible(pair, Z, Z)
+    # the header comes from the modules, not from generators or elements
+    assert serialize_pair(pair) == "field F2\nparams 2\neps 1\n"
+    for field, n in ((F2, 1), (F5, 2)):
+        other = CompatiblePair(field, n, pair.W1, pair.W2, pair.Y1, pair.Y2,
+                               pair.e)
+        assert not verify_compatible(other, Z, Z)
 
 
 def test_invalid_witness_shift():
@@ -150,7 +156,7 @@ def test_verify_rejects_understated_mixed_grade():
     bad = make_element(basis, Grade([1]), [zero, one], F5)
     r1w = make_element(basis, Grade([3]), [one, zero], F5)
     s1w = make_element(basis, Grade([3]), [zero, one], F5)
-    pair = CompatiblePair(M.generators, N.generators,
+    pair = CompatiblePair(F5, 1, M.generators, N.generators,
                           [("r1", r1w), ("bad", bad)],
                           [("s1", s1w)], Fraction(1))
     assert not verify_compatible(pair, M, N)
@@ -159,7 +165,7 @@ def test_verify_rejects_understated_mixed_grade():
 def test_verify_rejects_dropped_relation():
     M, N, w = _offset_pair()
     pair, _, _ = compatible_presentations(M, N, w, Fraction(1))
-    pruned = CompatiblePair(pair.W1, pair.W2,
+    pruned = CompatiblePair(pair.field, pair.n, pair.W1, pair.W2,
                             [p for p in pair.Y1 if p[0] != "r1"],
                             list(pair.Y2), pair.e)
     assert not verify_compatible(pruned, M, N)

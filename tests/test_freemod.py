@@ -157,8 +157,8 @@ MISMATCHES = {
             ("r", make_element(E0, Grade([0, 0]), [], F5))])),
     "compatible pair basis": (
         ValueError, r"element y is not over W1 \+\+ W2",
-        lambda: CompatiblePair(B1, B_OTHER, [("y", _on(B1, 1, 0, 0))], [],
-                               0)),
+        lambda: CompatiblePair(F5, 1, B1, B_OTHER,
+                               [("y", _on(B1, 1, 0, 0))], [], 0)),
 }
 
 

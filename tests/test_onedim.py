@@ -10,7 +10,7 @@ from pmod import (INF, RATIONALS, Interval, NotOneParameter,
                   box_interval, diagram_bottleneck, diagram_of,
                   format_extended, parse)
 from pmod import onedim
-from pmod.onedim import (_bars, _Costs, _hopcroft_karp, _max_bottleneck,
+from pmod.onedim import (_bars, _Costs, _covers, _max_bottleneck,
                          _scaled_bars, _within)
 
 from conftest import (F2, F3, F5, brute_bottleneck, dim_at, pair_cost,
@@ -467,66 +467,56 @@ def test_bound_short_cut_against_brute_force():
     assert seen == {True, False, "inf"}
 
 
-def test_hopcroft_karp_long_augmenting_path():
-    # the last left vertex can only be matched by shifting every other
-    # one along, an augmenting path of length 3000
+def _random_int_bars(rng, essential):
+    """Up to five int bars with even widths, some wide, and the given
+    number of essential bars."""
+    bars = []
+    for _ in range(rng.randint(0, 5 - essential)):
+        b = rng.randint(-4, 8)
+        bars.append((b, b + 2 * rng.randint(0, 8)))
+    return bars + [(rng.randint(-4, 8), INF) for _ in range(essential)]
+
+
+def test_feasible_against_brute_force():
+    """A matching test at tolerance t holds exactly from d_B on, at
+    every candidate t, on bar lists with wide bars on both sides,
+    unequal bar counts and essential bars, their counts sometimes
+    unequal too."""
+    rng = rng_for(610)
+    for _ in range(400):
+        k = rng.randint(0, 2)
+        E1 = _random_int_bars(rng, k)
+        E2 = _random_int_bars(rng, k if rng.random() < 0.8 else 2 - k)
+        dB = brute_bottleneck(*(diagram_of(Interval(b, d) for b, d in E)
+                                for E in (E1, E2)))
+        costs = _Costs(E1, E2)
+        for t in costs.candidates():
+            assert costs.feasible(t) == (t >= dB), (E1, E2, t)
+
+
+def test_feasible_needs_the_wide_bars_of_both_sides():
+    """At t = 3 each side's bar [0, 8) covers the other's, but D2's
+    wide bar [20, 40) has no partner within 3: D1's wide bars are
+    covered and D2's are not."""
+    E1, E2 = [(0, 8)], [(0, 8), (20, 40)]
+    for A, B in ((E1, E2), (E2, E1)):
+        costs = _Costs(A, B)
+        assert [t for t in costs.candidates() if costs.feasible(t)][0] == 10
+        assert not costs.feasible(3)
+    assert diagram_bottleneck(
+        *(diagram_of(Interval(b, d) for b, d in E) for E in (E1, E2))) == 10
+
+
+def test_covers_long_augmenting_path():
+    """Left vertex n - 1 is covered only by shifting every earlier one
+    along, an augmenting path of length 3000; the last left vertex then
+    needs the shifted matching itself, as it reaches right vertex n
+    only through the owner of right vertex 0."""
     n = 3000
-    adj = [[i, i + 1] for i in range(n - 1)] + [[0]]
-    size, match_l = _hopcroft_karp(adj, n, n)
-    assert size == n
-    assert match_l == [i + 1 for i in range(n - 1)] + [0]
-
-
-def _recursive_hopcroft_karp(adj, nleft, nright):
-    """Reference: the textbook formulation with a recursive search."""
-    match_l = [-1] * nleft
-    match_r = [-1] * nright
-    while True:
-        dist = [-1] * nleft
-        layer = [i for i in range(nleft) if match_l[i] == -1]
-        for i in layer:
-            dist[i] = 0
-        reachable_free = False
-        while layer:
-            nxt = []
-            for i in layer:
-                for j in adj[i]:
-                    w = match_r[j]
-                    if w == -1:
-                        reachable_free = True
-                    elif dist[w] == -1:
-                        dist[w] = dist[i] + 1
-                        nxt.append(w)
-            layer = nxt
-        if not reachable_free:
-            break
-
-        def augment(i):
-            for j in adj[i]:
-                w = match_r[j]
-                if w == -1 or (dist[w] == dist[i] + 1 and augment(w)):
-                    match_l[i] = j
-                    match_r[j] = i
-                    return True
-            dist[i] = -1
-            return False
-
-        for i in range(nleft):
-            if match_l[i] == -1:
-                augment(i)
-    return sum(1 for j in match_l if j != -1), match_l
-
-
-def test_hopcroft_karp_matches_recursive_reference():
-    """The iterative search finds the very matching the recursive one
-    does, so matching witnesses do not change."""
-    rng = random.Random(605)
-    for _ in range(300):
-        nleft, nright = rng.randint(0, 12), rng.randint(0, 12)
-        density = rng.random()
-        adj = [[j for j in range(nright) if rng.random() < density]
-               for _ in range(nleft)]
-        for a in adj:
-            rng.shuffle(a)
-        assert _hopcroft_karp(adj, nleft, nright) == \
-            _recursive_hopcroft_karp(adj, nleft, nright)
+    adj = [[i, i + 1] for i in range(n - 1)] + [[0, n], [0]]
+    assert _covers(adj, n + 1)
+    assert not _covers([*adj, [n]], n + 1)
+    # the same hand-size pattern: 1 takes 0 from 0, and 2 takes it from 1
+    assert _covers([[0, 1], [0, 2], [0]], 3)
+    assert not _covers([[0], [0]], 1)
+    assert _covers([], 0)

@@ -240,6 +240,9 @@ def test_parse_errors_carry_line_numbers():
         ("module M\nfield F4\nparams 1\n", 2, "prime"),
         ("module M\nfield F2\nparams 0\n", 3, "params"),
         ("module M\nfield F2\nparams 1\ngen a @ 0\ngen a @ 1\n", 5, "duplicate"),
+        ("module M\nfield F2\nparams 1\ngen @ 0\n", 4, "bad generator name"),
+        ("module M\nfield F2\nparams 1\ngen a b @ 0\n", 4,
+         "bad generator name"),
         ("module M\nfield F2\nparams 1\ngen a @ (0, 0)\n", 4, None),
         ("module M\nfield F2\nparams 1\ngen a @ 0\nrel r @ 1 = 1*z\n", 5, "unknown"),
         ("module M\nfield F2\nparams 1\ngen a @ 0\nrel r @ 1 = a\n", 5, None),
