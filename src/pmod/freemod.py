@@ -288,8 +288,9 @@ def span_membership(v, W):
 # F_p, Fractions over Q (p is None). _echelon is the one elimination,
 # pivoting on the first nonzero entry and clearing below each pivot
 # only; rref adds a back pass and _solve back-substitution. rref and
-# nullspace are the public (traced) face; the search's per-candidate
-# solves call _solve, or over F_2 _xor_solve on rows packed into ints.
+# nullspace are the public (traced) face; nullspace is rref then _kernel,
+# which a caller that keeps the reduction runs alone. The search's
+# per-candidate solves call _solve, or over F_2 _xor_solve on int rows.
 # An F_p entry may be an unreduced int, but not a nonzero multiple of
 # p, which has no inverse. All routines take 0 rows and 0 columns.
 # ----------------------------------------------------------------------
@@ -422,12 +423,14 @@ def rref(rows, width, p):
 
 
 def nullspace(rows, width, p):
-    """Basis of the solution space of rows . x = 0, in raw values.
+    """Basis of the solution space of rows . x = 0, in raw values: the
+    _kernel of rref(rows). Deterministic for a given row list."""
+    return _kernel(*rref(rows, width, p), width, p)
 
-    One basis vector per free column, in ascending column order; the
-    result is deterministic for a given row list.
-    """
-    red, pivots = rref(rows, width, p)
+
+def _kernel(red, pivots, width, p):
+    """Nullspace basis of rows reduced by rref: per free column, in
+    ascending order, 1 there and minus its reduced entries on pivots."""
     zero, one = (0, 1) if p else (Fraction(0), Fraction(1))
     pivot_set = set(pivots)
     basis = []

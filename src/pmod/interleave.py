@@ -31,14 +31,17 @@ The partner solve for a candidate F is the linear system
 [S; G(F)] y = [0; c]: S holds the partner's condition-2 rows and does
 not depend on F, G(F) holds the rows of conditions 3 and 4 and is linear
 in F, and c (entries of the annihilating functionals) does not depend
-on F either. So S is reduced once per search, each basis vector U_k of
-V/Z gets one block H_k, the rows of G(U_k) reduced against S (built on
-first use), and the candidates are scanned by an odometer that adds one
-block per digit it moves. A candidate then costs one elimination of
-the small block [H(F) | c] on the columns that are not pivots of S;
-over F_2 its rows are ints, added and eliminated by XOR. The solution
-is read back through S only on a hit, and it is the one a solve of the
-whole system gives, so the least-index witness is the same.
+on F either. Each side's rows are reduced once: its condition-1 rows and
+the rows whose nullspace is Z. The searched side reads V, Z and U off
+its own two reductions, and its S is the other side's condition-1
+reduction, as it is. Each basis vector U_k of V/Z gets one block H_k,
+the rows of G(U_k) reduced against S (built on first use), and the
+candidates are scanned by an odometer that adds one block per digit it
+moves. A candidate then costs one elimination of the small block
+[H(F) | c] on the columns that are not pivots of S; over F_2 its rows
+are ints, added and eliminated by XOR. The solution is read back
+through S only on a hit, and it is the one a solve of the whole system
+gives, so the least-index witness is the same.
 
 Everything here works with a presentation as given; the answer only
 depends on the presented module, which is checked as a property test
@@ -66,7 +69,7 @@ from .scalars import FieldMismatch
 from .grading import grade_shift, check_epsilon, scaled, DimensionMismatch
 from .freemod import (MorphismMatrix, BasisMismatch, make_element,
                       span_membership, nullspace, rref, _dot, _echelon,
-                      _solve, _xor_solve)
+                      _kernel, _solve, _xor_solve)
 
 DEFAULT_BUDGET = 10 ** 7
 
@@ -329,64 +332,57 @@ class _Side:
     """Everything the search needs to enumerate one direction.
 
     src, tgt: the two presentations on the problem's lattice; the fixed
-    matrix F maps <G_src> -> <G_tgt(e)>, and the partner Y solved per
-    candidate maps back. rows are the condition-1 rows over the free
-    entries of F, and U is a basis (in free-entry coordinates) of V/Z,
-    the translation-pruned candidate space. Everything is int residues,
-    as in the witness matrices materialize builds, and every grade is
-    an int tuple.
+    matrix F maps <G_src> -> <G_tgt(e)> on the free entries of mask,
+    and the partner Y solved per candidate maps back. Two row lists over
+    F's free entries are reduced once each: the condition-1 rows (their
+    nullspace is V) and the Z rows (nullspace Z). dim = rank(Z rows) -
+    rank(condition rows) = dim V - dim Z is the dimension of V/Z, the
+    translation-pruned candidate space. Everything is int residues, as
+    in the witness matrices materialize builds; grades are int tuples.
 
-    The data for the partner solve is built by pair_with, only for the
-    side that is enumerated, and hits scans the candidates.
+    pair_with, run only on the enumerated side, builds the basis U of
+    V/Z and the partner-solve data, and hits scans the candidates.
     """
 
-    __slots__ = ("prob", "src", "tgt", "free", "rows", "U",
-                 "yfree", "K2", "K3", "_nsrc", "_ntgt",
+    __slots__ = ("prob", "src", "tgt", "free", "dim", "U",
+                 "yfree", "K2", "K3", "_nsrc", "_ntgt", "_cond", "_trans",
                  "_S", "_pivots", "_cols", "_img", "_rhs", "_blocks")
 
-    def __init__(self, prob, direction):
-        lat = prob._lat
-        if direction == "M->N":
-            src, tgt, mask = lat.M, lat.N, prob.pat_A
-        elif direction == "N->M":
-            src, tgt, mask = lat.N, lat.M, prob.pat_B
-        else:
-            raise ValueError(f"direction must be 'M->N' or 'N->M', "
-                             f"got {direction!r}")
+    def __init__(self, prob, src, tgt, mask):
         self.prob = prob
         self.src = src
         self.tgt = tgt
         self.free = free = _free_positions(mask)
         self._nsrc = len(src.gens)
         self._ntgt = len(tgt.gens)
-        k = prob._k
-        p = prob.field.p
-
-        self.rows = _condition_rows(src, tgt, k, free)
-        V = nullspace(self.rows, len(free), p)
-        zrows = []
-        for j, g in enumerate(src.gens):
-            for kappa in _annihilator(tgt, _up(g, k)):
-                zrows.append([kappa[i] if jj == j else 0
-                              for (i, jj) in free])
-        Z = nullspace(zrows, len(free), p)
-        self.U = _complement(V, Z, len(free), p)
+        k, p, width = prob._k, prob.field.p, len(free)
+        self._cond = rref(_condition_rows(src, tgt, k, free), width, p)
+        zrows = [[kappa[i] if jj == j else 0 for (i, jj) in free]
+                 for j, g in enumerate(src.gens)
+                 for kappa in _annihilator(tgt, _up(g, k))]
+        self._trans = rref(zrows, width, p)
+        self.dim = len(self._trans[1]) - len(self._cond[1])
 
     def pair_with(self, other):
-        """Static data for the partner solve; other is the opposite side.
+        """U and the static data for the partner solve; other is the
+        opposite side.
 
-        The partner's condition 2 is the opposite side's condition 1,
-        so its rows S are reused as they are, and reduced once. The
-        rows of conditions 3 and 4 are G(F) with right-hand side c: one
-        row per functional in K2 and in K3, and c holds the functionals'
-        own entries, so it does not depend on F.
+        U complements Z in V, both read off this side's reductions. The
+        partner's condition 2 is the opposite side's condition 1, so S
+        is that side's reduction, as it is. The rows of conditions 3 and
+        4 are G(F) with right-hand side c: one row per functional in K2
+        and in K3, and c holds the functionals' own entries, so it does
+        not depend on F.
         """
         p = self.prob.field.p
+        width = len(self.free)
+        self.U = _complement(_kernel(*self._cond, width, p),
+                             _kernel(*self._trans, width, p), width, p)
         self.yfree = other.free
         k2 = 2 * self.prob._k
         self.K2 = [_annihilator(self.src, _up(g, k2)) for g in self.src.gens]
         self.K3 = [_annihilator(self.tgt, _up(g, k2)) for g in self.tgt.gens]
-        self._S, self._pivots = rref(other.rows, len(other.free), p)
+        self._S, self._pivots = other._cond
         pivots = dict(zip(self._pivots, self._S))
         self._cols = cols = [t for t in range(len(other.free))
                              if t not in pivots]
@@ -545,11 +541,12 @@ def is_interleaved(prob, budget=DEFAULT_BUDGET):
     order and the least-index witness wins.
     """
     _check_finite(prob.field)
-    side_a = _Side(prob, "M->N")
-    side_b = _Side(prob, "N->M")
-    side, other = ((side_a, side_b) if len(side_a.U) <= len(side_b.U)
+    lat = prob._lat
+    side_a = _Side(prob, lat.M, lat.N, prob.pat_A)
+    side_b = _Side(prob, lat.N, lat.M, prob.pat_B)
+    side, other = ((side_a, side_b) if side_a.dim <= side_b.dim
                    else (side_b, side_a))
-    total = prob.field.p ** len(side.U)
+    total = prob.field.p ** side.dim
     if total > budget:
         raise BudgetExceeded(total, budget)
     side.pair_with(other)

@@ -15,7 +15,8 @@ from pmod import (BasisMismatch, BudgetExceeded, DimensionMismatch,
                   check_closure, export_quadratic_system, is_interleaved,
                   minimize, parse, serialize, span_membership)
 from pmod.freemod import nullspace
-from pmod.interleave import _Side, _condition_rows, _patterns
+from pmod.interleave import (_Side, _annihilator, _complement,
+                             _condition_rows, _patterns)
 
 from conftest import (F2, F3, F5, brute_system_solvable, local_solve,
                       random_presentation, rng_for)
@@ -70,8 +71,6 @@ def test_problem_validation():
         InterleavingProblem(M, N2, Fraction(1))
     with pytest.raises(DimensionMismatch):
         InterleavingProblem(M, box_interval(F5, [0, 0], []), Fraction(1))
-    with pytest.raises(ValueError):
-        _Side(_pair(1), "sideways")
 
 
 def test_patterns_shift_with_epsilon():
@@ -298,7 +297,7 @@ def _partner_system(side, other, F):
     functional of K2 (conditions on Y.F) and of K3 (on F.Y) gives one
     row of G(F), with its own entry as right-hand side."""
     nsrc, ntgt = len(side.src.gens), len(side.tgt.gens)
-    rows = [list(r) for r in other.rows]
+    rows = _condition_rows(other.src, other.tgt, side.prob._k, other.free)
     rhs = [0] * len(rows)
     for j, ks in enumerate(side.K2):
         for kappa in ks:
@@ -311,6 +310,60 @@ def _partner_system(side, other, F):
             rows.append([kF[t] if jj == i else 0 for (t, jj) in other.free])
             rhs.append(kappa[i])
     return rows, rhs
+
+
+def test_each_row_list_reduced_once(monkeypatch):
+    # a side's dim, read off its two reductions, is len(U) as the
+    # complement of the two nullspaces gives it; one search builds U for
+    # its searched side only, and hands no row list to rref twice
+    rng = rng_for(1818)
+    searched = 0
+    primes = set()
+    while searched < 30:
+        field = rng.choice([F2, F3, F5])
+        p = field.p
+        P = random_presentation(rng, field, 2, 4, 4, 1, 1)
+        Q = random_presentation(rng, field, 2, 4, 4, 1, 1, name="N")
+        finite = pmod.candidate_set(P, Q).finite()
+        prob = InterleavingProblem(P, Q, rng.choice(finite))
+        lat, k = prob._lat, prob._k
+        dims = []
+        for src, tgt, mask in ((lat.M, lat.N, prob.pat_A),
+                               (lat.N, lat.M, prob.pat_B)):
+            side = _Side(prob, src, tgt, mask)
+            free, width = side.free, len(side.free)
+            zrows = [[kappa[i] if jj == j else 0 for (i, jj) in free]
+                     for j, g in enumerate(src.gens)
+                     for kappa in _annihilator(tgt, tuple(x + k for x in g))]
+            V = nullspace(_condition_rows(src, tgt, k, free), width, p)
+            U = _complement(V, nullspace(zrows, width, p), width, p)
+            assert side.dim == len(U)
+            dims.append(side.dim)
+        with pytest.raises(BudgetExceeded) as exc:
+            is_interleaved(prob, 0)
+        assert exc.value.required == p ** min(dims)
+        if p ** min(dims) > 500:
+            continue
+        reduced, complements = [], []
+
+        def recording(rows, width, p, _rref=pmod.freemod.rref):
+            reduced.append(rows)  # held, so no id is reused
+            return _rref(rows, width, p)
+
+        def counting(*args, _complement=pmod.interleave._complement):
+            complements.append(args)
+            return _complement(*args)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(pmod.freemod, "rref", recording)
+            mp.setattr(pmod.interleave, "rref", recording)
+            mp.setattr(pmod.interleave, "_complement", counting)
+            is_interleaved(prob)
+        assert len(complements) == 1
+        assert len({id(rows) for rows in reduced}) == len(reduced)
+        searched += 1
+        primes.add(p)
+    assert primes == {2, 3, 5}
 
 
 def test_partner_kernel_matches_full_solve():
@@ -328,9 +381,11 @@ def test_partner_kernel_matches_full_solve():
         # the upper candidates, where more candidates hit
         finite = pmod.candidate_set(P, Q).finite()
         prob = InterleavingProblem(P, Q, rng.choice(finite[len(finite) // 2:]))
-        pair = [_Side(prob, "M->N"), _Side(prob, "N->M")]
+        lat = prob._lat
+        pair = [_Side(prob, lat.M, lat.N, prob.pat_A),
+                _Side(prob, lat.N, lat.M, prob.pat_B)]
         for side, other in (pair, pair[::-1]):
-            m = len(side.U)
+            m = side.dim
             if p ** m > 400:
                 continue
             side.pair_with(other)
