@@ -177,9 +177,7 @@ def verify_compatible(pair, P_M, P_N, budget=DEFAULT_BUDGET):
         return False
     for y_list, shifted_block in ((pair.Y1, "W2"), (pair.Y2, "W1")):
         for _, el in y_list:
-            for t, c in enumerate(el.coeffs):
-                if not c:
-                    continue
+            for t, _ in el.terms:
                 in_w2 = t >= gm
                 shifted = (shifted_block == "W2") == in_w2
                 g = el.basis.grades[t]
@@ -201,8 +199,7 @@ def serialize_pair(pair):
         out.append(f"gen W2 {nm} @ {format_grade(g)}")
     for tag, y_list in (("Y1", pair.Y1), ("Y2", pair.Y2)):
         for nm, el in y_list:
-            terms = [f"{c}*{bn}" for c, bn
-                     in zip(el.coeffs, el.basis.names) if c]
-            rhs = " + ".join(terms) if terms else "0"
+            names = el.basis.names
+            rhs = " + ".join(f"{c}*{names[j]}" for j, c in el.terms) or "0"
             out.append(f"rel {tag} {nm} @ {format_grade(el.grade)} = {rhs}")
     return "\n".join(out) + "\n"

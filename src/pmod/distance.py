@@ -96,7 +96,7 @@ def _line_bars(S, x):
     in that order."""
     births = [max(map(sub, g, x)) for g in S.gens]
     rels = sorted(((max(map(sub, g, x)), c)
-                   for g, c in zip(S.rels, S.coeffs)), key=itemgetter(0))
+                   for g, c in zip(S.rels, S.terms)), key=itemgetter(0))
     return _bars(births, rels, S.P.field.p)
 
 

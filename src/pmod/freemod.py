@@ -84,25 +84,31 @@ class GradedSet:
         return f"GradedSet[{inside}]"
 
 
+_ZERO_Q = Fraction(0)  # immutable, so every Q element shares it
+
+
 class HomogeneousElement:
     """An element of <B> at a single grade, as a coefficient vector of
-    raw values of field.
+    raw values of field, and its terms: the (position, value) pairs of
+    its nonzero coefficients, in position order.
 
     Do not construct directly; use make_element, which checks the values
     and enforces the grade pattern. parse, whose values are made by
-    FieldSpec.coerce, checks only the pattern, with _check_terms.
+    FieldSpec.coerce, checks only the pattern, on its grade lattice,
+    and builds its elements from their terms with _element_of_terms.
     """
 
-    __slots__ = ("basis", "grade", "coeffs", "field")
+    __slots__ = ("basis", "grade", "coeffs", "field", "terms")
 
-    def __init__(self, basis, grade, coeffs, field):
+    def __init__(self, basis, grade, coeffs, field, terms):
         self.basis = basis
         self.grade = grade
         self.coeffs = tuple(coeffs)
         self.field = field
+        self.terms = terms
 
     def is_zero(self):
-        return not any(self.coeffs)
+        return not self.terms
 
     def __eq__(self, other):
         return (isinstance(other, HomogeneousElement)
@@ -115,9 +121,8 @@ class HomogeneousElement:
         return hash((self.field, self.basis, self.grade, self.coeffs))
 
     def __repr__(self):
-        terms = [f"{c}*{n}" for c, n in zip(self.coeffs, self.basis.names)
-                 if c]
-        body = " + ".join(terms) if terms else "0"
+        names = self.basis.names
+        body = " + ".join(f"{c}*{names[j]}" for j, c in self.terms) or "0"
         return f"<{body} @ {self.grade}>"
 
 
@@ -129,7 +134,7 @@ def make_element(B, u, coeffs, field):
     (FieldSpec.coerce makes one), and PatternViolation if some
     coefficient is nonzero at a generator whose grade is not <= u, in
     that order. The pattern is checked by _check_terms, on the nonzero
-    coefficients.
+    coefficients, which are also the element's terms.
     """
     coeffs = tuple(coeffs)
     if len(coeffs) != len(B):
@@ -147,7 +152,17 @@ def make_element(B, u, coeffs, field):
         if c:
             terms[j] = c
     _check_terms(B, u, terms)
-    return HomogeneousElement(B, u, coeffs, field)
+    return HomogeneousElement(B, u, coeffs, field, tuple(terms.items()))
+
+
+def _element_of_terms(B, u, terms, field):
+    """The element of <B> at grade u whose terms, (position, value)
+    pairs in position order with every value nonzero, pass the checks
+    of make_element; its coefficient vector is built from them."""
+    coeffs = [0 if field.p else _ZERO_Q] * len(B)
+    for j, c in terms:
+        coeffs[j] = c
+    return HomogeneousElement(B, u, coeffs, field, tuple(terms))
 
 
 def _check_terms(B, u, terms):

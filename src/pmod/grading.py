@@ -18,6 +18,8 @@ with scaled (here) giving each grade as an int tuple in units of 1/L,
 so every candidate, shift and half-difference is an int. Values are
 lifted back as Fraction(v, L) only where they leave the search: the
 distance, each probe's public e, the bound and the candidate set.
+presentation.parse and onedim.barcode scale one text's or one
+presentation's grades the same way.
 """
 
 import math
@@ -113,7 +115,7 @@ def scaled(g, L):
     """The grade g as an int tuple in units of 1/L; L must be a
     multiple of g.den."""
     k = L // g.den
-    return g.nums if k == 1 else tuple(x * k for x in g.nums)
+    return g.nums if k == 1 else tuple([x * k for x in g.nums])
 
 
 def sorted_by_grade(items, grade_of):

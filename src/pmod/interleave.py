@@ -117,17 +117,18 @@ def _up(a, k):
 
 class _Scaled:
     """One presentation on a lattice: its generator and relation grades
-    as int tuples in units of 1/L, the relations' raw coefficients, and
-    the memo of _annihilator, keyed by the bitmask of the relations
-    present at a grade."""
+    as int tuples in units of 1/L, the relations' raw coefficients and
+    their sparse terms, and the memo of _annihilator, keyed by the
+    bitmask of the relations present at a grade."""
 
-    __slots__ = ("P", "gens", "rels", "coeffs", "ann")
+    __slots__ = ("P", "gens", "rels", "coeffs", "terms", "ann")
 
     def __init__(self, P, L):
         self.P = P
         self.gens = [scaled(g, L) for g in P.generators.grades]
         self.rels = [scaled(el.grade, L) for el in P.relations]
         self.coeffs = [el.coeffs for el in P.relations]
+        self.terms = [el.terms for el in P.relations]
         self.ann = {}
 
 

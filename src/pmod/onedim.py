@@ -11,15 +11,18 @@ math.inf. The one convention that needs code is inf - inf = 0 when
 comparing two deaths (two essential classes cost nothing to match).
 
 Both loops run on ints, and ints stay ints up to the public boundary.
-The reduction, _bars, holds sparse columns of the presentation's own
-coefficients: residues mod p, or over Q each column's Fractions scaled
-to ints by the lcm of their denominators, so that cancelling stays on
-ints (each column is a nonzero multiple of its reduction over Q, with
-the same low rows, and so the same bars). barcode hands it the grades
-as ints once per presentation, in units of 1/L for L the lcm of their
-denominators (grading.scaled), and keeps the bars it returns: a
-PersistenceDiagram holds ints over its least denominator, and makes
-Intervals of Fractions only for a caller who reads them. The
+The reduction, _bars, takes each relation's sparse terms
+(HomogeneousElement.terms, the nonzero coefficients that parse and
+make_element already found) and holds them as sparse columns, so no
+dense coefficient tuple is scanned: residues mod p, or over Q each
+column's Fractions scaled to ints by the lcm of their denominators, so
+that cancelling stays on ints (each column is a nonzero multiple of its
+reduction over Q, with the same low rows, and so the same bars).
+barcode hands it the grades as ints once per presentation, in units of
+1/L for L the lcm of their denominators (grading.scaled), and keeps the
+bars it returns: a PersistenceDiagram holds ints over its least
+denominator, and makes Intervals of Fractions only for a caller who
+reads them. The
 bottleneck core, _Costs, works on ints too: every endpoint distance and
 every halfwidth must be an exact int, so the public functions rescale
 both diagrams' bars to units of 1/S, S = 2 * lcm(den of each), and lift
@@ -203,11 +206,11 @@ def barcode(P):
 
     Standard graded column reduction (Zomorodian and Carlsson,
     *Computing persistent homology*, DCG 2005), run by _bars on P's
-    grades and relations in their stored (grade) order. The grades go
-    to _bars as ints in units of 1/L, L the lcm of their denominators,
-    and the diagram keeps the bars it returns as ints. Zero-length
-    intervals are dropped (they are how non-minimality of the input
-    shows up, and present no bar).
+    grades and the terms of its relations in their stored (grade)
+    order. The grades go to _bars as ints in units of 1/L, L the lcm of
+    their denominators, and the diagram keeps the bars it returns as
+    ints. Zero-length intervals are dropped (they are how
+    non-minimality of the input shows up, and present no bar).
     """
     if P.n != 1:
         raise NotOneParameter(f"barcode needs n=1, got n={P.n}")
@@ -215,27 +218,29 @@ def barcode(P):
     L = math.lcm(*(g.den for g in grades))
     ints = [scaled(g, L)[0] for g in grades]
     k = len(P.generators)
-    rels = zip(ints[k:], (el.coeffs for el in P.relations))
+    rels = zip(ints[k:], (el.terms for el in P.relations))
     return PersistenceDiagram._of_ints(L, _bars(ints[:k], rels, P.field.p))
 
 
 def _bars(births, rels, p):
     """The (birth, death) pairs, birth < death, of a one-parameter
     presentation given as its generators' births and its relations as
-    (grade, raw coefficients) pairs in ascending grade order.
+    (grade, terms) pairs in ascending grade order, the terms being the
+    (position, raw value) pairs of the nonzero coefficients, as
+    HomogeneousElement.terms holds them. No dense coefficients are read.
 
     Generators are ordered by (birth, index); each relation column, in
-    the given order, is a sparse {row: value} dict, reduced against the
-    previously kept columns by cancelling its lowest nonzero row (see
-    _reduce). Over F_p the values are residues, and a kept column is
-    scaled so its low entry is 1. Over Q (p is None) the column's
-    Fractions are scaled to ints by the lcm of their denominators, and
-    the reduction stays on ints. Scaling a column by a nonzero constant
-    changes neither its low row nor whether it reduces to 0, so the
-    pairs are those of the reduction over Q. A column surviving with
-    low row g pairs gr(g) with the relation's grade; generators never
-    chosen as a low stay alive forever (death inf). Pairs come in
-    generator order.
+    the given order, is a sparse {row: value} dict made from its terms,
+    reduced against the previously kept columns by cancelling its lowest
+    nonzero row (see _reduce). Over F_p the values are residues, and a
+    kept column is scaled so its low entry is 1. Over Q (p is None) the
+    column's Fractions are scaled to ints by the lcm of their
+    denominators, and the reduction stays on ints. Scaling a column by
+    a nonzero constant changes neither its low row nor whether it
+    reduces to 0, so the pairs are those of the reduction over Q. A
+    column surviving with low row g pairs gr(g) with the relation's
+    grade; generators never chosen as a low stay alive forever (death
+    inf). Pairs come in generator order.
     """
     # a stable sort: equal grades keep index order
     order = sorted(range(len(births)), key=births.__getitem__)
@@ -245,12 +250,13 @@ def _bars(births, rels, p):
 
     reduced = {}   # low row -> kept column
     death_of = {}  # low row -> death
-    for grade, coeffs in rels:
-        col = {row_of[i]: c for i, c in enumerate(coeffs) if c}
+    for grade, terms in rels:
         if p is None:
-            m = math.lcm(*(c.denominator for c in col.values()))
-            col = {r: c.numerator * (m // c.denominator)
-                   for r, c in col.items()}
+            m = math.lcm(*(c.denominator for _, c in terms))
+            col = {row_of[i]: c.numerator * (m // c.denominator)
+                   for i, c in terms}
+        else:
+            col = {row_of[i]: c for i, c in terms}
         low = _reduce(col, reduced, p)
         if low is not None:
             if p is not None:

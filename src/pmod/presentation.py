@@ -18,18 +18,30 @@ Comments run from '#' to end of line. With params 1 grades may be bare
 rationals. Relations are stored sorted by grade (lexicographic on
 coordinates, stable within ties), so parse and serialize are mutually
 inverse on the nose.
+
+parse reads each gen and rel line with one partition per separator and
+sums a relation's terms per generator, keeping those that do not cancel
+as the element's terms. It puts every grade of the text on one int
+lattice (grading.scaled) and tests each relation's grade pattern there,
+with one comparison per coordinate; freemod._check_terms runs only when
+that test fails, to raise make_element's PatternViolation. It orders
+the relations by their lattice grades and builds the Presentation
+directly, since it has made every check that Presentation(...) makes:
+the grade dimension, the basis, the field and unique relation names.
 """
 
 import functools
+import math
 import sys
 import weakref
+from operator import itemgetter, le
 
 from .scalars import FieldSpec, FieldMismatch
 from .grading import (Grade, grade_leq, parse_grade, parse_int,
-                      parse_rational, format_grade, sorted_by_grade,
+                      parse_rational, format_grade, scaled, sorted_by_grade,
                       DimensionMismatch)
-from .freemod import (GradedSet, HomogeneousElement, make_element,
-                      span_membership, BasisMismatch, _check_terms,
+from .freemod import (GradedSet, make_element, span_membership,
+                      BasisMismatch, _check_terms, _element_of_terms,
                       _echelon)
 
 
@@ -92,10 +104,6 @@ class Presentation:
                  "relations")
 
     def __init__(self, field, n, generators, relations, name="M"):
-        self.name = name
-        self.field = field
-        self.n = n
-        self.generators = generators
         for g in generators.grades:
             if len(g.nums) != n:
                 raise DimensionMismatch(
@@ -113,8 +121,24 @@ class Presentation:
             if el.field != field:
                 raise FieldMismatch(f"relation {nm} over the wrong field")
         pairs = sorted_by_grade(pairs, lambda p: p[1].grade)
-        self.rel_names = tuple(nm for nm, _ in pairs)
-        self.relations = tuple(el for _, el in pairs)
+        self._hold(field, n, generators, [nm for nm, _ in pairs],
+                   [el for _, el in pairs], name)
+
+    @classmethod
+    def _of_checked(cls, field, n, generators, rel_names, relations, name):
+        """The presentation of parts that already pass every check of
+        __init__, with the relations already in grade order."""
+        P = cls.__new__(cls)
+        P._hold(field, n, generators, rel_names, relations, name)
+        return P
+
+    def _hold(self, field, n, generators, rel_names, relations, name):
+        self.name = name
+        self.field = field
+        self.n = n
+        self.generators = generators
+        self.rel_names = tuple(rel_names)
+        self.relations = tuple(relations)
 
     def rel_pairs(self):
         return list(zip(self.rel_names, self.relations))
@@ -138,7 +162,18 @@ class Presentation:
 # ----------------------------------------------------------------------
 
 def parse(text):
-    """Parse the canonical text format into a Presentation."""
+    """Parse the canonical text format into a Presentation.
+
+    Every grade of the text goes on one int lattice, in units of 1/L
+    for L the lcm of their denominators (grading.scaled). A relation's
+    grade pattern is tested there, on the terms that do not cancel to
+    0: the componentwise max of their generators' grades must be <= the
+    relation's grade. Only when that fails does _check_terms run, to
+    raise the PatternViolation that make_element gives. Each element
+    keeps those terms, in position order. The relations are ordered by
+    their lattice grade, stably, and the Presentation is built without
+    the checks of Presentation(...), all of which parse has made.
+    """
     header = {}
     gen_items = []
     gen_lines = {}
@@ -147,7 +182,7 @@ def parse(text):
     lines = text.splitlines()
     significant = []
     for lineno, raw in enumerate(lines, start=1):
-        body = raw.split("#", 1)[0].strip()
+        body = raw.partition("#")[0].strip()
         if body:
             significant.append((lineno, body))
 
@@ -179,18 +214,17 @@ def parse(text):
 
     def parse_grade_here(textpart, lineno):
         try:
-            return _grade_of_text(n, textpart)
+            return _grade_of_text(n, textpart.strip())
         except (ValueError, DimensionMismatch) as exc:
             fail(str(exc), lineno)
 
     for lineno, body in significant[3:]:
         kind = body.split(None, 1)[0]
         if kind == "gen":
-            rest = body[len("gen"):].strip()
-            if "@" not in rest:
+            gname, at, gradepart = body[3:].partition("@")
+            if not at:
                 fail("expected 'gen <name> @ <grade>'", lineno)
-            gname, _, gradepart = rest.partition("@")
-            gname, gradepart = gname.strip(), gradepart.strip()
+            gname = gname.strip()
             if not gname or " " in gname:
                 fail(f"bad generator name {gname!r}", lineno)
             if gname in gen_lines:
@@ -199,26 +233,26 @@ def parse(text):
             gen_items.append((sys.intern(gname),
                               parse_grade_here(gradepart, lineno)))
         elif kind == "rel":
-            rest = body[len("rel"):].strip()
-            if "@" not in rest or "=" not in rest.split("@", 1)[1]:
+            rname, _, rest = body[3:].partition("@")
+            gradepart, eq, terms = rest.partition("=")
+            if not eq:
                 fail("expected 'rel <name> @ <grade> = <terms>'", lineno)
-            rname, _, rest2 = rest.partition("@")
-            gradepart, _, terms = rest2.partition("=")
-            rname, gradepart, terms = (rname.strip(), gradepart.strip(),
-                                       terms.strip())
+            rname = rname.strip()
             if not rname or " " in rname:
                 fail(f"bad relation name {rname!r}", lineno)
-            rel_lines.append(
-                (rname, parse_grade_here(gradepart, lineno), terms, lineno))
+            rel_lines.append((rname, parse_grade_here(gradepart, lineno),
+                              terms.strip(), lineno))
         else:
             fail(f"unrecognized directive {kind!r}", lineno)
 
     gens = _graded_set(gen_items)
     position = {gname: j for j, gname in enumerate(gens.names)}
+    L = math.lcm(*(g.den for g in gens.grades),
+                 *(g.den for _, g, _, _ in rel_lines))
+    tops = [scaled(g, L) for g in gens.grades]
     p = field.p
-    zero = field.coerce(0)
     value_of_text = {}  # each distinct coefficient text is read once
-    pairs = []
+    rels = []  # (lattice grade, name, element)
     seen = set()
     for rname, rgrade, terms, lineno in rel_lines:
         if rname in seen:
@@ -227,48 +261,53 @@ def parse(text):
         terms_at = {}  # generator position -> sum of its terms
         if terms != "0":
             for piece in terms.split("+"):
-                piece = piece.strip()
-                if "*" not in piece:
-                    fail(f"expected '<coeff>*<gen>' in term {piece!r}", lineno)
-                ctext, _, gname = piece.rpartition("*")
-                ctext, gname = ctext.strip(), gname.strip()
+                ctext, star, gname = piece.rpartition("*")
+                if not star:
+                    fail(f"expected '<coeff>*<gen>' in term {piece.strip()!r}",
+                         lineno)
+                gname = gname.strip()
                 j = position.get(gname)
                 if j is None:
                     fail(f"unknown generator {gname!r} in relation {rname!r}",
                          lineno)
                 c = value_of_text.get(ctext)
                 if c is None:
+                    # parse_rational skips the whitespace around ctext
                     try:
                         c = field.coerce(parse_rational(ctext))
                     except ValueError:
-                        fail(f"bad scalar literal for {field}: {ctext!r}",
-                             lineno)
+                        fail(f"bad scalar literal for {field}: "
+                             f"{ctext.strip()!r}", lineno)
                     value_of_text[ctext] = c
                 if j in terms_at:
                     c += terms_at[j]
                     if p:
                         c %= p
                 terms_at[j] = c
-        # coerce made every value, so only the pattern is checked, on
-        # the written terms; a PatternViolation escapes as-is, it is a
-        # semantic error not a syntax one
-        _check_terms(gens, rgrade, terms_at)
-        coeffs = [zero] * len(gens)
-        for j, c in terms_at.items():
-            coeffs[j] = c
-        pairs.append((rname, HomogeneousElement(gens, rgrade, coeffs, field)))
+        held = [(j, c) for j, c in sorted(terms_at.items()) if c]
+        u = scaled(rgrade, L)
+        # coerce made every value, so only the pattern is checked; a
+        # PatternViolation escapes as-is, it is a semantic error not a
+        # syntax one
+        if held:
+            top = map(max, zip(*[tops[j] for j, _ in held]))
+            if not all(map(le, top, u)):
+                _check_terms(gens, rgrade, terms_at)
+        rels.append((u, rname, _element_of_terms(gens, rgrade, held, field)))
 
-    return Presentation(field, n, gens, pairs, name)
+    rels.sort(key=itemgetter(0))
+    return Presentation._of_checked(field, n, gens,
+                                    [nm for _, nm, _ in rels],
+                                    [el for _, _, el in rels], name)
 
 
 def serialize(P):
     out = [f"module {P.name}", f"field {P.field}", f"params {P.n}"]
     for gname, g in P.generators:
         out.append(f"gen {gname} @ {format_grade(g)}")
+    names = P.generators.names
     for rname, el in P.rel_pairs():
-        terms = [f"{c}*{gname}" for c, gname
-                 in zip(el.coeffs, P.generators.names) if c]
-        rhs = " + ".join(terms) if terms else "0"
+        rhs = " + ".join(f"{c}*{names[j]}" for j, c in el.terms) or "0"
         out.append(f"rel {rname} @ {format_grade(el.grade)} = {rhs}")
     return "\n".join(out) + "\n"
 

@@ -174,8 +174,9 @@ def test_bars_over_q_match_the_fraction_reduction():
     large and negative coefficients make many cancellations, where the
     entries would grow; some columns are rational combinations of
     earlier ones, possibly plus one more entry, so that whether and
-    where a column vanishes depends on exact arithmetic. The bars must
-    be those of the reduction on Fractions."""
+    where a column vanishes depends on exact arithmetic. _bars gets
+    each column's sparse terms, as an element holds them; the bars must
+    be those of the reduction of the dense columns on Fractions."""
     rng = rng_for(608)
 
     def rational(big):
@@ -204,7 +205,9 @@ def test_bars_over_q_match_the_fraction_reduction():
                           else Fraction(0) for b in births]
             rels.append((grade, coeffs))
         rels.sort(key=lambda rel: rel[0])
-        assert _bars(births, rels, None) == _fraction_bars(births, rels), \
+        sparse = [(grade, [(i, c) for i, c in enumerate(coeffs) if c])
+                  for grade, coeffs in rels]
+        assert _bars(births, sparse, None) == _fraction_bars(births, rels), \
             trial
 
 

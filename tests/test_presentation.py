@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pmod import (INF, RATIONALS, FieldMismatch, Grade,
-                  GradeOrderViolation, GradedSet, Interval, ParseError,
-                  PatternViolation, Presentation, barcode, box_interval,
-                  diagram_of, grade_leq, make_element, minimize, parse,
-                  serialize)
+                  GradeOrderViolation, GradedSet, Interval,
+                  InterleavingProblem, ParseError, PatternViolation,
+                  Presentation, apply, barcode, box_interval,
+                  compatible_presentations, diagram_of, grade_leq,
+                  is_interleaved, make_element, minimize, parse, serialize)
 from pmod.presentation import _grade_of_text
 
 from conftest import (F2, F3, F5, inject_redundancy, local_rank,
@@ -187,17 +188,24 @@ def _written_terms(rng, field, gens, rel):
     return text, [field.coerce(x) for x in dense]
 
 
+def _nonzero(coeffs):
+    """The (position, value) pairs of the nonzero coefficients."""
+    return tuple((j, c) for j, c in enumerate(coeffs) if c)
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.integers(0, 2 ** 32), st.sampled_from([RATIONALS, F3, F5]),
-       st.integers(1, 2))
+       st.integers(1, 3))
 def test_parse_relations_match_make_element(seed, field, n):
-    """parse checks each relation only on its written terms; it must
-    build the element, or raise the PatternViolation, that make_element
-    gives on the same dense coefficients."""
+    """parse tests each relation's pattern on its written terms, on the
+    int lattice of the text's grades (denominators 1 to 8 here, mixed
+    within a grade); it must build the element, or raise the
+    PatternViolation with the message, that make_element gives on the
+    same dense coefficients, and each element's terms must be its
+    nonzero coefficients."""
     rng = rng_for(seed)
-    P = random_presentation(rng, field, n, max_gens=4, max_rels=4)
-    if not len(P.generators):
-        return
+    P = random_presentation(rng, field, n, max_gens=4, max_rels=4,
+                            min_gens=1, denom=8)
     lines = serialize(P).splitlines()[:3 + len(P.generators)]
     expected = []  # (name, element or PatternViolation message), text order
     for name, rel in P.rel_pairs():
@@ -222,6 +230,45 @@ def test_parse_relations_match_make_element(seed, field, n):
     for name, el in Q.rel_pairs():
         assert [type(c) for c in el.coeffs] == \
             [type(c) for c in want[name].coeffs]
+        assert el.terms == _nonzero(el.coeffs) == want[name].terms
+
+
+def test_element_terms_agree_with_coeffs():
+    """Whichever operation builds an element (make_element, apply,
+    minimize, compatible_presentations), its terms are its nonzero
+    coefficients in position order."""
+    def agree(elements):
+        for el in elements:
+            assert el.terms == _nonzero(el.coeffs)
+            assert el.is_zero() == (not any(el.coeffs))
+
+    rng = rng_for(1903)
+    B = GradedSet([("a", Grade([0])), ("b", Grade([1])), ("c", Grade([2]))])
+    for field in (RATIONALS, F5):
+        for _ in range(20):
+            coeffs = [rand_coeff(rng, field) if rng.random() < 0.6
+                      else field.coerce(0) for _ in range(len(B))]
+            agree([make_element(B, Grade([2]), coeffs, field)])
+        agree(minimize(random_presentation(rng, field, 2, max_gens=4,
+                                           max_rels=4)).relations)
+    done = 0
+    for trial in range(40):
+        field = (F2, F3)[trial % 2]
+        P = random_presentation(rng, field, 1, min_gens=1, min_rels=1)
+        Q = random_presentation(rng, field, 1, min_gens=1, min_rels=1,
+                                name="N")
+        agree(minimize(inject_redundancy(rng, P, 1)).relations)
+        e = Fraction(rng.randint(1, 4))
+        w = is_interleaved(InterleavingProblem(P, Q, e))
+        if w is None:
+            continue
+        done += 1
+        agree(apply(w.A, el) for el in P.relations)
+        agree(apply(w.B, el) for el in Q.relations)
+        pair, ind_M, ind_N = compatible_presentations(P, Q, w, e)
+        agree(el for _, el in (*pair.Y1, *pair.Y2))
+        agree((*ind_M.relations, *ind_N.relations))
+    assert done >= 5
 
 
 def test_round_trip_random():
@@ -359,6 +406,8 @@ def test_parse_pattern_violation_names_the_first_generator():
     ("F3", "1*b + 1*a + 2*b"),
     ("F3", "1*b + -1*b + 1*a + 0*b"),
     ("F3", "1*b + 2*b"),
+    ("Q", "0*b + 1*a"),
+    ("F3", "1*a + 3*b"),
 ])
 def test_parse_cancelled_terms_above_the_grade(field, terms):
     # the terms on b sum to 0, so b's grade (above the relation's) puts
