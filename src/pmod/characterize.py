@@ -19,10 +19,10 @@ only from grade gr(w) + e onward).
 
 from operator import itemgetter
 
-from .grading import grade_shift, grade_leq, check_epsilon, sorted_by_grade
+from .grading import grade_shift, check_epsilon, sorted_by_grade
 from .scalars import FieldMismatch
-from .freemod import (GradedSet, BasisMismatch, make_element,
-                      span_membership, apply)
+from .freemod import (GradedSet, BasisMismatch, PatternViolation,
+                      make_element, span_membership, apply)
 from .presentation import Presentation
 from .interleave import InterleavingProblem, check_closure, DEFAULT_BUDGET
 from .distance import is_isomorphic
@@ -85,12 +85,13 @@ class CompatiblePair:
 def compatible_presentations(P_M, P_N, witness, e):
     """Build the pair and the two induced presentations.
 
+    InterleavingProblem checks the pair (n, then the field) and then e.
     The witness is revalidated from scratch; InvalidWitness names the
     first failure among its type (check_closure's refusal), conditions
     1 and 2, and the round trips. Returns (pair, induced_M, induced_N).
     """
-    e = check_epsilon(e)
     prob = InterleavingProblem(P_M, P_N, e)
+    e = prob.e
     A, B = witness.A, witness.B
     try:
         closed = check_closure(A, B, prob)
@@ -163,28 +164,20 @@ def induced_presentations(pair, names=("M", "N")):
 def verify_compatible(pair, P_M, P_N, budget=DEFAULT_BUDGET):
     """Self-check of a pair against the two original presentations.
 
-    (a) grade bookkeeping: the pair's field and n are the modules',
-    W1/W2 reproduce the generator data, and
-    every mixed coefficient respects the shifted reading (a W2
-    coefficient in Y1 needs gr(w) + e <= gr(element), symmetrically
-    for Y2); (b) the induced presentations are isomorphic to the
-    originals (decided by the 0-interleaving search).
+    (a) grade bookkeeping: the pair's field and n are the modules', and
+    W1/W2 reproduce the generator data; (b) the induced presentations
+    build without a PatternViolation, which is the shifted reading of
+    every mixed coefficient (a W2 coefficient in Y1 needs
+    gr(w) + e <= gr(element), symmetrically for Y2); (c) they are
+    isomorphic to the originals (decided by the 0-interleaving search).
     """
-    e = pair.e
-    gm = len(pair.W1)
     if ((pair.field, pair.n) != (P_M.field, P_M.n)
             or pair.W1 != P_M.generators or pair.W2 != P_N.generators):
         return False
-    for y_list, shifted_block in ((pair.Y1, "W2"), (pair.Y2, "W1")):
-        for _, el in y_list:
-            for t, _ in el.terms:
-                in_w2 = t >= gm
-                shifted = (shifted_block == "W2") == in_w2
-                g = el.basis.grades[t]
-                bound = grade_shift(g, e) if shifted else g
-                if not grade_leq(bound, el.grade):
-                    return False
-    ind_M, ind_N = induced_presentations(pair, (P_M.name, P_N.name))
+    try:
+        ind_M, ind_N = induced_presentations(pair, (P_M.name, P_N.name))
+    except PatternViolation:
+        return False
     return (is_isomorphic(ind_M, P_M, budget)
             and is_isomorphic(ind_N, P_N, budget))
 

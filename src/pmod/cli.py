@@ -24,7 +24,7 @@ from .onedim import NotOneParameter, format_extended, diagram_bottleneck
 from .onedim import barcode as run_barcode
 from .interleave import (InterleavingProblem, is_interleaved,
                          export_quadratic_system, BudgetExceeded,
-                         UnsupportedField, DEFAULT_BUDGET)
+                         UnsupportedField, DEFAULT_BUDGET, _check_pair)
 from .distance import candidate_set, interleaving_distance, is_isomorphic
 from .characterize import compatible_presentations, serialize_pair
 
@@ -176,6 +176,7 @@ def barcode(file_m, as_json):
 def bottleneck(file_m, file_n, as_json):
     """Bottleneck distance d_B between two one-parameter modules."""
     P, Q = _load(file_m), _load(file_n)
+    _run(_check_pair, P, Q)
     d = format_extended(diagram_bottleneck(_run(run_barcode, P),
                                            _run(run_barcode, Q)))
     _emit(as_json, {"d_B": d}, f"d_B = {d}\n")

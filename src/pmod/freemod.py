@@ -8,10 +8,13 @@ pattern that says which coordinates are allowed to be nonzero:
 
   * a homogeneous element at grade u may touch generator b only if
     gr(b) <= u;
-  * a morphism matrix <B> -> <B'(e)> may have entry (i, j) nonzero only
-    if gr(b'_i) <= gr(b_j) + e.
+  * a morphism matrix <B> -> <B'(e)> holds in column j the image of
+    b_j, a homogeneous element of <B'> at grade gr(b_j) + e, so it obeys
+    the first rule column by column: entry (i, j) may be nonzero only
+    if gr(b'_i) <= gr(b_j) + e. MorphismMatrix checks each column with
+    make_element, so one function, _check_terms, holds both rules.
 
-The second rule is what makes patterned matrices correspond exactly to
+The matrix rule is what makes patterned matrices correspond exactly to
 degree-preserving morphisms ("not >= forces zero"; a strict-< rule
 would wrongly allow incomparable grades).
 
@@ -185,8 +188,11 @@ def _check_terms(B, u, terms):
 class MorphismMatrix:
     """A |B'| x |B| matrix representing a morphism <B> -> <B'(e)>.
 
-    Entries are raw values of field, checked as in make_element. Entry
-    (i, j) may be nonzero only when gr(b'_i) <= gr(b_j) + e.
+    Column j is the image of b_j, an element of <B'> at gr(b_j) + e, and
+    is checked by make_element at that grade, columns in domain order:
+    its entries are raw values of field, entry (i, j) may be nonzero
+    only when gr(b'_i) <= gr(b_j) + e, and the grades of B and B' must
+    have one dimension when both are nonempty.
     """
 
     __slots__ = ("domain", "codomain", "shift", "entries", "field")
@@ -195,32 +201,18 @@ class MorphismMatrix:
         self.domain = domain
         self.codomain = codomain
         self.shift = shift if type(shift) is Fraction else Fraction(shift)
-        entries = [list(row) for row in entries]
-        if len(entries) != len(codomain):
+        rows = [tuple(row) for row in entries]
+        if len(rows) != len(codomain):
             raise BasisMismatch(
-                f"{len(entries)} rows for a codomain of size {len(codomain)}")
-        for row in entries:
+                f"{len(rows)} rows for a codomain of size {len(codomain)}")
+        for row in rows:
             if len(row) != len(domain):
                 raise BasisMismatch(
                     f"row of length {len(row)} for a domain of size {len(domain)}")
         self.field = field
-        p = field.p
-        kind = int if p else Fraction
-        # each domain grade shifted once, for its whole column
-        tops = [grade_shift(g, self.shift) for g in domain.grades]
-        for i, row in enumerate(entries):
-            cg = codomain.grades[i]
-            for j, x in enumerate(row):
-                if type(x) is not kind or p and not 0 <= x < p:
-                    raise FieldMismatch(
-                        f"entry {x!r} is not a value of {field}")
-                if x and not grade_leq(cg, tops[j]):
-                    raise PatternViolation(
-                        f"entry ({i},{j}): {self.codomain.names[i]}@"
-                        f"{self.codomain.grades[i]} <= {self.domain.names[j]}@"
-                        f"{self.domain.grades[j]} + {self.shift} fails")
-        rows = [tuple(row) for row in entries]
-        if p:
+        for g, column in zip(domain.grades, zip(*rows)):
+            make_element(codomain, grade_shift(g, self.shift), column, field)
+        if field.p:
             # residue rows hold ints alone, so equal rows are the same
             # value under every prime; Q rows stay unshared
             table = domain._rows

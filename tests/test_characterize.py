@@ -1,8 +1,9 @@
 import pytest
 from fractions import Fraction
 
-from pmod import (CompatiblePair, Grade, GradedSet, InterleavingProblem,
-                  InvalidWitness, MorphismMatrix, combined_basis,
+from pmod import (CompatiblePair, FieldMismatch, Grade, GradedSet,
+                  HomogeneousElement, InterleavingProblem, InvalidWitness,
+                  MorphismMatrix, PatternViolation, combined_basis,
                   compatible_presentations, induced_presentations,
                   is_interleaved, make_element, parse, serialize,
                   serialize_pair, verify_compatible)
@@ -101,6 +102,16 @@ def test_invalid_witness_shift():
         compatible_presentations(M, N, w, Fraction(2))
 
 
+def test_pair_checked_before_the_shift():
+    # InterleavingProblem checks n, then the field, then e
+    M, N, w = _offset_pair()
+    N3 = parse(N_TEXT.replace("F5", "F3"))
+    with pytest.raises(FieldMismatch, match="^F5 vs F3$"):
+        compatible_presentations(M, N3, w, -1)
+    with pytest.raises(ValueError, match="nonnegative"):
+        compatible_presentations(M, N, w, -1)
+
+
 def test_invalid_witness_shapes():
     M, N, w = _offset_pair()
     swapped = type(w)(w.B, w.A)
@@ -160,6 +171,76 @@ def test_verify_rejects_understated_mixed_grade():
                           [("r1", r1w), ("bad", bad)],
                           [("s1", s1w)], Fraction(1))
     assert not verify_compatible(pair, M, N)
+    # the Y2 half: an a-coefficient at grade 1/2 is plain-legal, but a
+    # lies in W1(-e) from gr(a) + 1 = 1 onward
+    bad = make_element(basis, Grade([Fraction(1, 2)]), [one, zero], F5)
+    pair = CompatiblePair(F5, 1, M.generators, N.generators,
+                          [("r1", r1w)], [("s1", s1w), ("bad", bad)],
+                          Fraction(1))
+    assert not verify_compatible(pair, M, N)
+
+
+def _shifted_reading_holds(pair):
+    """Term by term, on Fraction coordinates: a W2 coefficient in Y1
+    and a W1 coefficient in Y2 need gr(w) + e <= gr(element), every
+    other coefficient gr(w) <= gr(element)."""
+    gm = len(pair.W1)
+    for y_list, w2_shifted in ((pair.Y1, True), (pair.Y2, False)):
+        for _, el in y_list:
+            for t, c in enumerate(el.coeffs):
+                bump = pair.e if (t >= gm) == w2_shifted else 0
+                g = el.basis.grades[t].coords
+                if c and not all(a + bump <= b
+                                 for a, b in zip(g, el.grade.coords)):
+                    return False
+    return True
+
+
+def _mutated(pair, rng):
+    """pair with one Y element changed, unchecked: a coefficient set to
+    1 where it was 0, or one coordinate of its grade lowered."""
+    ys = [list(pair.Y1), list(pair.Y2)]
+    side = rng.choice([k for k in (0, 1) if ys[k]])
+    k = rng.randrange(len(ys[side]))
+    nm, el = ys[side][k]
+    coeffs, coords = list(el.coeffs), list(el.grade.coords)
+    zeros = [t for t, c in enumerate(coeffs) if not c]
+    if zeros and rng.random() < 0.5:
+        coeffs[rng.choice(zeros)] = pair.field.coerce(1)
+    else:
+        coords[rng.randrange(len(coords))] -= Fraction(rng.randint(1, 4), 2)
+    terms = tuple((t, c) for t, c in enumerate(coeffs) if c)
+    ys[side][k] = (nm, HomogeneousElement(el.basis, Grade(coords), coeffs,
+                                          pair.field, terms))
+    return CompatiblePair(pair.field, pair.n, pair.W1, pair.W2, *ys, pair.e)
+
+
+def test_induced_presentations_check_the_shifted_reading():
+    # the grade pattern of the two induced presentations is the shifted
+    # reading of the pair, term by term
+    rng = rng_for(905)
+    verdicts = {True: 0, False: 0}
+    for _ in range(40):
+        field, n = rng.choice([F2, F5]), rng.choice([1, 2])
+        P = random_presentation(rng, field, n, min_gens=1, min_rels=1)
+        Q = random_presentation(rng, field, n, min_gens=1, min_rels=1,
+                                name="N")
+        e = Fraction(rng.randint(1, 6), 2)
+        w = is_interleaved(InterleavingProblem(P, Q, e))
+        if w is None:
+            continue
+        pair, _, _ = compatible_presentations(P, Q, w, e)
+        assert _shifted_reading_holds(pair)
+        for _ in range(8):
+            bent = _mutated(pair, rng)
+            holds = _shifted_reading_holds(bent)
+            verdicts[holds] += 1
+            if holds:
+                induced_presentations(bent)
+            else:
+                with pytest.raises(PatternViolation):
+                    induced_presentations(bent)
+    assert min(verdicts.values()) >= 20, verdicts
 
 
 def test_verify_rejects_dropped_relation():

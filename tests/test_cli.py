@@ -100,6 +100,23 @@ def test_bottleneck_command(runner, files):
     assert json.loads(r.output) == {"d_B": "1"}
 
 
+def test_bottleneck_checks_the_pair_first(runner, files, tmp_path):
+    # the fields differ, so there is no d_B, though each barcode exists
+    m, _ = files
+    n3 = tmp_path / "n3.pmod"
+    n3.write_text(N_TEXT.replace("F5", "F3"))
+    r = runner.invoke(main, ["bottleneck", m, str(n3)])
+    assert r.exit_code == 2
+    assert (r.stdout, r.stderr) == ("", "error: F5 vs F3\n")
+    # a matched pair with two parameters still gets the barcode's error
+    two = tmp_path / "two.pmod"
+    two.write_text("module X\nfield F2\nparams 2\ngen a @ (0, 0)\n")
+    r = runner.invoke(main, ["bottleneck", str(two), str(two)])
+    assert r.exit_code == 2
+    assert (r.stdout, r.stderr) == ("",
+                                    "error: barcode needs n=1, got n=2\n")
+
+
 def test_minimize_command(runner, tmp_path):
     src = tmp_path / "red.pmod"
     src.write_text("module M\nfield F5\nparams 1\n"
@@ -212,7 +229,8 @@ def test_pair_errors_name_n_before_the_field(runner, files, tmp_path):
     n2.write_text("module N\nfield F2\nparams 2\ngen b @ (1, 1)\n")
     for cmd, *opts in (["interleaved", "--eps", "1"], ["isomorphic"],
                        ["characterize", "--eps", "1"], ["distance"],
-                       ["candidates"], ["exportmq", "--eps", "1"]):
+                       ["candidates"], ["exportmq", "--eps", "1"],
+                       ["bottleneck"]):
         r = runner.invoke(main, [cmd, m, str(n2), *opts])
         assert r.exit_code == 2, cmd
         assert (r.stdout, r.stderr) == ("", "error: n=1 vs n=2\n"), cmd

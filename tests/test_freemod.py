@@ -87,6 +87,89 @@ def test_matrix_pattern_enforced():
         MorphismMatrix(Bsrc, Btgt, [[1]], Fraction(1), RATIONALS)
 
 
+# entries that are not raw values of their field: an unreduced or a
+# negative residue, a Fraction or a bool over F_p; an int or a float
+# over Q
+NON_VALUES = {F2: [2, -1, Fraction(1), True], F5: [5, -1, Fraction(1), True],
+              RATIONALS: [1, 0, 0.5]}
+
+
+def _is_value(field, x):
+    if field.is_rationals:
+        return type(x) is Fraction
+    return type(x) is int and 0 <= x < field.p
+
+
+def _matrix_refusal(dom, cod, rows, shift, field):
+    """The error MorphismMatrix owes, read entry by entry on Fraction
+    coordinates: at the first column, in domain order, that holds a
+    non-value (FieldMismatch) or, failing that, a nonzero entry (i, j)
+    without gr(b'_i) <= gr(b_j) + e (PatternViolation); else None."""
+    for j, g in enumerate(dom.grades):
+        top = [c + shift for c in g.coords]
+        column = [row[j] for row in rows]
+        if not all(_is_value(field, x) for x in column):
+            return FieldMismatch
+        for x, h in zip(column, cod.grades):
+            if x and not all(a <= b for a, b in zip(h.coords, top)):
+                return PatternViolation
+    return None
+
+
+def test_matrix_refusals_follow_the_entry_rules():
+    # MorphismMatrix raises exactly when some entry is not a value of
+    # the field or breaks gr(b'_i) <= gr(b_j) + e
+    rng = rng_for(411)
+    seen = {None: 0, FieldMismatch: 0, PatternViolation: 0}
+    for _ in range(600):
+        field = rng.choice([F2, F5, RATIONALS])
+        n = rng.choice([1, 2])
+        dom = GradedSet([(f"x{j}", rand_grade(rng, n))
+                         for j in range(rng.randint(0, 3))])
+        cod = GradedSet([(f"y{i}", rand_grade(rng, n))
+                         for i in range(rng.randint(0, 3))])
+        shift = Fraction(rng.randint(0, 4), 2)
+        rows = [[rng.choice(NON_VALUES[field]) if rng.random() < 0.05
+                 else _rand_value(rng, field) for _ in dom] for _ in cod]
+        want = _matrix_refusal(dom, cod, rows, shift, field)
+        seen[want] += 1
+        if want is None:
+            f = MorphismMatrix(dom, cod, rows, shift, field)
+            assert f.entries == tuple(tuple(row) for row in rows)
+        else:
+            with pytest.raises(want):
+                MorphismMatrix(dom, cod, rows, shift, field)
+    assert min(seen.values()) >= 50, seen
+
+
+def test_matrix_errors_come_column_by_column():
+    # a matrix that breaks two rules reports the first column in domain
+    # order, whatever the row order says
+    dom = _basis(F5, [("x", 0), ("z", 0)])
+    cod = _basis(F5, [("y", 0), ("w", 2)])
+    # column x breaks the pattern at w, column z holds the non-value 7
+    with pytest.raises(PatternViolation,
+                       match="coefficient on w@2 in an element at grade 1"):
+        MorphismMatrix(dom, cod, [[0, 7], [1, 0]], 1, F5)
+    # within a column, the values are checked before the pattern
+    cod = _basis(F5, [("y", 2), ("w", 0)])
+    with pytest.raises(FieldMismatch, match="coefficient 7 is not a value"):
+        MorphismMatrix(_basis(F5, [("x", 0)]), cod, [[1], [7]], 1, F5)
+
+
+def test_matrix_grades_of_two_dimensions():
+    # each column is an element at a domain grade plus e, so a matrix
+    # between graded sets of different grade dimension is refused even
+    # when it is zero; with no column, or no row, there is no grade to
+    # compare
+    dom = GradedSet([("x", Grade([0]))])
+    cod = GradedSet([("y", Grade([0, 0]))])
+    with pytest.raises(DimensionMismatch):
+        MorphismMatrix(dom, cod, [[0]], 0, F5)
+    MorphismMatrix(GradedSet([]), cod, [[]], 0, F5)
+    MorphismMatrix(dom, GradedSet([]), [], 0, F5)
+
+
 def test_apply_and_compose():
     f = MorphismMatrix(B1, B1, [[0, 0, 0], [3, 0, 0], [0, 1, 0]],
                        Fraction(1), F5)
