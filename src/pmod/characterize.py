@@ -54,11 +54,11 @@ class CompatiblePair:
     """(W1, W2, Y1, Y2, e) with Y-lists as (name, element) pairs, over
     the field of an n-parameter pair of modules.
 
-    Elements live over combined_basis(W1, W2); each Y-list is stored
-    sorted by grade (stable). The field and n are held, not read off
-    the elements and grades, as a pair of zero modules has none. The
-    shifted-grade invariants are not enforced here; verify_compatible
-    checks them.
+    Elements live over combined_basis(W1, W2) and over the field (else
+    ValueError and FieldMismatch); each Y-list is stored sorted by grade
+    (stable). The field and n are held, not read off the elements and
+    grades, as a pair of zero modules has none. The shifted-grade
+    invariants are not enforced here; verify_compatible checks them.
     """
 
     __slots__ = ("field", "n", "W1", "W2", "Y1", "Y2", "e", "basis",
@@ -74,6 +74,9 @@ class CompatiblePair:
         for nm, el in list(Y1) + list(Y2):
             if el.basis != self.basis:
                 raise ValueError(f"element {nm} is not over W1 ++ W2")
+            if el.field != field:
+                raise FieldMismatch(f"element {nm} over {el.field}, "
+                                    f"not {field}")
         self.Y1 = tuple(sorted_by_grade(Y1, lambda p: p[1].grade))
         self.Y2 = tuple(sorted_by_grade(Y2, lambda p: p[1].grade))
 

@@ -24,6 +24,7 @@ Q. The bottom of the file is the one exact Gaussian elimination kernel
 (first-nonzero pivoting, no numerical concerns), on the same raw values.
 """
 
+import weakref
 from fractions import Fraction
 from operator import mul
 
@@ -45,9 +46,8 @@ class GradedSet:
     Graded sets are small and live as long as every matrix over them,
     so they hold the two tuples and one table only; position() scans
     the names. The table interns the residue rows of the F_p matrices
-    with this domain, so that many matrices over one graded set (a
-    distance matrix keeps a witness per pair) share their equal rows
-    for as long as the graded set lives, and no longer.
+    with this domain, so that many matrices over one graded set share
+    their equal rows for as long as the graded set lives, and no longer.
     """
 
     __slots__ = ("names", "grades", "_rows", "__weakref__")
@@ -75,9 +75,9 @@ class GradedSet:
         return self.names.index(name)
 
     def __eq__(self, other):
-        return (isinstance(other, GradedSet)
-                and self.names == other.names
-                and self.grades == other.grades)
+        return other is self or (isinstance(other, GradedSet)
+                                 and self.names == other.names
+                                 and self.grades == other.grades)
 
     def __hash__(self):
         return hash((self.names, self.grades))
@@ -97,8 +97,8 @@ class HomogeneousElement:
 
     Do not construct directly; use make_element, which checks the values
     and enforces the grade pattern. parse, whose values are made by
-    FieldSpec.coerce, checks only the pattern, on its grade lattice,
-    and builds its elements from their terms with _element_of_terms.
+    FieldSpec.coerce, builds its elements from their terms with
+    _element_of_terms, and Presentation(...) checks their pattern.
     """
 
     __slots__ = ("basis", "grade", "coeffs", "field", "terms")
@@ -148,14 +148,14 @@ def make_element(B, u, coeffs, field):
             f"grades of different dimension: {len(B.grades[0])} vs {len(u)}")
     p = field.p
     kind = int if p else Fraction
-    terms = {}
+    terms = []
     for j, c in enumerate(coeffs):
         if type(c) is not kind or p and not 0 <= c < p:
             raise FieldMismatch(f"coefficient {c!r} is not a value of {field}")
         if c:
-            terms[j] = c
+            terms.append((j, c))
     _check_terms(B, u, terms)
-    return HomogeneousElement(B, u, coeffs, field, tuple(terms.items()))
+    return HomogeneousElement(B, u, coeffs, field, tuple(terms))
 
 
 def _element_of_terms(B, u, terms, field):
@@ -169,20 +169,26 @@ def _element_of_terms(B, u, terms, field):
 
 
 def _check_terms(B, u, terms):
-    """The grade pattern of an element of <B> at grade u, given by the
-    {position: raw value} map of its terms; zero values are skipped.
+    """The grade pattern of an element of <B> at grade u, given by its
+    terms, the (position, nonzero raw value) pairs in position order.
 
-    Raises PatternViolation at the first generator, in B's order, with
-    a nonzero term and a grade not <= u, and DimensionMismatch (from
-    grade_leq) at a term whose grade differs from u in dimension. Only
-    the terms are read, so a relation is checked on the generators it
-    was written with.
+    Raises PatternViolation at the first term whose generator's grade
+    is not <= u, and DimensionMismatch (from grade_leq) at a term whose
+    grade differs from u in dimension.
     """
-    for j in sorted(terms):
+    for j, _ in terms:
         g = B.grades[j]
-        if terms[j] and not grade_leq(g, u):
+        if not grade_leq(g, u):
             raise PatternViolation(
                 f"coefficient on {B.names[j]}@{g} in an element at grade {u}")
+
+
+# A caller may keep many witnesses alive (a distance matrix keeps one
+# per pair), and each holds its matrices' graded sets, which nothing
+# else keeps for long. So MorphismMatrix hands out one GradedSet per
+# distinct (names, grades) while any is alive, and with it one _rows
+# table for the equal rows of every matrix over that domain.
+_SHARED_SETS = weakref.WeakValueDictionary()
 
 
 class MorphismMatrix:
@@ -192,14 +198,13 @@ class MorphismMatrix:
     is checked by make_element at that grade, columns in domain order:
     its entries are raw values of field, entry (i, j) may be nonzero
     only when gr(b'_i) <= gr(b_j) + e, and the grades of B and B' must
-    have one dimension when both are nonempty.
+    have one dimension when both are nonempty. The domain and codomain
+    held are the shared graded sets equal to the given ones.
     """
 
     __slots__ = ("domain", "codomain", "shift", "entries", "field")
 
     def __init__(self, domain, codomain, entries, shift, field):
-        self.domain = domain
-        self.codomain = codomain
         self.shift = shift if type(shift) is Fraction else Fraction(shift)
         rows = [tuple(row) for row in entries]
         if len(rows) != len(codomain):
@@ -212,6 +217,10 @@ class MorphismMatrix:
         self.field = field
         for g, column in zip(domain.grades, zip(*rows)):
             make_element(codomain, grade_shift(g, self.shift), column, field)
+        self.domain = domain = _SHARED_SETS.setdefault(
+            (domain.names, domain.grades), domain)
+        self.codomain = _SHARED_SETS.setdefault(
+            (codomain.names, codomain.grades), codomain)
         if field.p:
             # residue rows hold ints alone, so equal rows are the same
             # value under every prime; Q rows stay unshared

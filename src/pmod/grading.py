@@ -10,16 +10,18 @@ common denominator, reduced so that the denominator is the least one.
 Equality, hashing, grade_leq and grade_shift run on those ints, and
 coords is the Fraction view, built on first use. The certificate
 re-checks (check_closure, MorphismMatrix's and freemod._check_terms's
-zero patterns) compare the presentations' own grades this way. The
-interleaving search, its candidate set and its diagonal lower bound
-go one step further: they put every grade of both presentations, and
-the shift, on one integer lattice per query (interleave._Lattice),
-with scaled (here) giving each grade as an int tuple in units of 1/L,
-so every candidate, shift and half-difference is an int. Values are
-lifted back as Fraction(v, L) only where they leave the search: the
-distance, each probe's public e, the bound and the candidate set.
-presentation.parse and onedim.barcode scale one text's or one
-presentation's grades the same way.
+zero patterns) compare grades this way. A Presentation goes one step
+further when it is built: it puts its generator and relation grades on
+one integer lattice, with scaled (here) giving each grade as an int
+tuple in units of 1/L for L the lcm of their denominators, and tests
+its relations' patterns and orders them there. onedim.barcode reads its
+grades off that lattice, and the interleaving search, its candidate
+set and its diagonal lower bound put both presentations, and the
+shift, on one common multiple of their lattices per query
+(interleave._Lattice), so every candidate, shift and half-difference
+is an int. Values are lifted back as Fraction(v, L) only where they
+leave the search: the distance, each probe's public e, the bound and
+the candidate set.
 """
 
 import math
@@ -57,7 +59,7 @@ class Grade:
     ints. coords is the tuple of Fractions.
     """
 
-    __slots__ = ("den", "nums", "_coords", "_hash", "__weakref__")
+    __slots__ = ("den", "nums", "_coords", "_hash")
 
     def __init__(self, coords):
         ratios = [_ratio_of(c) for c in coords]
@@ -84,8 +86,8 @@ class Grade:
                                  and self.nums == other.nums)
 
     def __hash__(self):
-        # computed once: interned grades are hashed again as parts of
-        # graded-set keys
+        # computed once: a grade is hashed again as part of each key of
+        # a graded set that holds it
         if self._hash is None:
             self._hash = hash((self.den, self.nums))
         return self._hash

@@ -50,15 +50,18 @@ elsewhere (a presentation and its minimization give equal answers).
 The zero patterns and spans are grade comparisons, and they all run on
 one integer grade lattice per problem (_Lattice): every grade of both
 presentations, and e, times L = 2 * lcm(all their denominators), so
-grades are int tuples and e and 2e are ints. interleaving_distance
-builds one lattice per call and puts every probe on it, so the
-annihilators, memoized per presentation by the bitmask of relations
-present at a grade, carry over from probe to probe. Values are lifted
-back only at the boundary: the problem's public e is Fraction(k, L),
-and the witness is two MorphismMatrix objects on the caller's
-presentations. check_closure and MorphismMatrix's own pattern check
-stay independent re-checks: they read the presentations' own int
-grades (grading.Grade), never the lattice or the search's rows.
+grades are int tuples and e and 2e are ints. Each presentation already
+holds its grades on its own lattice, in units of 1/P.L, and L is a
+multiple of P.L, so _Scaled only multiplies those ints by L // P.L.
+interleaving_distance builds one lattice per call and puts every probe
+on it, so the annihilators, memoized per presentation by the bitmask
+of relations present at a grade, carry over from probe to probe.
+Values are lifted back only at the boundary: the problem's public e is
+Fraction(k, L), and the witness is two MorphismMatrix objects on the
+caller's presentations. check_closure and MorphismMatrix's own
+pattern check stay independent re-checks: they read the presentations'
+own int grades (grading.Grade), never the lattice or the search's
+rows.
 """
 
 import math
@@ -66,7 +69,7 @@ from fractions import Fraction
 from operator import le, mul
 
 from .scalars import FieldMismatch
-from .grading import grade_shift, check_epsilon, scaled, DimensionMismatch
+from .grading import grade_shift, check_epsilon, DimensionMismatch
 from .freemod import (MorphismMatrix, BasisMismatch, make_element,
                       span_membership, nullspace, rref, _dot, _echelon,
                       _kernel, _solve, _xor_solve)
@@ -117,16 +120,18 @@ def _up(a, k):
 
 class _Scaled:
     """One presentation on a lattice: its generator and relation grades
-    as int tuples in units of 1/L, the relations' raw coefficients and
-    their sparse terms, and the memo of _annihilator, keyed by the
-    bitmask of the relations present at a grade."""
+    as int tuples in units of 1/L, L a multiple of P.L, the relations'
+    raw coefficients and their sparse terms, and the memo of
+    _annihilator, keyed by the bitmask of the relations present at a
+    grade."""
 
     __slots__ = ("P", "gens", "rels", "coeffs", "terms", "ann")
 
     def __init__(self, P, L):
+        k = L // P.L
         self.P = P
-        self.gens = [scaled(g, L) for g in P.generators.grades]
-        self.rels = [scaled(el.grade, L) for el in P.relations]
+        self.gens = [tuple([x * k for x in g]) for g in P.gen_ints]
+        self.rels = [tuple([x * k for x in u]) for u in P.rel_ints]
         self.coeffs = [el.coeffs for el in P.relations]
         self.terms = [el.terms for el in P.relations]
         self.ann = {}
@@ -145,12 +150,8 @@ class _Lattice:
     __slots__ = ("L", "M", "N")
 
     def __init__(self, P_M, P_N, extra=()):
-        dens = {g.den
-                for P in (P_M, P_N)
-                for g in (*P.generators.grades,
-                          *(el.grade for el in P.relations))}
-        dens.update(x.denominator for x in extra)
-        self.L = L = 2 * math.lcm(*dens)
+        self.L = L = 2 * math.lcm(P_M.L, P_N.L,
+                                  *(x.denominator for x in extra))
         self.M = _Scaled(P_M, L)
         self.N = _Scaled(P_N, L)
 

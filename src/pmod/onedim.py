@@ -18,15 +18,15 @@ dense coefficient tuple is scanned: residues mod p, or over Q each
 column's Fractions scaled to ints by the lcm of their denominators, so
 that cancelling stays on ints (each column is a nonzero multiple of its
 reduction over Q, with the same low rows, and so the same bars).
-barcode hands it the grades as ints once per presentation, in units of
-1/L for L the lcm of their denominators (grading.scaled), and keeps the
-bars it returns: a PersistenceDiagram holds ints over its least
-denominator, and makes Intervals of Fractions only for a caller who
-reads them. The
-bottleneck core, _Costs, works on ints too: every endpoint distance and
-every halfwidth must be an exact int, so the public functions rescale
-both diagrams' bars to units of 1/S, S = 2 * lcm(den of each), and lift
-the answer back once, as Fraction(v, S) or inf.
+barcode hands it the grades as the presentation holds them, ints in
+units of 1/L on its own grade lattice (Presentation.L, gen_ints and
+rel_ints), and keeps the bars it returns: a PersistenceDiagram holds
+ints over its least denominator, and makes Intervals of Fractions only
+for a caller who reads them. The bottleneck core, _Costs, works on
+ints too: every endpoint distance and every halfwidth must be an exact
+int, so the public functions rescale both diagrams' bars to units of
+1/S, S = 2 * lcm(den of each), and lift the answer back once, as
+Fraction(v, S) or inf.
 
 d_B is the least candidate tolerance t at which every bar can be
 matched to a bar of the other diagram at cost <= t or sent to the
@@ -60,8 +60,6 @@ from fractions import Fraction
 from itertools import chain, groupby
 from operator import index
 from types import MappingProxyType
-
-from .grading import scaled
 
 INF = math.inf
 
@@ -207,19 +205,16 @@ def barcode(P):
     Standard graded column reduction (Zomorodian and Carlsson,
     *Computing persistent homology*, DCG 2005), run by _bars on P's
     grades and the terms of its relations in their stored (grade)
-    order. The grades go to _bars as ints in units of 1/L, L the lcm of
-    their denominators, and the diagram keeps the bars it returns as
-    ints. Zero-length intervals are dropped (they are how
-    non-minimality of the input shows up, and present no bar).
+    order. The grades go to _bars as P holds them, ints in units of
+    1/P.L, and the diagram keeps the bars it returns as ints.
+    Zero-length intervals are dropped (they are how non-minimality of
+    the input shows up, and present no bar).
     """
     if P.n != 1:
         raise NotOneParameter(f"barcode needs n=1, got n={P.n}")
-    grades = [*P.generators.grades, *(el.grade for el in P.relations)]
-    L = math.lcm(*(g.den for g in grades))
-    ints = [scaled(g, L)[0] for g in grades]
-    k = len(P.generators)
-    rels = zip(ints[k:], (el.terms for el in P.relations))
-    return PersistenceDiagram._of_ints(L, _bars(ints[:k], rels, P.field.p))
+    births = [b for b, in P.gen_ints]
+    rels = zip([u for u, in P.rel_ints], (el.terms for el in P.relations))
+    return PersistenceDiagram._of_ints(P.L, _bars(births, rels, P.field.p))
 
 
 def _bars(births, rels, p):

@@ -21,58 +21,32 @@ inverse on the nose.
 
 parse reads each gen and rel line with one partition per separator and
 sums a relation's terms per generator, keeping those that do not cancel
-as the element's terms. It puts every grade of the text on one int
-lattice (grading.scaled) and tests each relation's grade pattern there,
-with one comparison per coordinate; freemod._check_terms runs only when
-that test fails, to raise make_element's PatternViolation. It orders
-the relations by their lattice grades and builds the Presentation
-directly, since it has made every check that Presentation(...) makes:
-the grade dimension, the basis, the field and unique relation names.
+as the element's terms. It then builds the Presentation like every
+other builder, through Presentation(...), which puts the presentation's
+grades on their one int lattice, tests each relation's grade pattern
+there and orders the relations by their lattice grades. onedim.barcode
+and interleave._Lattice read the grades off that lattice.
 """
 
 import functools
 import math
 import sys
-import weakref
 from operator import itemgetter, le
 
 from .scalars import FieldSpec, FieldMismatch
 from .grading import (Grade, grade_leq, parse_grade, parse_int,
-                      parse_rational, format_grade, scaled, sorted_by_grade,
+                      parse_rational, format_grade, scaled,
                       DimensionMismatch)
 from .freemod import (GradedSet, make_element, span_membership,
                       BasisMismatch, _check_terms, _element_of_terms,
                       _echelon)
 
 
-# Grades, names and graded sets are immutable, and a caller may keep
-# many parsed modules alive (a distance matrix keeps a witness per pair,
-# and each witness holds its modules' generators, with the rows of its
-# matrices interned on them). So parse hands out one Grade object per
-# distinct grade while any is alive and interns generator names, and
-# parse and minimize hand out one GradedSet per distinct generator list
-# while any is alive. Grades are keyed by their (den, nums) ints, so
-# equal grades written differently ('2/4' and '1/2') share one Grade,
-# and a Grade caches its own hash, so a graded set's key hashes each of
-# its grades once. Grades lie on a grid, so their texts repeat across
-# modules: _grade_of_text keeps the Grade of the 4096 grade texts used
-# last, for the life of the process, which also keeps those grades
-# interned.
-_PARSED_GRADES = weakref.WeakValueDictionary()
-_GRADED_SETS = weakref.WeakValueDictionary()
-
-
-@functools.lru_cache(maxsize=4096)
-def _grade_of_text(n, text):
-    """The interned Grade of an n-parameter grade text. A text that
-    fails raises each time, since lru_cache keeps no exceptions."""
-    g = parse_grade(text, n)
-    return _PARSED_GRADES.setdefault((g.den, g.nums), g)
-
-
-def _graded_set(items):
-    gens = GradedSet(items)
-    return _GRADED_SETS.setdefault((gens.names, gens.grades), gens)
+# Grades lie on a grid, so their texts repeat across modules: parse
+# keeps the Grade of the 4096 grade texts used last, for the life of
+# the process, so one text gives one Grade object while it is kept. A
+# text that fails raises each time, since lru_cache keeps no exceptions.
+_grade_of_text = functools.lru_cache(maxsize=4096)(parse_grade)
 
 
 class ParseError(Exception):
@@ -95,13 +69,19 @@ class GradeOrderViolation(Exception):
 class Presentation:
     """<G | R> over a fixed field, with named relations.
 
-    relations is passed as (name, HomogeneousElement) pairs and stored
-    sorted by relation grade (lexicographic), stable within equal
-    grades. That makes the stored order canonical for serialization.
+    relations is passed as (name, HomogeneousElement) pairs. Every
+    grade goes on one int lattice, in units of 1/L for L the lcm of the
+    denominators of the generator and relation grades: gen_ints and
+    rel_ints hold the grades there as int tuples. Each relation's grade
+    pattern is tested on the lattice, relations in the given order, and
+    _check_terms runs only when the test fails, to raise make_element's
+    PatternViolation. The relations are stored sorted by their lattice
+    grade (lexicographic), stable within equal grades, which makes the
+    stored order canonical for serialization.
     """
 
     __slots__ = ("name", "field", "n", "generators", "rel_names",
-                 "relations")
+                 "relations", "L", "gen_ints", "rel_ints")
 
     def __init__(self, field, n, generators, relations, name="M"):
         for g in generators.grades:
@@ -112,6 +92,10 @@ class Presentation:
         names = [nm for nm, _ in pairs]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate relation names: {names}")
+        L = math.lcm(*(g.den for g in generators.grades),
+                     *(el.grade.den for _, el in pairs))
+        gen_ints = tuple([scaled(g, L) for g in generators.grades])
+        rels = []  # (lattice grade, name, element)
         for nm, el in pairs:
             if el.basis != generators:
                 raise BasisMismatch(f"relation {nm} is not over the generators")
@@ -120,25 +104,22 @@ class Presentation:
                     f"relation grade {el.grade} in a {n}-parameter presentation")
             if el.field != field:
                 raise FieldMismatch(f"relation {nm} over the wrong field")
-        pairs = sorted_by_grade(pairs, lambda p: p[1].grade)
-        self._hold(field, n, generators, [nm for nm, _ in pairs],
-                   [el for _, el in pairs], name)
-
-    @classmethod
-    def _of_checked(cls, field, n, generators, rel_names, relations, name):
-        """The presentation of parts that already pass every check of
-        __init__, with the relations already in grade order."""
-        P = cls.__new__(cls)
-        P._hold(field, n, generators, rel_names, relations, name)
-        return P
-
-    def _hold(self, field, n, generators, rel_names, relations, name):
+            u = scaled(el.grade, L)
+            # the componentwise max of the term generators' grades
+            top = map(max, zip(*[gen_ints[j] for j, _ in el.terms]))
+            if not all(map(le, top, u)):
+                _check_terms(generators, el.grade, el.terms)
+            rels.append((u, nm, el))
+        rels.sort(key=itemgetter(0))
         self.name = name
         self.field = field
         self.n = n
         self.generators = generators
-        self.rel_names = tuple(rel_names)
-        self.relations = tuple(relations)
+        self.L = L
+        self.gen_ints = gen_ints
+        self.rel_ints = tuple(u for u, _, _ in rels)
+        self.rel_names = tuple(nm for _, nm, _ in rels)
+        self.relations = tuple(el for _, _, el in rels)
 
     def rel_pairs(self):
         return list(zip(self.rel_names, self.relations))
@@ -164,15 +145,10 @@ class Presentation:
 def parse(text):
     """Parse the canonical text format into a Presentation.
 
-    Every grade of the text goes on one int lattice, in units of 1/L
-    for L the lcm of their denominators (grading.scaled). A relation's
-    grade pattern is tested there, on the terms that do not cancel to
-    0: the componentwise max of their generators' grades must be <= the
-    relation's grade. Only when that fails does _check_terms run, to
-    raise the PatternViolation that make_element gives. Each element
-    keeps those terms, in position order. The relations are ordered by
-    their lattice grade, stably, and the Presentation is built without
-    the checks of Presentation(...), all of which parse has made.
+    Every line's syntax is read first, relations in text order, each
+    element keeping the terms that do not cancel to 0, in position
+    order. Presentation(...) then tests the grade patterns, so a
+    PatternViolation is raised only for a text with no ParseError.
     """
     header = {}
     gen_items = []
@@ -214,7 +190,7 @@ def parse(text):
 
     def parse_grade_here(textpart, lineno):
         try:
-            return _grade_of_text(n, textpart.strip())
+            return _grade_of_text(textpart.strip(), n)
         except (ValueError, DimensionMismatch) as exc:
             fail(str(exc), lineno)
 
@@ -245,14 +221,11 @@ def parse(text):
         else:
             fail(f"unrecognized directive {kind!r}", lineno)
 
-    gens = _graded_set(gen_items)
+    gens = GradedSet(gen_items)
     position = {gname: j for j, gname in enumerate(gens.names)}
-    L = math.lcm(*(g.den for g in gens.grades),
-                 *(g.den for _, g, _, _ in rel_lines))
-    tops = [scaled(g, L) for g in gens.grades]
     p = field.p
     value_of_text = {}  # each distinct coefficient text is read once
-    rels = []  # (lattice grade, name, element)
+    rels = []
     seen = set()
     for rname, rgrade, terms, lineno in rel_lines:
         if rname in seen:
@@ -284,21 +257,11 @@ def parse(text):
                     if p:
                         c %= p
                 terms_at[j] = c
+        # coerce made every value; a PatternViolation from Presentation
+        # escapes as-is, it is a semantic error not a syntax one
         held = [(j, c) for j, c in sorted(terms_at.items()) if c]
-        u = scaled(rgrade, L)
-        # coerce made every value, so only the pattern is checked; a
-        # PatternViolation escapes as-is, it is a semantic error not a
-        # syntax one
-        if held:
-            top = map(max, zip(*[tops[j] for j, _ in held]))
-            if not all(map(le, top, u)):
-                _check_terms(gens, rgrade, terms_at)
-        rels.append((u, rname, _element_of_terms(gens, rgrade, held, field)))
-
-    rels.sort(key=itemgetter(0))
-    return Presentation._of_checked(field, n, gens,
-                                    [nm for _, nm, _ in rels],
-                                    [el for _, _, el in rels], name)
+        rels.append((rname, _element_of_terms(gens, rgrade, held, field)))
+    return Presentation(field, n, gens, rels, name)
 
 
 def serialize(P):
@@ -331,24 +294,27 @@ def minimize(P):
     only deletes relations, so it cannot create a new unit pivot after
     step 1 is exhausted. Picks are made in stored order, making the
     output deterministic.
+
+    Step 1 is one forward pass over the relations in stored order. An
+    elimination on the pivot of r at g changes only rows with a nonzero
+    coefficient on g, and a row before r has none: its grade is
+    lexicographically at most gr(r) = gr(g), so gr(g) <= its grade
+    would make the two equal and g a unit pivot of that row, which the
+    pass has already ruled out.
     """
     gen_items = [(nm, g) for nm, g in P.generators]
     rels = [[nm, el.grade, list(el.coeffs)] for nm, el in P.rel_pairs()]
     field = P.field
     p = field.p
 
-    while True:
-        found = None
-        for ri, (rname, rgrade, coeffs) in enumerate(rels):
-            for gi in range(len(gen_items)):
-                if coeffs[gi] and gen_items[gi][1] == rgrade:
-                    found = (ri, gi)
-                    break
-            if found:
-                break
-        if not found:
-            break
-        ri, gi = found
+    ri = 0
+    while ri < len(rels):
+        _, rgrade, coeffs = rels[ri]
+        gi = next((gi for gi, (_, g) in enumerate(gen_items)
+                   if coeffs[gi] and g == rgrade), None)
+        if gi is None:
+            ri += 1
+            continue
         # column gi moved first, under the pivot row: one forward step
         moved = [[row[gi], *row[:gi], *row[gi + 1:]]
                  for _, _, row in (rels[ri], *rels[:ri], *rels[ri + 1:])]
@@ -356,7 +322,7 @@ def minimize(P):
         for entry, row in zip(rels, _echelon(moved, 1, p)[0][1:]):
             entry[2] = row[1:]
 
-    gens = _graded_set(gen_items)
+    gens = GradedSet(gen_items)
     elems = [(nm, make_element(gens, grade, coeffs, field))
              for nm, grade, coeffs in rels]
 

@@ -112,6 +112,21 @@ def test_pair_checked_before_the_shift():
         compatible_presentations(M, N, w, -1)
 
 
+def test_pair_refuses_elements_over_another_field():
+    # the offset pair over F3 has the F5 pair's graded sets; its F3
+    # elements declared over F5 are refused, so verify_compatible never
+    # sees them re-read as F5 values
+    M3, N3 = (parse(t.replace("F5", "F3")) for t in (M_TEXT, N_TEXT))
+    w3 = is_interleaved(InterleavingProblem(M3, N3, Fraction(1)))
+    pair3, _, _ = compatible_presentations(M3, N3, w3, Fraction(1))
+    M, N, _ = _offset_pair()
+    assert (pair3.W1, pair3.W2) == (M.generators, N.generators)
+    assert verify_compatible(pair3, M3, N3)
+    with pytest.raises(FieldMismatch, match="^element m_b over F3, not F5$"):
+        CompatiblePair(F5, 1, pair3.W1, pair3.W2, pair3.Y1, pair3.Y2,
+                       pair3.e)
+
+
 def test_invalid_witness_shapes():
     M, N, w = _offset_pair()
     swapped = type(w)(w.B, w.A)

@@ -130,6 +130,18 @@ def test_minimize_command(runner, tmp_path):
                         "gen b @ 0\nrel r2 @ 3 = 1*b\n")
 
 
+def test_syntax_errors_come_before_pattern_errors(runner, tmp_path):
+    # r breaks the grade pattern; the later line's syntax error is the
+    # one reported
+    src = tmp_path / "bad.pmod"
+    src.write_text("module M\nfield F5\nparams 1\ngen a @ 2\n"
+                   "rel r @ 1 = 1*a\nrel s @ 3 = 1*zz\n")
+    r = runner.invoke(main, ["minimize", str(src)])
+    assert r.exit_code == 2
+    assert (r.stdout, r.stderr) == (
+        "", "error: line 6, column 1: unknown generator 'zz' in relation 's'\n")
+
+
 def test_characterize_command(runner, files):
     m, n = files
     r = runner.invoke(main, ["characterize", m, n, "--eps", "1"])

@@ -132,7 +132,9 @@ def test_parse_grade_normalizes():
 
 
 @given(pair, st.integers(min_value=1, max_value=4), st.booleans())
-def test_parse_interns_equal_grades_written_differently(a, k, flip):
+def test_parse_reads_equal_grades_written_differently(a, k, flip):
+    # texts of one grade parse to equal Grades, one hash and one spot
+    # on the presentation's lattice, however the text writes it
     def spelled(x):
         num, den = x.numerator * k, x.denominator * k
         return f"{-num}/{-den}" if flip else f"{num}/{den}"
@@ -141,7 +143,9 @@ def test_parse_interns_equal_grades_written_differently(a, k, flip):
               f"gen a @ ({a[0]}, {a[1]})\n"
               f"gen b @ ({spelled(a[0])}, {spelled(a[1])})\n")
     ga, gb = P.generators.grades
-    assert ga is gb and ga == Grade(a)
+    assert ga == gb == Grade(a) and hash(ga) == hash(gb)
+    assert (ga.den, ga.nums) == (gb.den, gb.nums)
+    assert P.gen_ints[0] == P.gen_ints[1]
 
 
 def test_non_finite_coordinates_raise_value_error():

@@ -8,11 +8,13 @@ coordinate sets, the masks with grade_leq and grade_shift, and ranks
 with a local elimination; none goes through the lattice.
 """
 
+import gc
+import weakref
 from fractions import Fraction
 
 import pytest
 
-from pmod import (INF, FieldSpec, GradedSet, InterleavingProblem,
+from pmod import (INF, FieldSpec, Grade, GradedSet, InterleavingProblem,
                   MorphismMatrix, barcode, candidate_set,
                   diagonal_lower_bound, diagram_bottleneck, grade_leq,
                   grade_shift, interleaving_distance, minimize, parse)
@@ -222,9 +224,11 @@ def test_off_lattice_eps_raises():
 
 
 def test_witnesses_over_the_same_modules_share_sets_and_rows():
+    # parse builds a graded set per call, and the witness matrices over
+    # equal sets share one, with its table of rows
     text_m, text_n, d = STORAGE_ORDER_PAIRS[0]
     P = parse(text_m)
-    assert parse(text_m).generators is P.generators
+    assert parse(text_m).generators is not P.generators
     d1, w1 = interleaving_distance(parse(text_m), parse(text_n))
     d2, w2 = interleaving_distance(parse(text_m), parse(text_n))
     assert d1 == d2 == d
@@ -238,6 +242,14 @@ def test_witnesses_over_the_same_modules_share_sets_and_rows():
     for X in (w1.A, w1.B):
         for r in X.entries:
             assert all(s is r for s in X.entries if s == r)
+    # a set is shared while a matrix holds it, and no longer
+    B = GradedSet([("a", Grade([Fraction(5, 17)]))])
+    X = MorphismMatrix(B, B, [[1]], 0, F2)
+    assert MorphismMatrix(GradedSet(B), B, [[1]], 0, F2).domain is X.domain
+    kept = weakref.ref(X.domain)
+    del B, X
+    gc.collect()
+    assert kept() is None
 
 
 def test_rows_are_not_shared_across_q_and_prime_fields():

@@ -1,17 +1,19 @@
 import gc
+import math
 import re
-import weakref
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from pmod import (INF, RATIONALS, FieldMismatch, Grade,
-                  GradeOrderViolation, GradedSet, Interval,
-                  InterleavingProblem, ParseError, PatternViolation,
-                  Presentation, apply, barcode, box_interval,
-                  compatible_presentations, diagram_of, grade_leq,
-                  is_interleaved, make_element, minimize, parse, serialize)
+                  GradeOrderViolation, GradedSet, HomogeneousElement,
+                  Interval, InterleavingProblem, ParseError,
+                  PatternViolation, Presentation, apply, barcode,
+                  box_interval, compatible_presentations, diagram_of,
+                  grade_leq, induced_presentations, is_interleaved,
+                  make_element, minimize, parse, serialize)
 from pmod.presentation import _grade_of_text
 
 from conftest import (F2, F3, F5, inject_redundancy, local_rank,
@@ -102,18 +104,19 @@ def test_rel_lines_may_precede_gen_lines():
 
 def test_parse_shares_grades_and_names():
     # callers keep many parsed modules alive through their witnesses, so
-    # equal grades and generator names are one object each
+    # a grade text gives one Grade object, and generator names are
+    # interned
     P, Q = parse(TWO_PARAM), parse(TWO_PARAM.replace("module X", "module Y"))
     assert P.generators == Q.generators
     for a, b in zip(P.generators.grades, Q.generators.grades):
         assert a is b
     for a, b in zip(P.generators.names, Q.generators.names):
-        assert a is b
-    # one grade however it is written, and one graded set for it
+        assert a is b is sys.intern(a)
+    # one grade written two ways is two texts and two equal Grades
     R, S = (parse(f"module R\nfield F2\nparams 2\ngen a @ {g}\n")
             for g in ("(1/2, 0)", "(2/4, 0/3)"))
-    assert R.generators.grades[0] is S.generators.grades[0]
-    assert R.generators is S.generators
+    assert R.generators.grades[0] == S.generators.grades[0]
+    assert R.generators == S.generators
 
 
 def test_grade_texts_are_parsed_once_per_process():
@@ -123,13 +126,15 @@ def test_grade_texts_are_parsed_once_per_process():
         return parse(f"module M\nfield F2\nparams {params}\n"
                      f"gen a @ {grade}\n").generators.grades[0]
 
-    assert first_grade(1, "5/7") is first_grade(1, "5/7")
+    before = _grade_of_text.cache_info()
+    g = first_grade(1, "98765/4321")
     # kept between calls even when no module holds it
-    kept = weakref.ref(first_grade(1, "5/9"))
     gc.collect()
-    assert kept() is first_grade(1, "5/9")
-    # interned by value, so texts of one grade in two calls share it
-    assert first_grade(1, "1/2") is first_grade(1, "2/4")
+    assert first_grade(1, "98765/4321") is g
+    after = _grade_of_text.cache_info()
+    assert (after.misses - before.misses, after.hits - before.hits) == (1, 1)
+    # keyed by text, so two texts of one grade give two equal Grades
+    assert first_grade(1, "1/2") == first_grade(1, "2/4")
     assert first_grade(2, "(1, 2)") == Grade([1, 2])
     # the table is keyed by the number of parameters too
     for _ in range(2):
@@ -399,6 +404,22 @@ def test_parse_pattern_violation_names_the_first_generator():
         assert str(info.value) == message
 
 
+def test_syntax_is_read_before_the_grade_patterns():
+    # r breaks the pattern, but a syntax error on a later relation line
+    # is the error reported, with its line
+    head = "module M\nfield F5\nparams 1\ngen a @ 2\nrel r @ 1 = 1*a\n"
+    with pytest.raises(PatternViolation):
+        parse(head)
+    for tail, message in (
+            ("rel s @ 3 = 1*zz\n", "unknown generator 'zz' in relation 's'"),
+            ("rel s @ 3 = q*a\n", "bad scalar literal for F5: 'q'"),
+            ("rel r @ 3 = 1*a\n", "duplicate relation 'r'"),
+            ("rel s @ 3 = a\n", "expected '<coeff>*<gen>' in term 'a'")):
+        with pytest.raises(ParseError) as err:
+            parse(head + tail)
+        assert str(err.value) == f"line 6, column 1: {message}"
+
+
 @pytest.mark.parametrize("field, terms", [
     ("Q", "1*a + 1*b + -1*b"),
     ("Q", "1/2*b + 1*a + -1/2*b"),
@@ -475,6 +496,56 @@ def test_minimize_idempotent_random():
             P = random_presentation(rng, field, rng.choice([1, 2]))
             Q = minimize(P)
             assert minimize(Q) == Q
+
+
+def _unit_pivots_by_restart_scan(P):
+    """P after minimize's step 1 as a scan that restarts from the first
+    relation after each elimination: the first relation, in stored
+    order, with a nonzero coefficient on a generator of its own grade
+    (the first such generator) is solved for that generator, by direct
+    row operations, and both are deleted."""
+    field, p = P.field, P.field.p
+    gen_items = list(P.generators)
+    rels = [[nm, el.grade, list(el.coeffs)] for nm, el in P.rel_pairs()]
+    while True:
+        found = next(((ri, gi) for ri, (_, grade, row) in enumerate(rels)
+                      for gi, (_, g) in enumerate(gen_items)
+                      if row[gi] and g == grade), None)
+        if found is None:
+            break
+        ri, gi = found
+        pivot = rels.pop(ri)[2]
+        del gen_items[gi]
+        for entry in rels:
+            row = entry[2]
+            f = (row[gi] / pivot[gi] if p is None
+                 else row[gi] * pow(pivot[gi], -1, p))
+            row = [a - f * b if p is None else (a - f * b) % p
+                   for a, b in zip(row, pivot)]
+            entry[2] = row[:gi] + row[gi + 1:]
+    gens = GradedSet(gen_items)
+    return Presentation(field, P.n, gens,
+                        [(nm, make_element(gens, grade, row, field))
+                         for nm, grade, row in rels], P.name)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2 ** 32), st.sampled_from([F2, F3, F5, RATIONALS]),
+       st.integers(1, 3))
+def test_minimize_unit_pivots_in_one_forward_pass(seed, field, n):
+    """minimize's step 1 scans the relations once, in stored order; it
+    must eliminate what a scan restarted after every elimination does,
+    so that minimize gives byte-identical output. The reference has no
+    unit pivot left, so minimize runs only its step 2 on it. Grades are
+    on a coarse grid, and over F_p a redundant generator is added with a
+    unit-pivot relation, so that most cases eliminate."""
+    rng = rng_for(seed)
+    P = random_presentation(rng, field, n, max_gens=4, max_rels=4,
+                            span=2, denom=2)
+    if field.p:
+        P = inject_redundancy(rng, P, 1)
+    want = minimize(_unit_pivots_by_restart_scan(P))
+    assert serialize(minimize(P)) == serialize(want)
 
 
 def _grade_multisets(P):
@@ -563,6 +634,62 @@ def test_box_interval():
     assert len(free.relations) == 0
     with pytest.raises(GradeOrderViolation):
         box_interval(F2, [1, 1], [[0, 2]])
+
+
+def _lattice_of(P):
+    """(L, generator ints, relation ints) of P's grades, read off their
+    Fraction coordinates: L is the lcm of every denominator."""
+    grades = [*P.generators.grades, *(el.grade for el in P.relations)]
+    L = math.lcm(*(c.denominator for g in grades for c in g.coords))
+    ints = [tuple(int(c * L) for c in g.coords) for g in grades]
+    k = len(P.generators)
+    return L, tuple(ints[:k]), tuple(ints[k:])
+
+
+def test_every_builder_holds_its_grade_lattice():
+    # minimize drops a and r1, and with them the thirds
+    text_m = ("module M\nfield F5\nparams 1\ngen a @ 1/3\ngen b @ 0\n"
+              "rel r1 @ 1/3 = 1*a + 2*b\nrel r2 @ 3 = 1*b\n")
+    text_n = "module N\nfield F5\nparams 1\ngen c @ 1/2\nrel s1 @ 3 = 1*c\n"
+    M, N = parse(text_m), parse(text_n)
+    e = Fraction(3, 4)
+    pair, _, _ = compatible_presentations(
+        M, N, is_interleaved(InterleavingProblem(M, N, e)), e)
+    rng = rng_for(608)
+    built = [M, N, minimize(M), *induced_presentations(pair),
+             box_interval(F2, [0, Fraction(1, 2)],
+                          [[1, Fraction(2, 3)], [Fraction(5, 4), 1]]),
+             parse("module Z\nfield F2\nparams 2\n"),
+             *(random_presentation(rng, field, n, max_gens=4, max_rels=4,
+                                   denom=8)
+               for field in (F3, RATIONALS) for n in (1, 2, 3))]
+    assert [P.L for P in built[:5]] == [3, 2, 1, 12, 12]
+    assert len(built[2].generators) == 1
+    for P in built:
+        assert (P.L, P.gen_ints, P.rel_ints) == _lattice_of(P)
+        assert all(type(x) is int for g in (*P.gen_ints, *P.rel_ints)
+                   for x in g)
+        assert list(P.rel_ints) == sorted(P.rel_ints)
+
+
+def test_presentation_checks_the_pattern_of_its_relations():
+    # an element built directly, without make_element, is checked too,
+    # relations in the given order, not in their stored order
+    gens = GradedSet([("a", Grade([0, 1])), ("b", Grade([Fraction(1, 2), 0]))])
+
+    def element(grade, coeffs):
+        return HomogeneousElement(gens, Grade(grade), coeffs, F2,
+                                  tuple((j, c) for j, c in enumerate(coeffs)
+                                        if c))
+
+    r, s = element([2, 0], [1, 1]), element([1, 0], [1, 0])
+    with pytest.raises(PatternViolation, match=r"^coefficient on a@\(0, 1\) "
+                       r"in an element at grade \(2, 0\)$"):
+        Presentation(F2, 2, gens, [("r", r), ("s", s)])
+    good = element([1, 0], [0, 1])
+    P = Presentation(F2, 2, gens, [("r", element([2, 1], [1, 1])),
+                                   ("s", good)])
+    assert P.rel_names == ("s", "r") and P.relations[0] is good
 
 
 def test_presentation_field_checks():
