@@ -11,8 +11,9 @@ pattern that says which coordinates are allowed to be nonzero:
   * a morphism matrix <B> -> <B'(e)> holds in column j the image of
     b_j, a homogeneous element of <B'> at grade gr(b_j) + e, so it obeys
     the first rule column by column: entry (i, j) may be nonzero only
-    if gr(b'_i) <= gr(b_j) + e. MorphismMatrix checks each column with
-    make_element, so one function, _check_terms, holds both rules.
+    if gr(b'_i) <= gr(b_j) + e. make_element and MorphismMatrix check
+    an element and each column with one function, _terms_of, whose
+    _check_terms holds both rules.
 
 The matrix rule is what makes patterned matrices correspond exactly to
 degree-preserving morphisms ("not >= forces zero"; a strict-< rule
@@ -20,7 +21,10 @@ would wrongly allow incomparable grades).
 
 Coefficients and matrix entries are raw values of the field the
 element or matrix holds: int residues in [0, p) over F_p, Fractions over
-Q. The bottom of the file is the one exact Gaussian elimination kernel
+Q. An element holds its nonzero coefficients as its terms, which is all
+that parse and onedim.barcode read; its dense coefficient tuple is
+built from them on first read, unless make_element already has it.
+The bottom of the file is the one exact Gaussian elimination kernel
 (first-nonzero pivoting, no numerical concerns), on the same raw values.
 """
 
@@ -53,15 +57,14 @@ class GradedSet:
     __slots__ = ("names", "grades", "_rows", "__weakref__")
 
     def __init__(self, items):
-        items = list(items)
-        self.names = tuple(name for name, _ in items)
-        self.grades = tuple(grade for _, grade in items)
+        names, grades = tuple(zip(*items)) or ((), ())
+        self.names = names
+        self.grades = grades
         self._rows = {}
-        if len(set(self.names)) != len(self.names):
-            raise ValueError(f"duplicate names in graded set: {self.names}")
-        for g in self.grades[1:]:
-            if len(g.nums) != len(self.grades[0].nums):
-                raise DimensionMismatch("mixed grade dimensions in graded set")
+        if len(set(names)) != len(names):
+            raise ValueError(f"duplicate names in graded set: {names}")
+        if len({len(g.nums) for g in grades}) > 1:
+            raise DimensionMismatch("mixed grade dimensions in graded set")
 
     def __len__(self):
         return len(self.names)
@@ -91,24 +94,37 @@ _ZERO_Q = Fraction(0)  # immutable, so every Q element shares it
 
 
 class HomogeneousElement:
-    """An element of <B> at a single grade, as a coefficient vector of
-    raw values of field, and its terms: the (position, value) pairs of
-    its nonzero coefficients, in position order.
+    """An element of <B> at a single grade, as its terms: the (position,
+    value) pairs of its nonzero coefficients, raw values of field, in
+    position order. coeffs is the dense coefficient vector, a tuple of
+    len(B) raw values; an element built without it (coeffs None) makes
+    it from the terms on first read and keeps it, as Grade.coords does.
 
     Do not construct directly; use make_element, which checks the values
-    and enforces the grade pattern. parse, whose values are made by
-    FieldSpec.coerce, builds its elements from their terms with
-    _element_of_terms, and Presentation(...) checks their pattern.
+    and enforces the grade pattern, and passes the tuple it has built.
+    parse, whose values are made by FieldSpec.coerce, builds its
+    elements from their terms alone, and Presentation(...) checks their
+    pattern.
     """
 
-    __slots__ = ("basis", "grade", "coeffs", "field", "terms")
+    __slots__ = ("basis", "grade", "_coeffs", "field", "terms")
 
     def __init__(self, basis, grade, coeffs, field, terms):
         self.basis = basis
         self.grade = grade
-        self.coeffs = tuple(coeffs)
+        self._coeffs = None if coeffs is None else tuple(coeffs)
         self.field = field
         self.terms = terms
+
+    @property
+    def coeffs(self):
+        c = self._coeffs
+        if c is None:
+            c = [0 if self.field.p else _ZERO_Q] * len(self.basis)
+            for j, x in self.terms:
+                c[j] = x
+            c = self._coeffs = tuple(c)
+        return c
 
     def is_zero(self):
         return not self.terms
@@ -132,17 +148,33 @@ class HomogeneousElement:
 def make_element(B, u, coeffs, field):
     """Build a homogeneous element of <B> at grade u over field.
 
-    Raises DimensionMismatch if u and B's grades differ in dimension,
-    FieldMismatch if some coefficient is not a raw value of field
-    (FieldSpec.coerce makes one), and PatternViolation if some
-    coefficient is nonzero at a generator whose grade is not <= u, in
-    that order. The pattern is checked by _check_terms, on the nonzero
-    coefficients, which are also the element's terms.
+    Raises BasisMismatch if there is not one coefficient per generator,
+    then the errors of _terms_of: DimensionMismatch if u and B's grades
+    differ in dimension, FieldMismatch if some coefficient is not a raw
+    value of field (FieldSpec.coerce makes one), and PatternViolation
+    if some coefficient is nonzero at a generator whose grade is not
+    <= u, in that order. The element holds the coefficient tuple and
+    the terms that _terms_of finds.
     """
     coeffs = tuple(coeffs)
     if len(coeffs) != len(B):
         raise BasisMismatch(
             f"{len(coeffs)} coefficients for a basis of size {len(B)}")
+    return HomogeneousElement(B, u, coeffs, field,
+                              _terms_of(B, u, coeffs, field))
+
+
+def _terms_of(B, u, coeffs, field):
+    """The terms of the element of <B> at grade u with the coefficient
+    vector coeffs, one per generator, over field: the (position, value)
+    pairs of its nonzero coefficients, checked as make_element and
+    MorphismMatrix check them.
+
+    Raises DimensionMismatch if u and B's grades differ in dimension,
+    FieldMismatch at the first coefficient that is not a raw value of
+    field, and PatternViolation (from _check_terms) if some coefficient
+    is nonzero at a generator whose grade is not <= u, in that order.
+    """
     if B.grades and len(B.grades[0].nums) != len(u.nums):
         raise DimensionMismatch(
             f"grades of different dimension: {len(B.grades[0])} vs {len(u)}")
@@ -155,17 +187,7 @@ def make_element(B, u, coeffs, field):
         if c:
             terms.append((j, c))
     _check_terms(B, u, terms)
-    return HomogeneousElement(B, u, coeffs, field, tuple(terms))
-
-
-def _element_of_terms(B, u, terms, field):
-    """The element of <B> at grade u whose terms, (position, value)
-    pairs in position order with every value nonzero, pass the checks
-    of make_element; its coefficient vector is built from them."""
-    coeffs = [0 if field.p else _ZERO_Q] * len(B)
-    for j, c in terms:
-        coeffs[j] = c
-    return HomogeneousElement(B, u, coeffs, field, tuple(terms))
+    return tuple(terms)
 
 
 def _check_terms(B, u, terms):
@@ -195,7 +217,8 @@ class MorphismMatrix:
     """A |B'| x |B| matrix representing a morphism <B> -> <B'(e)>.
 
     Column j is the image of b_j, an element of <B'> at gr(b_j) + e, and
-    is checked by make_element at that grade, columns in domain order:
+    is checked as make_element checks one at that grade (_terms_of),
+    columns in domain order, with no element built:
     its entries are raw values of field, entry (i, j) may be nonzero
     only when gr(b'_i) <= gr(b_j) + e, and the grades of B and B' must
     have one dimension when both are nonempty. The domain and codomain
@@ -216,7 +239,7 @@ class MorphismMatrix:
                     f"row of length {len(row)} for a domain of size {len(domain)}")
         self.field = field
         for g, column in zip(domain.grades, zip(*rows)):
-            make_element(codomain, grade_shift(g, self.shift), column, field)
+            _terms_of(codomain, grade_shift(g, self.shift), column, field)
         self.domain = domain = _SHARED_SETS.setdefault(
             (domain.names, domain.grades), domain)
         self.codomain = _SHARED_SETS.setdefault(

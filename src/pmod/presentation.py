@@ -21,11 +21,15 @@ inverse on the nose.
 
 parse reads each gen and rel line with one partition per separator and
 sums a relation's terms per generator, keeping those that do not cancel
-as the element's terms. It then builds the Presentation like every
-other builder, through Presentation(...), which puts the presentation's
-grades on their one int lattice, tests each relation's grade pattern
-there and orders the relations by their lattice grades. onedim.barcode
-and interleave._Lattice read the grades off that lattice.
+as the element's terms. It builds each relation from its terms alone:
+the dense coefficient tuple is made only if something reads it, which
+minimize and the interleaving search do and onedim.barcode does not.
+It then builds the Presentation like every other builder, through
+Presentation(...), which puts the presentation's grades on their one
+int lattice, tests each relation's grade pattern there (one int
+comparison per term on one parameter) and orders the relations by
+their lattice grades. onedim.barcode and interleave._Lattice read the
+grades off that lattice.
 """
 
 import functools
@@ -37,9 +41,8 @@ from .scalars import FieldSpec, FieldMismatch
 from .grading import (Grade, grade_leq, parse_grade, parse_int,
                       parse_rational, format_grade, scaled,
                       DimensionMismatch)
-from .freemod import (GradedSet, make_element, span_membership,
-                      BasisMismatch, _check_terms, _element_of_terms,
-                      _echelon)
+from .freemod import (GradedSet, HomogeneousElement, make_element,
+                      span_membership, BasisMismatch, _check_terms, _echelon)
 
 
 # Grades lie on a grid, so their texts repeat across modules: parse
@@ -69,15 +72,17 @@ class GradeOrderViolation(Exception):
 class Presentation:
     """<G | R> over a fixed field, with named relations.
 
-    relations is passed as (name, HomogeneousElement) pairs. Every
-    grade goes on one int lattice, in units of 1/L for L the lcm of the
-    denominators of the generator and relation grades: gen_ints and
-    rel_ints hold the grades there as int tuples. Each relation's grade
-    pattern is tested on the lattice, relations in the given order, and
-    _check_terms runs only when the test fails, to raise make_element's
-    PatternViolation. The relations are stored sorted by their lattice
-    grade (lexicographic), stable within equal grades, which makes the
-    stored order canonical for serialization.
+    relations is passed as (name, HomogeneousElement) pairs, each over
+    the generators (the same or an equal GradedSet) and the field (the
+    same or an equal FieldSpec). Every grade goes on one int lattice,
+    in units of 1/L for L the lcm of the denominators of the generator
+    and relation grades: gen_ints and rel_ints hold the grades there as
+    int tuples. Each relation's grade pattern is tested on the lattice,
+    on its terms, relations in the given order, and _check_terms runs
+    only when the test fails, to raise make_element's PatternViolation.
+    The relations are stored sorted by their lattice grade
+    (lexicographic), stable within equal grades, which makes the stored
+    order canonical for serialization.
     """
 
     __slots__ = ("name", "field", "n", "generators", "rel_names",
@@ -94,21 +99,31 @@ class Presentation:
             raise ValueError(f"duplicate relation names: {names}")
         L = math.lcm(*(g.den for g in generators.grades),
                      *(el.grade.den for _, el in pairs))
-        gen_ints = tuple([scaled(g, L) for g in generators.grades])
+        gen_ints = tuple([g.nums if g.den == L else scaled(g, L)
+                          for g in generators.grades])
+        # on one parameter a grade is one int, and a term's pattern one
+        # comparison of it
+        flat = [x for x, in gen_ints] if n == 1 else None
         rels = []  # (lattice grade, name, element)
         for nm, el in pairs:
-            if el.basis != generators:
+            if el.basis is not generators and el.basis != generators:
                 raise BasisMismatch(f"relation {nm} is not over the generators")
-            if len(el.grade.nums) != n:
+            grade = el.grade
+            if len(grade.nums) != n:
                 raise DimensionMismatch(
-                    f"relation grade {el.grade} in a {n}-parameter presentation")
-            if el.field != field:
+                    f"relation grade {grade} in a {n}-parameter presentation")
+            if el.field is not field and el.field != field:
                 raise FieldMismatch(f"relation {nm} over the wrong field")
-            u = scaled(el.grade, L)
-            # the componentwise max of the term generators' grades
-            top = map(max, zip(*[gen_ints[j] for j, _ in el.terms]))
-            if not all(map(le, top, u)):
-                _check_terms(generators, el.grade, el.terms)
+            u = grade.nums if grade.den == L else scaled(grade, L)
+            if flat is None:
+                for j, _ in el.terms:
+                    if not all(map(le, gen_ints[j], u)):
+                        _check_terms(generators, grade, el.terms)
+            else:
+                u0, = u
+                for j, _ in el.terms:
+                    if flat[j] > u0:
+                        _check_terms(generators, grade, el.terms)
             rels.append((u, nm, el))
         rels.sort(key=itemgetter(0))
         self.name = name
@@ -259,8 +274,9 @@ def parse(text):
                 terms_at[j] = c
         # coerce made every value; a PatternViolation from Presentation
         # escapes as-is, it is a semantic error not a syntax one
-        held = [(j, c) for j, c in sorted(terms_at.items()) if c]
-        rels.append((rname, _element_of_terms(gens, rgrade, held, field)))
+        held = tuple([(j, c) for j, c in sorted(terms_at.items()) if c])
+        rels.append((rname,
+                     HomogeneousElement(gens, rgrade, None, field, held)))
     return Presentation(field, n, gens, rels, name)
 
 
@@ -315,12 +331,21 @@ def minimize(P):
         if gi is None:
             ri += 1
             continue
-        # column gi moved first, under the pivot row: one forward step
-        moved = [[row[gi], *row[:gi], *row[gi + 1:]]
-                 for _, _, row in (rels[ri], *rels[:ri], *rels[ri + 1:])]
         del rels[ri], gen_items[gi]
-        for entry, row in zip(rels, _echelon(moved, 1, p)[0][1:]):
-            entry[2] = row[1:]
+        # a row with no entry on g loses column gi in place; the others
+        # take one forward step under the pivot row, with column gi
+        # moved first, and lose it from the rows the step returns
+        hit = []
+        for entry in rels:
+            if entry[2][gi]:
+                hit.append(entry)
+            else:
+                del entry[2][gi]
+        moved = [[row[gi], *row[:gi], *row[gi + 1:]]
+                 for row in (coeffs, *(row for _, _, row in hit))]
+        for entry, row in zip(hit, _echelon(moved, 1, p)[0][1:]):
+            del row[0]
+            entry[2] = row
 
     gens = GradedSet(gen_items)
     elems = [(nm, make_element(gens, grade, coeffs, field))

@@ -7,8 +7,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pmod import (INF, RATIONALS, FieldMismatch, Grade,
-                  GradeOrderViolation, GradedSet, HomogeneousElement,
+from pmod import (INF, RATIONALS, BasisMismatch, FieldMismatch, FieldSpec,
+                  Grade, GradeOrderViolation, GradedSet, HomogeneousElement,
                   Interval, InterleavingProblem, ParseError,
                   PatternViolation, Presentation, apply, barcode,
                   box_interval, compatible_presentations, diagram_of,
@@ -238,14 +238,58 @@ def test_parse_relations_match_make_element(seed, field, n):
         assert el.terms == _nonzero(el.coeffs) == want[name].terms
 
 
+# module texts whose relations repeat generators, with terms that
+# cancel, and the dense coefficients each relation sums to
+SUMMED_TERMS = [
+    ("""module T
+field F3
+params 1
+gen a @ 0
+gen b @ 1/2
+gen c @ 1
+rel r1 @ 2 = 2*a + 1*a + 1*b
+rel r2 @ 1 = 1*c + 2*a + 1*c + 2*c
+rel r3 @ 3/2 = 1*b + 2*b
+rel r4 @ 2 = 0
+""", {"r1": [0, 1, 0], "r2": [2, 0, 1], "r3": [0, 0, 0], "r4": [0, 0, 0]}),
+    ("""module T
+field Q
+params 1
+gen a @ 1/3
+gen b @ 7/3
+gen c @ 1/2
+rel r1 @ 3 = 1/2*b + 1*a + -1/2*b
+rel r2 @ 11/8 = 2/3*c + -1*a + 1/3*c
+rel r3 @ 4 = 1/2*a + -2/4*a
+""", {"r1": [1, 0, 0], "r2": [-1, 0, 1], "r3": [0, 0, 0]}),
+]
+
+
 def test_element_terms_agree_with_coeffs():
-    """Whichever operation builds an element (make_element, apply,
-    minimize, compatible_presentations), its terms are its nonzero
-    coefficients in position order."""
+    """Whichever operation builds an element (parse, make_element,
+    apply, minimize, compatible_presentations), its terms are its
+    nonzero coefficients in position order. A parsed element builds its
+    coefficient tuple from its terms on first read, and keeps it; it is
+    the tuple make_element keeps for the same dense vector."""
     def agree(elements):
         for el in elements:
             assert el.terms == _nonzero(el.coeffs)
             assert el.is_zero() == (not any(el.coeffs))
+
+    for text, dense in SUMMED_TERMS:
+        P = parse(text)
+        barcode(P)
+        # neither parse nor barcode reads the dense coefficients
+        assert all(el._coeffs is None for el in P.relations)
+        for name, el in P.rel_pairs():
+            coeffs = [P.field.coerce(c) for c in dense[name]]
+            ref = make_element(P.generators, el.grade, coeffs, P.field)
+            first = el.coeffs
+            assert type(first) is tuple and first == ref.coeffs
+            assert [type(c) for c in first] == [type(c) for c in ref.coeffs]
+            assert el.coeffs is first
+            assert el == ref and hash(el) == hash(ref)
+            agree([el])
 
     rng = rng_for(1903)
     B = GradedSet([("a", Grade([0])), ("b", Grade([1])), ("c", Grade([2]))])
@@ -699,3 +743,14 @@ def test_presentation_field_checks():
         Presentation(F5, 1, gens, [("r", el)])
     with pytest.raises(ValueError):
         Presentation(F2, 1, gens, [("r", el), ("r", el)])
+    # a relation over an equal but distinct graded set or field is
+    # accepted as it is; an unequal one is refused
+    same = make_element(GradedSet([("a", Grade([0]))]), Grade([1]), [1], F2)
+    P = Presentation(FieldSpec(2), 1, gens, [("r", same)])
+    assert P.relations[0] is same and P.field == F2
+    other = make_element(GradedSet([("b", Grade([0]))]), Grade([1]), [1], F2)
+    with pytest.raises(BasisMismatch,
+                       match="^relation r is not over the generators$"):
+        Presentation(F2, 1, gens, [("r", other)])
+    with pytest.raises(FieldMismatch, match="^relation r over the wrong"):
+        Presentation(FieldSpec(3), 1, gens, [("r", same)])
