@@ -31,10 +31,14 @@ The partner solve for a candidate F is the linear system
 [S; G(F)] y = [0; c]: S holds the partner's condition-2 rows and does
 not depend on F, G(F) holds the rows of conditions 3 and 4 and is linear
 in F, and c (entries of the annihilating functionals) does not depend
-on F either. Each side's rows are reduced once: its condition-1 rows and
-the rows whose nullspace is Z. The searched side reads V, Z and U off
-its own two reductions, and its S is the other side's condition-1
-reduction, as it is. Each basis vector U_k of V/Z gets one block H_k,
+on F either. Each side reduces one row list, its condition-1 rows, and
+reads its free entries and dim Z straight off the grades: dim Z is the
+sum, over src generators j, of the rank of tgt's relations at
+gr(G_src, j) + e. Only the searched side builds Z, from its definition
+(the relations admissible at each column's shifted grade, placed in
+that column), reads V off its reduction and takes U as the complement;
+its S is the other side's condition-1 reduction, as it is. Each basis
+vector U_k of V/Z gets one block H_k,
 the rows of G(U_k) reduced against S (built on first use), and the
 candidates are scanned by an odometer that adds one block per digit it
 moves. A candidate then costs one elimination of the small block
@@ -176,18 +180,17 @@ def _mask(row_grades, col_grades, shift):
 class InterleavingProblem:
     """Two same-field, same-n presentations and a shift e >= 0.
 
-    Carries the zero patterns of A and B, the two maps the search
-    reads: a variable entry exists at (i, j) iff the row grade is <=
-    the column grade + e; every other entry is forced to zero. Note the
-    comparison runs row <= col + e; the other direction would forbid
-    genuine interleavings (maps lower grades by at most the shift,
-    never raise). The patterns are computed on the problem's
-    integer lattice; _patterns adds those of C..F for the exported
-    system.
+    Carries the problem's integer lattice and e on it (k = e * L).
+    A variable entry of A or B exists at (i, j) iff the row grade is
+    <= the column grade + e; every other entry is forced to zero. Note
+    the comparison runs row <= col + e; the other direction would
+    forbid genuine interleavings (maps lower grades by at most the
+    shift, never raise). The search reads these free entries off the
+    lattice ints (_Side); _patterns builds the six zero patterns of the
+    exported system.
     """
 
-    __slots__ = ("P_M", "P_N", "e", "field", "n", "_lat", "_k",
-                 "pat_A", "pat_B")
+    __slots__ = ("P_M", "P_N", "e", "field", "n", "_lat", "_k")
 
     def __init__(self, P_M, P_N, e):
         _check_pair(P_M, P_N)
@@ -212,17 +215,15 @@ class InterleavingProblem:
         self.n = M.P.n
         self._lat = lat
         self._k = k
-        self.pat_A = _mask(N.gens, M.gens, k)
-        self.pat_B = _mask(M.gens, N.gens, k)
 
 
 def _patterns(prob):
     """The zero patterns of the six matrices A..F of the quadratic
     system, in that order: shift e for A, B, C, D and 2e for E, F."""
     M, N, k = prob._lat.M, prob._lat.N, prob._k
-    return (prob.pat_A, prob.pat_B, _mask(N.rels, M.rels, k),
-            _mask(M.rels, N.rels, k), _mask(M.rels, M.gens, 2 * k),
-            _mask(N.rels, N.gens, 2 * k))
+    return (_mask(N.gens, M.gens, k), _mask(M.gens, N.gens, k),
+            _mask(N.rels, M.rels, k), _mask(M.rels, N.rels, k),
+            _mask(M.rels, M.gens, 2 * k), _mask(N.rels, N.gens, 2 * k))
 
 
 class InterleavingWitness:
@@ -257,11 +258,6 @@ def _annihilator(S, u):
         rows = [c for k, c in enumerate(S.coeffs) if mask >> k & 1]
         ann = S.ann[mask] = nullspace(rows, len(S.gens), S.P.field.p)
     return ann
-
-
-def _free_positions(mask):
-    return [(i, j) for i, row in enumerate(mask)
-            for j, ok in enumerate(row) if ok]
 
 
 def _condition_rows(src, tgt, k, free):
@@ -317,10 +313,13 @@ def check_closure(A, B, prob):
 def _complement(V, Z, width, p):
     """RREF basis of a complement of span(Z) inside span(V).
 
-    V is a basis and Z must lie in span(V): raises otherwise. The rows
-    of rref(V + Z) whose pivot is not a pivot of Z (read off its echelon
-    form) span exactly the vectors of span(V) that vanish at every Z
-    pivot, and that space meets span(Z) only in 0.
+    V is a basis and Z any spanning set of a subspace of span(V), with
+    repeated or zero rows allowed: raises when Z leaves span(V). The
+    rows of rref(V + Z) whose pivot is not a pivot of Z (read off its
+    echelon form) span exactly the vectors of span(V) that vanish at
+    every Z pivot, and that space meets span(Z) only in 0. Both
+    reductions depend on span(Z) alone, so any spanning set gives the
+    same rows.
     """
     red, pivots = rref(V + Z, width, p)
     if len(pivots) != len(V):
@@ -334,54 +333,66 @@ class _Side:
     """Everything the search needs to enumerate one direction.
 
     src, tgt: the two presentations on the problem's lattice; the fixed
-    matrix F maps <G_src> -> <G_tgt(e)> on the free entries of mask,
-    and the partner Y solved per candidate maps back. Two row lists over
-    F's free entries are reduced once each: the condition-1 rows (their
-    nullspace is V) and the Z rows (nullspace Z). dim = rank(Z rows) -
-    rank(condition rows) = dim V - dim Z is the dimension of V/Z, the
-    translation-pruned candidate space. Everything is int residues, as
-    in the witness matrices materialize builds; grades are int tuples.
+    matrix F maps <G_src> -> <G_tgt(e)> on its free entries, the (i, j)
+    with gr(G_tgt, i) <= gr(G_src, j) + e in row-major order, and the
+    partner Y solved per candidate maps back. One row list is reduced:
+    the condition-1 rows over F's free entries, whose nullspace is V.
+    dim Z is the sum over j of the rank of tgt's relations at
+    gr(G_src, j) + e, read off the memoized annihilators, so dim =
+    dim V - dim Z, the dimension of V/Z, the translation-pruned
+    candidate space, needs no second reduction. Everything is int
+    residues, as in the witness matrices materialize builds; grades are
+    int tuples.
 
     pair_with, run only on the enumerated side, builds the basis U of
     V/Z and the partner-solve data, and hits scans the candidates.
     """
 
     __slots__ = ("prob", "src", "tgt", "free", "dim", "U",
-                 "yfree", "K2", "K3", "_nsrc", "_ntgt", "_cond", "_trans",
+                 "yfree", "K2", "K3", "_nsrc", "_ntgt", "_cond",
                  "_S", "_pivots", "_cols", "_img", "_rhs", "_blocks")
 
-    def __init__(self, prob, src, tgt, mask):
+    def __init__(self, prob, src, tgt):
         self.prob = prob
         self.src = src
         self.tgt = tgt
-        self.free = free = _free_positions(mask)
+        k, p = prob._k, prob.field.p
+        shifted = [_up(g, k) for g in src.gens]
+        self.free = free = [(i, j) for i, t in enumerate(tgt.gens)
+                            for j, s in enumerate(shifted) if _leq(t, s)]
         self._nsrc = len(src.gens)
         self._ntgt = len(tgt.gens)
-        k, p, width = prob._k, prob.field.p, len(free)
+        width = len(free)
         self._cond = rref(_condition_rows(src, tgt, k, free), width, p)
-        zrows = [[kappa[i] if jj == j else 0 for (i, jj) in free]
-                 for j, g in enumerate(src.gens)
-                 for kappa in _annihilator(tgt, _up(g, k))]
-        self._trans = rref(zrows, width, p)
-        self.dim = len(self._trans[1]) - len(self._cond[1])
+        # column j of Z ranges over span[R_tgt at g_j + e], whose rank is
+        # len(G_tgt) less the number of functionals that annihilate it
+        self.dim = width - len(self._cond[1]) - sum(
+            self._ntgt - len(_annihilator(tgt, s)) for s in shifted)
 
     def pair_with(self, other):
         """U and the static data for the partner solve; other is the
         opposite side.
 
-        U complements Z in V, both read off this side's reductions. The
+        U complements Z in V. V is read off this side's reduction, and
+        Z is given by its defining spanning set: for each src generator
+        j and each tgt relation w admissible at gr(G_src, j) + e, the
+        row holding w's coefficients on the entries (i, j); each such
+        entry is free, as w's generators lie below w's grade. The
         partner's condition 2 is the opposite side's condition 1, so S
         is that side's reduction, as it is. The rows of conditions 3 and
         4 are G(F) with right-hand side c: one row per functional in K2
         and in K3, and c holds the functionals' own entries, so it does
         not depend on F.
         """
-        p = self.prob.field.p
+        p, k = self.prob.field.p, self.prob._k
         width = len(self.free)
-        self.U = _complement(_kernel(*self._cond, width, p),
-                             _kernel(*self._trans, width, p), width, p)
+        Z = [[w[i] if jj == j else 0 for (i, jj) in self.free]
+             for j, g in enumerate(self.src.gens)
+             for r, w in zip(self.tgt.rels, self.tgt.coeffs)
+             if _leq(r, _up(g, k))]
+        self.U = _complement(_kernel(*self._cond, width, p), Z, width, p)
         self.yfree = other.free
-        k2 = 2 * self.prob._k
+        k2 = 2 * k
         self.K2 = [_annihilator(self.src, _up(g, k2)) for g in self.src.gens]
         self.K3 = [_annihilator(self.tgt, _up(g, k2)) for g in self.tgt.gens]
         self._S, self._pivots = other._cond
@@ -544,8 +555,8 @@ def is_interleaved(prob, budget=DEFAULT_BUDGET):
     """
     _check_finite(prob.field)
     lat = prob._lat
-    side_a = _Side(prob, lat.M, lat.N, prob.pat_A)
-    side_b = _Side(prob, lat.N, lat.M, prob.pat_B)
+    side_a = _Side(prob, lat.M, lat.N)
+    side_b = _Side(prob, lat.N, lat.M)
     side, other = ((side_a, side_b) if side_a.dim <= side_b.dim
                    else (side_b, side_a))
     total = prob.field.p ** side.dim

@@ -68,6 +68,58 @@ def test_distance_box_against_zero():
         assert d == width / 2
 
 
+def _rectangle_terms(aR, bR, aS, bS):
+    """The two terms whose minimum is d_I of the rectangle modules
+    [aR, bR) and [aS, bS), from their corners alone: the two matched,
+    at the larger corner distance, and both interleaved with zero, at
+    the larger of their halfwidths tau = min_i (b_i - a_i) / 2 (inf when
+    no b_i is finite). An upper coordinate inf on both sides is 0
+    apart, and inf on one side only is inf apart."""
+    def tau(a, b):
+        return min([(y - x) / 2 for x, y in zip(a, b) if y != INF],
+                   default=INF)
+
+    def apart(x, y):
+        if INF in (x, y):
+            return 0 if x == y else INF
+        return abs(x - y)
+
+    matched = max(*map(apart, aR, aS), *map(apart, bR, bS))
+    return matched, max(tau(aR, bR), tau(aS, bS))
+
+
+def test_rectangle_distance_matches_formula():
+    # single rectangles [a, b) on a 1/4 grid, one relation per finite
+    # b_i (a with coordinate i set to b_i), against the formula; each
+    # finite distance comes with a witness that passes check_closure
+    rng = rng_for(2323)
+    quarter = Fraction(1, 4)
+    seen, ends = set(), set()
+    for _ in range(200):
+        n = rng.choice([2, 3])
+        field = rng.choice([F2, F3])
+        corners, boxes = [], []
+        for name in ("R", "S"):
+            a = [rng.randint(0, 8) * quarter for _ in range(n)]
+            b = [INF if rng.random() < 0.2 else x + rng.randint(1, 8) * quarter
+                 for x in a]
+            uppers = [a[:i] + [y] + a[i + 1:]
+                      for i, y in enumerate(b) if y != INF]
+            corners += [a, b]
+            boxes.append(box_interval(field, a, uppers, name=name))
+        d, w = interleaving_distance(*boxes)
+        matched, zero = _rectangle_terms(*corners)
+        assert d == min(matched, zero), (corners, d)
+        seen.add((n, field.p))
+        ends.add("inf" if d == INF else "matched" if matched < zero
+                 else "zero" if zero < matched else "tie")
+        if d != INF:
+            prob = InterleavingProblem(*map(minimize, boxes), d)
+            assert check_closure(w.A, w.B, prob)
+    assert seen == {(n, p) for n in (2, 3) for p in (2, 3)}
+    assert {"inf", "matched", "zero"} <= ends, ends
+
+
 def test_distance_infinite_when_no_candidate_works():
     free = parse("module M\nfield F2\nparams 1\ngen a @ 0\n")
     Z = parse("module Z\nfield F2\nparams 1\n")

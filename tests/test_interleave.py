@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -39,7 +40,7 @@ def constraint_space(prob):
     pattern with condition 1, as the nullspace of the condition-1 rows
     over the free entries of the pattern."""
     lat, field = prob._lat, prob.field
-    free = [(i, j) for i, row in enumerate(prob.pat_A)
+    free = [(i, j) for i, row in enumerate(_patterns(prob)[0])
             for j, ok in enumerate(row) if ok]
     rows = _condition_rows(lat.M, lat.N, prob._k, free)
     basis = []
@@ -75,9 +76,9 @@ def test_problem_validation():
 
 def test_patterns_shift_with_epsilon():
     # at e=1/2 the A pattern is empty (b@1 > a@0 + 1/2), at e=1 it opens
-    assert _pair(Fraction(1, 2)).pat_A == [[False]]
-    assert _pair(1).pat_A == [[True]]
-    assert _pair(1).pat_B == [[True]]  # a@0 <= b@1 + 1
+    assert _patterns(_pair(Fraction(1, 2)))[0] == [[False]]
+    assert _patterns(_pair(1))[0] == [[True]]
+    assert _patterns(_pair(1))[1] == [[True]]  # a@0 <= b@1 + 1
     # E carries the doubled shift: r1@3 <= a@0 + 2e needs e >= 3/2
     assert _patterns(_pair(1))[4] == [[False]]
     assert _patterns(_pair(Fraction(3, 2)))[4] == [[True]]
@@ -313,9 +314,11 @@ def _partner_system(side, other, F):
 
 
 def test_each_row_list_reduced_once(monkeypatch):
-    # a side's dim, read off its two reductions, is len(U) as the
-    # complement of the two nullspaces gives it; one search builds U for
-    # its searched side only, and hands no row list to rref twice
+    # a side's dim, from its one reduction and the annihilator counts,
+    # is len(U) as the complement of two nullspaces gives it, Z here the
+    # nullspace of the annihilator rows of each column; one search
+    # builds U for its searched side only, makes 3 rref calls and 1
+    # _echelon call from interleave, and hands no row list to rref twice
     rng = rng_for(1818)
     searched = 0
     primes = set()
@@ -328,9 +331,8 @@ def test_each_row_list_reduced_once(monkeypatch):
         prob = InterleavingProblem(P, Q, rng.choice(finite))
         lat, k = prob._lat, prob._k
         dims = []
-        for src, tgt, mask in ((lat.M, lat.N, prob.pat_A),
-                               (lat.N, lat.M, prob.pat_B)):
-            side = _Side(prob, src, tgt, mask)
+        for src, tgt in ((lat.M, lat.N), (lat.N, lat.M)):
+            side = _Side(prob, src, tgt)
             free, width = side.free, len(side.free)
             zrows = [[kappa[i] if jj == j else 0 for (i, jj) in free]
                      for j, g in enumerate(src.gens)
@@ -344,7 +346,7 @@ def test_each_row_list_reduced_once(monkeypatch):
         assert exc.value.required == p ** min(dims)
         if p ** min(dims) > 500:
             continue
-        reduced, complements = [], []
+        reduced, complements, calls = [], [], Counter()
 
         def recording(rows, width, p, _rref=pmod.freemod.rref):
             reduced.append(rows)  # held, so no id is reused
@@ -354,16 +356,97 @@ def test_each_row_list_reduced_once(monkeypatch):
             complements.append(args)
             return _complement(*args)
 
+        def from_interleave(name, f):
+            def call(*args):
+                calls[name] += 1
+                return f(*args)
+            return call
+
         with monkeypatch.context() as mp:
             mp.setattr(pmod.freemod, "rref", recording)
-            mp.setattr(pmod.interleave, "rref", recording)
+            mp.setattr(pmod.interleave, "rref",
+                       from_interleave("rref", recording))
+            mp.setattr(pmod.interleave, "_echelon",
+                       from_interleave("_echelon", pmod.freemod._echelon))
             mp.setattr(pmod.interleave, "_complement", counting)
             is_interleaved(prob)
         assert len(complements) == 1
+        assert len(_complement(*complements[0])) == min(dims)
+        assert calls == {"rref": 3, "_echelon": 1}
         assert len({id(rows) for rows in reduced}) == len(reduced)
         searched += 1
         primes.add(p)
     assert primes == {2, 3, 5}
+
+
+def _with_extra_relation(rng, P):
+    """P with one more relation that adds nothing to any span: a copy of
+    one of its relations under a new name, or a zero relation at one of
+    its generators' grades; and which of the two it got."""
+    lines = serialize(P).splitlines()
+    rels = [line for line in lines if line.startswith("rel ")]
+    gens = [line for line in lines if line.startswith("gen ")]
+    if rels and rng.random() < 0.5:
+        kind, extra = "dup", "rel dup @ " + rng.choice(rels).split(" @ ")[1]
+    else:
+        kind = "zero"
+        extra = f"rel z @ {rng.choice(gens).split(' @ ')[1]} = 0"
+    return parse("\n".join(lines + [extra]) + "\n"), kind
+
+
+def _answer(prob):
+    w = is_interleaved(prob)
+    return None if w is None else (w.A.entries, w.B.entries)
+
+
+def test_dependent_and_zero_relations_change_no_answer():
+    # Z is spanned by each column's admissible relations as written, so
+    # a repeated relation repeats a row and a zero relation adds a zero
+    # row; span(Z) is the same, and so are the candidate count and the
+    # least-index witness, whichever side gets the extra relation
+    rng = rng_for(1919)
+    seen = Counter()
+    for _ in range(90):
+        field = rng.choice([F2, F3, F5])
+        P = random_presentation(rng, field, 2, 4, 4, 1, 1)
+        Q = random_presentation(rng, field, 2, 4, 4, 1, 1, name="N")
+        finite = pmod.candidate_set(P, Q).finite()
+        e = rng.choice(finite[len(finite) // 3:])  # Yes and No both
+        prob = InterleavingProblem(P, Q, e)
+        with pytest.raises(BudgetExceeded) as exc:
+            is_interleaved(prob, 0)
+        required = exc.value.required
+        want = _answer(prob) if required <= 500 else None
+        for which in (0, 1):
+            pair = [P, Q]
+            pair[which], kind = _with_extra_relation(rng, pair[which])
+            prob2 = InterleavingProblem(*pair, e)
+            with pytest.raises(BudgetExceeded) as exc:
+                is_interleaved(prob2, 0)
+            assert exc.value.required == required
+            if required <= 500:
+                assert _answer(prob2) == want
+                seen[field.p, kind, want is not None] += 1
+    assert all(seen[p, kind, True] and seen[p, kind, False]
+               for p in (2, 3, 5) for kind in ("dup", "zero")), seen
+
+
+def test_complement_takes_any_spanning_set():
+    # repeated and zero rows of Z give the U of a basis of Z, and a Z
+    # outside V is refused however it is spanned
+    for V, Z, spanning, width, p in (
+            ([[1, 0, 2], [0, 1, 1]], [[1, 1, 0]],
+             [[1, 1, 0], [0, 0, 0], [2, 2, 0], [1, 1, 0]], 3, 3),
+            ([[1, 0, 0, 1], [0, 1, 0, 1], [0, 0, 1, 0]],
+             [[0, 1, 0, 1], [1, 1, 1, 0]],
+             [[0, 0, 0, 0], [1, 1, 1, 0], [0, 1, 0, 1], [1, 0, 1, 1],
+              [1, 1, 1, 0]], 4, 2),
+            ([[1, 0, 3], [0, 1, 4]], [], [[0, 0, 0], [0, 0, 0]], 3, 5)):
+        U = _complement(V, Z, width, p)
+        assert _complement(V, spanning, width, p) == U
+        assert len(U) == len(V) - len(Z)
+    with pytest.raises(AssertionError):
+        _complement([[1, 0]], [[1, 1], [0, 0], [1, 1]], 2, 2)
 
 
 def test_partner_kernel_matches_full_solve():
@@ -382,8 +465,7 @@ def test_partner_kernel_matches_full_solve():
         finite = pmod.candidate_set(P, Q).finite()
         prob = InterleavingProblem(P, Q, rng.choice(finite[len(finite) // 2:]))
         lat = prob._lat
-        pair = [_Side(prob, lat.M, lat.N, prob.pat_A),
-                _Side(prob, lat.N, lat.M, prob.pat_B)]
+        pair = [_Side(prob, lat.M, lat.N), _Side(prob, lat.N, lat.M)]
         for side, other in (pair, pair[::-1]):
             m = side.dim
             if p ** m > 400:

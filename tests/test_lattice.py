@@ -4,8 +4,9 @@ The search, its candidates and the diagonal bound run on int grades in
 units of 1/L. The references here are computed on the Fraction grades:
 the bound from conftest's restriction to a line and the public
 barcode and diagram_bottleneck, the candidates from per-axis
-coordinate sets, the masks with grade_leq and grade_shift, and ranks
-with a local elimination; none goes through the lattice.
+coordinate sets, the masks and the search's free entries with
+grade_leq and grade_shift, and ranks with a local elimination; none
+goes through the lattice.
 """
 
 import gc
@@ -18,7 +19,7 @@ from pmod import (INF, FieldSpec, Grade, GradedSet, InterleavingProblem,
                   MorphismMatrix, barcode, candidate_set,
                   diagonal_lower_bound, diagram_bottleneck, grade_leq,
                   grade_shift, interleaving_distance, minimize, parse)
-from pmod.interleave import _Lattice, _annihilator, _patterns
+from pmod.interleave import _Lattice, _Side, _annihilator, _patterns
 
 from conftest import (F2, F3, local_rank, random_presentation,
                       restrict_diagonal, rng_for)
@@ -155,6 +156,18 @@ def _masks(prob):
     return list(_patterns(prob))
 
 
+def _free_entries(prob):
+    """The free entries of A and B as the search's two sides read them
+    off the lattice."""
+    lat = prob._lat
+    return [_Side(prob, lat.M, lat.N).free, _Side(prob, lat.N, lat.M).free]
+
+
+def _positions(mask):
+    return [(i, j) for i, row in enumerate(mask)
+            for j, ok in enumerate(row) if ok]
+
+
 def test_int_masks_equal_fraction_masks():
     rng = rng_for(902)
     for n in (1, 2, 3):
@@ -165,13 +178,17 @@ def test_int_masks_equal_fraction_masks():
                 e = Fraction(rng.randint(0, 20), rng.randint(1, 7))
                 prob = InterleavingProblem(Pm, Pn, e)
                 assert prob.e == e
-                assert _masks(prob) == _reference_masks(Pm, Pn, e)
+                ref = _reference_masks(Pm, Pn, e)
+                assert _masks(prob) == ref
+                assert _free_entries(prob) == [_positions(m) for m in ref[:2]]
             # the probes of a distance search, on one lattice
             lat = _Lattice(Pm, Pn)
             for e in candidate_set(Pm, Pn).finite():
                 prob = InterleavingProblem._at(lat, lat.scale(e))
                 assert prob.e == e and type(prob.e) is Fraction
-                assert _masks(prob) == _reference_masks(Pm, Pn, e)
+                ref = _reference_masks(Pm, Pn, e)
+                assert _masks(prob) == ref
+                assert _free_entries(prob) == [_positions(m) for m in ref[:2]]
 
 
 def test_annihilators_kill_exactly_the_admissible_relations():
@@ -220,7 +237,7 @@ def test_off_lattice_eps_raises():
     assert prob.e == Fraction(1, 3)
     assert prob._lat.L == 12
     # (0, 1/2) <= (1/3, 5/6), but (1, 3/2) is not <= (2/3, 7/6)
-    assert prob.pat_A == [[True]] and _patterns(prob)[4] == [[False]]
+    assert _patterns(prob)[0] == [[True]] and _patterns(prob)[4] == [[False]]
 
 
 def test_witnesses_over_the_same_modules_share_sets_and_rows():
