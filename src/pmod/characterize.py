@@ -19,10 +19,10 @@ only from grade gr(w) + e onward).
 
 from operator import itemgetter
 
-from .grading import grade_shift, check_epsilon, sorted_by_grade
+from .grading import grade_leq, grade_shift, check_epsilon, sorted_by_grade
 from .scalars import FieldMismatch
 from .freemod import (GradedSet, BasisMismatch, PatternViolation,
-                      make_element, span_membership, apply)
+                      make_element, _dot, _spanned)
 from .presentation import Presentation
 from .interleave import InterleavingProblem, check_closure, DEFAULT_BUDGET
 from .distance import is_isomorphic
@@ -91,7 +91,11 @@ def compatible_presentations(P_M, P_N, witness, e):
     InterleavingProblem checks the pair (n, then the field) and then e.
     The witness is revalidated from scratch; InvalidWitness names the
     first failure among its type (check_closure's refusal), conditions
-    1 and 2, and the round trips. Returns (pair, induced_M, induced_N).
+    1 and 2, and the round trips. For condition 1, the relations w of M
+    are grouped by which relations of N are admissible at gr(w) + e,
+    compared as Grades, and each group's images under A are tested with
+    one elimination (freemod._spanned); condition 2 likewise, with B.
+    Returns (pair, induced_M, induced_N).
     """
     prob = InterleavingProblem(P_M, P_N, e)
     e = prob.e
@@ -100,17 +104,25 @@ def compatible_presentations(P_M, P_N, witness, e):
         closed = check_closure(A, B, prob)
     except (BasisMismatch, FieldMismatch, ValueError) as exc:
         raise InvalidWitness(str(exc)) from exc
+    field = prob.field
     for name, X, P, Q in (("A", A, P_M, P_N), ("B", B, P_N, P_M)):
+        # X.w lies at gr(w) + e; P's and Q's grades lie on two lattices
+        groups = {}  # admissible relations of Q -> the images needing them
         for w in P.relations:
-            inside, _ = span_membership(apply(X, w), Q.relations)
-            if not inside:
+            u = grade_shift(w.grade, e)
+            ks = tuple([k for k, r in enumerate(Q.relations)
+                        if grade_leq(r.grade, u)])
+            groups.setdefault(ks, []).append(
+                [_dot(row, w.coeffs, field) for row in X.entries])
+        for ks, images in groups.items():
+            rows = [Q.relations[k].coeffs for k in ks]
+            if not _spanned(rows, images, field.p):
                 raise InvalidWitness(
                     f"{name} carries a relation of {P.name} outside the "
                     f"relations of {Q.name}")
     if not closed:
         raise InvalidWitness("round trips are not identity up to relations")
 
-    field = P_M.field
     W1, W2 = P_M.generators, P_N.generators
     basis, _ = combined_basis(W1, W2)
     zero, one = field.coerce(0), field.coerce(1)

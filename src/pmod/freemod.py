@@ -330,6 +330,8 @@ def span_membership(v, W):
 # nullspace are the public (traced) face; nullspace is rref then _kernel,
 # which a caller that keeps the reduction runs alone. The search's
 # per-candidate solves call _solve, or over F_2 _xor_solve on int rows.
+# _spanned asks whether many vectors lie in one span with one
+# elimination, for the certificate checks and minimize.
 # An F_p entry may be an unreduced int, but not a nonzero multiple of
 # p, which has no inverse. All routines take 0 rows and 0 columns.
 # ----------------------------------------------------------------------
@@ -398,6 +400,22 @@ def _solve(rows, width, p):
         v = row[width] - sum(map(mul, row[c + 1:width], x[c + 1:]))
         x[c] = v * invs[k] if p is None else v * invs[k] % p
     return x
+
+
+def _spanned(rows, vectors, p):
+    """Does every vector lie in the span of rows? Rows and vectors are
+    raw value sequences of one length; F_p values must be residues.
+
+    One _echelon of the transposed system: coordinate t gives the row
+    (rows[0][t], ..., vectors[0][t], ...), so the coefficients of rows
+    fill the first len(rows) columns and each vector is one right-hand
+    side. Every vector is spanned iff every row left without a pivot is
+    zero on all the right-hand sides, as in _solve. No vectors, or no
+    rows and only zero vectors, are spanned.
+    """
+    width = len(rows)
+    red, pivots, _ = _echelon(zip(*rows, *vectors), width, p)
+    return not any(any(row[width:]) for row in red[len(pivots):])
 
 
 def _xor_solve(rows, width):

@@ -8,20 +8,23 @@ the entry points that accept user values.
 A Grade holds its coordinates as int numerators over one positive
 common denominator, reduced so that the denominator is the least one.
 Equality, hashing, grade_leq and grade_shift run on those ints, and
-coords is the Fraction view, built on first use. The certificate
-re-checks (check_closure, MorphismMatrix's and freemod._check_terms's
-zero patterns) compare grades this way. A Presentation goes one step
-further when it is built: it puts its generator and relation grades on
-one integer lattice, with scaled (here) giving each grade as an int
-tuple in units of 1/L for L the lcm of their denominators, and tests
-its relations' patterns and orders them there. onedim.barcode reads its
-grades off that lattice, and the interleaving search, its candidate
-set and its diagonal lower bound put both presentations, and the
-shift, on one common multiple of their lattices per query
-(interleave._Lattice), so every candidate, shift and half-difference
-is an int. Values are lifted back as Fraction(v, L) only where they
-leave the search: the distance, each probe's public e, the bound and
-the candidate set.
+coords is the Fraction view, built on first use. The zero-pattern
+re-checks (MorphismMatrix's and freemod._check_terms's) and the span
+checks of conditions 1 and 2 in characterize.compatible_presentations
+compare grades this way. A Presentation goes one step further when it
+is built: it puts its generator and relation grades on one integer
+lattice, with scaled (here) giving each grade as an int tuple in units
+of 1/L for L the lcm of their denominators, and tests its relations'
+patterns and orders them there. interleave.check_closure compares
+grades on each presentation's own lattice, with 2e * L rounded down,
+and minimize's redundancy step compares relation grades there.
+onedim.barcode reads its grades off that lattice, and the interleaving
+search, its candidate set and its diagonal lower bound put both
+presentations, and the shift, on one common multiple of their lattices
+per query (interleave._Lattice), so every candidate, shift and
+half-difference is an int. Values are lifted back as Fraction(v, L)
+only where they leave the search: the distance, each probe's public e,
+the bound and the candidate set.
 """
 
 import math

@@ -63,9 +63,12 @@ of relations present at a grade, carry over from probe to probe.
 Values are lifted back only at the boundary: the problem's public e is
 Fraction(k, L), and the witness is two MorphismMatrix objects on the
 caller's presentations. check_closure and MorphismMatrix's own
-pattern check stay independent re-checks: they read the presentations'
-own int grades (grading.Grade), never the lattice or the search's
-rows.
+pattern check stay independent re-checks, and never read the problem's
+lattice or the search's rows: check_closure compares grades on each
+presentation's own lattice (P.gen_ints and P.rel_ints, with 2e * P.L
+rounded down) and tests each set of columns with one elimination
+(freemod._spanned), and MorphismMatrix compares the Grades
+(grading.Grade).
 """
 
 import math
@@ -73,10 +76,9 @@ from fractions import Fraction
 from operator import le, mul
 
 from .scalars import FieldMismatch
-from .grading import grade_shift, check_epsilon, DimensionMismatch
-from .freemod import (MorphismMatrix, BasisMismatch, make_element,
-                      span_membership, nullspace, rref, _dot, _echelon,
-                      _kernel, _solve, _xor_solve)
+from .grading import check_epsilon, DimensionMismatch
+from .freemod import (MorphismMatrix, BasisMismatch, nullspace, rref, _dot,
+                      _echelon, _kernel, _solve, _spanned, _xor_solve)
 
 DEFAULT_BUDGET = 10 ** 7
 
@@ -281,6 +283,13 @@ def check_closure(A, B, prob):
     field (FieldMismatch). Then each column j of BA - I, read from the
     entries, must lie in the span of M's relations at gr(G_M, j) + 2e
     (the round trip shifts twice), and likewise AB - I over N.
+
+    The grades are compared on each presentation's own lattice (P.L,
+    P.gen_ints, P.rel_ints), where 2e rounds down to an int, never on
+    the search's. The nonzero columns are grouped by their admissible
+    relations, and each group is one _spanned elimination. A and B are
+    patterned, so a column of BA - I obeys the grade pattern at its
+    shifted grade, and none needs checking as an element.
     """
     G_M, G_N = prob.P_M.generators, prob.P_N.generators
     e, e2, field = prob.e, 2 * prob.e, prob.field
@@ -294,14 +303,21 @@ def check_closure(A, B, prob):
         raise FieldMismatch(f"witness over the wrong field: {A.field} and "
                             f"{B.field}, problem over {field}")
     for P, first, second in ((prob.P_M, A, B), (prob.P_N, B, A)):
-        for j, g in enumerate(P.generators.grades):
-            col = [row[j] for row in first.entries]
-            coeffs = [_dot(row, col, field) for row in second.entries]
-            coeffs[j] = field.coerce(coeffs[j] - 1)
-            v = make_element(P.generators, grade_shift(g, e2), coeffs,
-                             field)
-            inside, _ = span_membership(v, P.relations)
-            if not inside:
+        reach = e2.numerator * P.L // e2.denominator  # 2e * P.L, floored
+        rels = P.rel_ints
+        groups = {}  # admissible relations -> the columns needing them
+        # first has no rows when the other module has no generators
+        cols = list(zip(*first.entries)) or [()] * len(P.gen_ints)
+        for j, (g, col) in enumerate(zip(P.gen_ints, cols)):
+            v = [_dot(row, col, field) for row in second.entries]
+            v[j] = field.coerce(v[j] - 1)
+            if any(v):
+                u = _up(g, reach)
+                ks = tuple([k for k, r in enumerate(rels) if _leq(r, u)])
+                groups.setdefault(ks, []).append(v)
+        for ks, vectors in groups.items():
+            rows = [P.relations[k].coeffs for k in ks]
+            if not _spanned(rows, vectors, field.p):
                 return False
     return True
 

@@ -42,7 +42,7 @@ from .grading import (Grade, grade_leq, parse_grade, parse_int,
                       parse_rational, format_grade, scaled,
                       DimensionMismatch)
 from .freemod import (GradedSet, HomogeneousElement, make_element,
-                      span_membership, BasisMismatch, _check_terms, _echelon)
+                      BasisMismatch, _check_terms, _echelon, _spanned)
 
 
 # Grades lie on a grid, so their texts repeat across modules: parse
@@ -317,15 +317,22 @@ def minimize(P):
     lexicographically at most gr(r) = gr(g), so gr(g) <= its grade
     would make the two equal and g a unit pivot of that row, which the
     pass has already ruled out.
+
+    Step 2 tests each relation, in stored order, against the others
+    still kept whose grades are <= its own, compared on P's lattice
+    (P.rel_ints, which step 1 leaves as they are), with one
+    elimination (freemod._spanned). Only the kept relations are built
+    as elements.
     """
     gen_items = [(nm, g) for nm, g in P.generators]
-    rels = [[nm, el.grade, list(el.coeffs)] for nm, el in P.rel_pairs()]
+    rels = [[nm, el.grade, list(el.coeffs), u]
+            for (nm, el), u in zip(P.rel_pairs(), P.rel_ints)]
     field = P.field
     p = field.p
 
     ri = 0
     while ri < len(rels):
-        _, rgrade, coeffs = rels[ri]
+        _, rgrade, coeffs, _ = rels[ri]
         gi = next((gi for gi, (_, g) in enumerate(gen_items)
                    if coeffs[gi] and g == rgrade), None)
         if gi is None:
@@ -342,27 +349,27 @@ def minimize(P):
             else:
                 del entry[2][gi]
         moved = [[row[gi], *row[:gi], *row[gi + 1:]]
-                 for row in (coeffs, *(row for _, _, row in hit))]
+                 for row in (coeffs, *(entry[2] for entry in hit))]
         for entry, row in zip(hit, _echelon(moved, 1, p)[0][1:]):
             del row[0]
             entry[2] = row
 
-    gens = GradedSet(gen_items)
-    elems = [(nm, make_element(gens, grade, coeffs, field))
-             for nm, grade, coeffs in rels]
-
-    kept = list(range(len(elems)))
+    kept = list(range(len(rels)))
     i = 0
     while i < len(kept):
         idx = kept[i]
-        others = [elems[j][1] for j in kept if j != idx]
-        inside, _ = span_membership(elems[idx][1], others)
-        if inside:
+        u = rels[idx][3]
+        others = [rels[j][2] for j in kept
+                  if j != idx and all(map(le, rels[j][3], u))]
+        if _spanned(others, [rels[idx][2]], p):
             kept.pop(i)
         else:
             i += 1
 
-    return Presentation(field, P.n, gens, [elems[j] for j in kept], P.name)
+    gens = GradedSet(gen_items)
+    elems = [(nm, make_element(gens, grade, coeffs, field))
+             for nm, grade, coeffs, _ in (rels[j] for j in kept)]
+    return Presentation(field, P.n, gens, elems, P.name)
 
 
 def box_interval(field, lower, uppers, name="M"):

@@ -1,14 +1,16 @@
 import pytest
 from fractions import Fraction
 
-from pmod import (CompatiblePair, FieldMismatch, Grade, GradedSet,
-                  HomogeneousElement, InterleavingProblem, InvalidWitness,
-                  MorphismMatrix, PatternViolation, combined_basis,
-                  compatible_presentations, induced_presentations,
-                  is_interleaved, make_element, parse, serialize,
-                  serialize_pair, verify_compatible)
+from pmod import (BudgetExceeded, CompatiblePair, FieldMismatch, Grade,
+                  GradedSet, HomogeneousElement, InterleavingProblem,
+                  InterleavingWitness, InvalidWitness, MorphismMatrix,
+                  PatternViolation, apply, candidate_set, check_closure,
+                  combined_basis, compatible_presentations, grade_leq,
+                  grade_shift, induced_presentations, is_interleaved,
+                  make_element, parse, serialize, serialize_pair,
+                  span_membership, verify_compatible)
 
-from conftest import F2, F5, random_presentation, rng_for
+from conftest import F2, F3, F5, random_presentation, rng_for
 
 M_TEXT = "module M\nfield F5\nparams 1\ngen a @ 0\nrel r1 @ 3 = 1*a\n"
 N_TEXT = "module N\nfield F5\nparams 1\ngen b @ 1\nrel s1 @ 3 = 1*b\n"
@@ -163,6 +165,85 @@ def test_invalid_witness_condition_one():
                                  Fraction(0))
     assert "carries a relation" in str(err.value)
 
+
+
+def test_condition_one_failure_in_a_later_group():
+    # M's relations fall into two groups by the relations of N that are
+    # admissible at their grades: r2 @ (0, 2), stored first, meets s2,
+    # and r1 @ (2, 0) meets none, so only the second group fails
+    M = parse("module M\nfield F2\nparams 2\ngen a @ (0, 0)\n"
+              "rel r1 @ (2, 0) = 1*a\nrel r2 @ (0, 2) = 1*a\n")
+    N = parse("module N\nfield F2\nparams 2\ngen x @ (0, 0)\n"
+              "rel s1 @ (3, 0) = 1*x\nrel s2 @ (0, 2) = 1*x\n")
+    assert M.rel_names == ("r2", "r1")
+    A = MorphismMatrix(M.generators, N.generators, [[1]], 0, F2)
+    B = MorphismMatrix(N.generators, M.generators, [[1]], 0, F2)
+    assert check_closure(A, B, InterleavingProblem(M, N, 0))
+    with pytest.raises(InvalidWitness, match="^A carries a relation of M "
+                       "outside the relations of N$"):
+        compatible_presentations(M, N, InterleavingWitness(A, B), 0)
+    with pytest.raises(InvalidWitness, match="^B carries a relation of M "
+                       "outside the relations of N$"):
+        compatible_presentations(N, M, InterleavingWitness(B, A), 0)
+
+
+def _refusal_by_relations(P_M, P_N, witness, e):
+    """compatible_presentations' refusal of a witness of the right type,
+    or None: conditions 1 and 2 one relation at a time (apply, then
+    span_membership), then the round trips."""
+    for name, X, P, Q in (("A", witness.A, P_M, P_N),
+                          ("B", witness.B, P_N, P_M)):
+        for w in P.relations:
+            if not span_membership(apply(X, w), Q.relations)[0]:
+                return (f"{name} carries a relation of {P.name} outside "
+                        f"the relations of {Q.name}")
+    if not check_closure(witness.A, witness.B,
+                         InterleavingProblem(P_M, P_N, e)):
+        return "round trips are not identity up to relations"
+    return None
+
+
+def test_conditions_one_and_two_match_the_per_relation_check():
+    # search witnesses and copies with one entry changed inside the
+    # pattern, over F2, F3 and F5 on two parameters: the grouped check
+    # refuses exactly the witnesses the per-relation check refuses, with
+    # the same message
+    rng = rng_for(2626)
+    seen = set()
+    for trial in range(60):
+        field = rng.choice([F2, F3, F5])
+        P = random_presentation(rng, field, 2, 3, 4, 1, 1)
+        Q = random_presentation(rng, field, 2, 3, 4, 1, 1, name="N")
+        e = rng.choice(candidate_set(P, Q).finite())
+        try:
+            w = is_interleaved(InterleavingProblem(P, Q, e), 2000)
+        except BudgetExceeded:
+            continue
+        if w is None:
+            continue
+        witnesses = [w]
+        for side in ("A", "B"):
+            X = getattr(w, side)
+            free = [(i, j) for i, row in enumerate(X.entries)
+                    for j, _ in enumerate(row)
+                    if grade_leq(X.codomain.grades[i],
+                                 grade_shift(X.domain.grades[j], e))]
+            for i, j in rng.sample(free, min(3, len(free))):
+                rows = [list(row) for row in X.entries]
+                rows[i][j] = (rows[i][j] + rng.randrange(1, field.p)) % field.p
+                Y = MorphismMatrix(X.domain, X.codomain, rows, e, field)
+                witnesses.append(InterleavingWitness(Y, w.B) if side == "A"
+                                 else InterleavingWitness(w.A, Y))
+        for x in witnesses:
+            want = _refusal_by_relations(P, Q, x, e)
+            try:
+                compatible_presentations(P, Q, x, e)
+                got = None
+            except InvalidWitness as exc:
+                got = str(exc)
+            assert got == want, (trial, got, want)
+            seen.add(want and want[:2])
+    assert seen == {None, "A ", "B ", "ro"}, seen
 
 def test_verify_rejects_foreign_generators():
     M, N, w = _offset_pair()

@@ -8,8 +8,8 @@ from pmod import (INF, BudgetExceeded, CandidateSet, DimensionMismatch,
                   FieldMismatch, FieldSpec, InterleavingProblem,
                   UnsupportedField, barcode, box_interval, candidate_set,
                   check_closure, diagonal_lower_bound, diagram_bottleneck,
-                  interleaving_distance, is_interleaved, is_isomorphic,
-                  minimize, parse, serialize)
+                  grade_leq, grade_shift, interleaving_distance,
+                  is_interleaved, is_isomorphic, minimize, parse, serialize)
 
 from conftest import F2, F3, F5, random_presentation, rng_for
 
@@ -119,6 +119,76 @@ def test_rectangle_distance_matches_formula():
     assert seen == {(n, p) for n in (2, 3) for p in (2, 3)}
     assert {"inf", "matched", "zero"} <= ends, ends
 
+
+
+def _rectangle_text(name, field, boxes):
+    """The text of the direct sum of the finite rectangles [a, b) in
+    boxes on two parameters: one generator at a, killed at (b1, a2) and
+    at (a1, b2)."""
+    lines = [f"module {name}", f"field {field}", "params 2"]
+    for k, (a, b) in enumerate(boxes):
+        lines.append(f"gen g{k} @ ({a[0]}, {a[1]})")
+        lines.append(f"rel r{k}x @ ({b[0]}, {a[1]}) = 1*g{k}")
+        lines.append(f"rel r{k}y @ ({a[0]}, {b[1]}) = 1*g{k}")
+    return "\n".join(lines) + "\n"
+
+
+def _brute_bottleneck(boxes_R, boxes_S):
+    """d_B of two lists of finite rectangles, by trying every partial
+    matching: a matched pair costs the larger corner distance
+    max(|a_R - a_S|, |b_R - b_S|) in the sup norm, and an unmatched
+    rectangle its halfwidth tau = min_i (b_i - a_i) / 2."""
+    def cost(R, S):
+        return max(abs(x - y) for u, v in zip(R, S) for x, y in zip(u, v))
+
+    def tau(R):
+        return min(y - x for x, y in zip(*R)) / 2
+
+    best = math.inf
+    for k in range(min(len(boxes_R), len(boxes_S)) + 1):
+        for left in itertools.combinations(range(len(boxes_R)), k):
+            for right in itertools.permutations(range(len(boxes_S)), k):
+                worst = max([cost(boxes_R[i], boxes_S[j])
+                             for i, j in zip(left, right)]
+                            + [tau(R) for i, R in enumerate(boxes_R)
+                               if i not in left]
+                            + [tau(S) for j, S in enumerate(boxes_S)
+                               if j not in right], default=0)
+                best = min(best, worst)
+    return best
+
+
+def test_rectangle_sums_against_the_bottleneck_distance():
+    # sums of one or two finite rectangles on two parameters, over F2
+    # and F3: a matching of cost d_B gives a d_B-interleaving, and
+    # d_B <= (2n - 1) d_I for rectangle decomposable modules (Bjerkevik),
+    # so d_I <= d_B <= 3 d_I; each witness passes check_closure, and
+    # the generators of many of these sums see different sets of
+    # admissible relations at their grades + 2 d_I
+    rng = rng_for(2828)
+    half = Fraction(1, 2)
+    seen = set()
+    for trial in range(120):
+        field = rng.choice([F2, F3])
+        boxes = []
+        for _ in range(2):
+            side = []
+            for _ in range(rng.randint(1, 2)):
+                a = [rng.randint(0, 6) * half for _ in range(2)]
+                side.append((a, [x + rng.randint(1, 6) * half for x in a]))
+            boxes.append(side)
+        P = parse(_rectangle_text("R", field, boxes[0]))
+        Q = parse(_rectangle_text("S", field, boxes[1]))
+        d, w = interleaving_distance(P, Q)
+        d_B = _brute_bottleneck(*boxes)
+        assert d <= d_B <= 3 * d, (trial, boxes, d, d_B)
+        Pm, Qm = minimize(P), minimize(Q)
+        assert check_closure(w.A, w.B, InterleavingProblem(Pm, Qm, d))
+        sets = {tuple(k for k, r in enumerate(Pm.relations)
+                      if grade_leq(r.grade, grade_shift(g, 2 * d)))
+                for g in Pm.generators.grades}
+        seen.add((field.p, len(boxes[0]) + len(boxes[1]), len(sets) > 1))
+    assert {(p, k, True) for p in (2, 3) for k in (3, 4)} <= seen, seen
 
 def test_distance_infinite_when_no_candidate_works():
     free = parse("module M\nfield F2\nparams 1\ngen a @ 0\n")

@@ -6,7 +6,7 @@ from pmod import (BasisMismatch, CompatiblePair, DimensionMismatch,
                   FieldMismatch, FieldSpec, Grade, GradedSet, RATIONALS,
                   PatternViolation, Presentation, apply, compose,
                   grade_shift, make_element, span_membership, MorphismMatrix)
-from pmod.freemod import _solve, nullspace, rref
+from pmod.freemod import _solve, _spanned, nullspace, rref
 
 from conftest import (F2, F3, F5, local_rank, local_solve, rand_grade,
                       random_presentation, rng_for)
@@ -463,3 +463,62 @@ def test_empty_shapes():
     W = [make_element(empty, Grade([0]), [], RATIONALS)]
     assert span_membership(make_element(empty, Grade([1]), [], RATIONALS),
                            W) == (True, [Fraction(0)])
+
+
+def _combination(rng, field, rows, dim):
+    """A random linear combination of rows, as raw values of field."""
+    acc = [field.coerce(0)] * dim
+    for row in rows:
+        c = _rand_value(rng, field)
+        acc = [_value(field, a + c * x) for a, x in zip(acc, row)]
+    return acc
+
+
+def test_spanned_matches_span_membership():
+    # one elimination for many vectors answers as span_membership does
+    # for each of them, every generator and element at one grade so that
+    # every row takes part; zero, repeated and absent rows, no vectors,
+    # and many spanned vectors around one that is not
+    rng = rng_for(2424)
+    at = Grade([0])
+    seen = set()
+    for trial in range(400):
+        field = rng.choice([F2, F3, F5, RATIONALS])
+        dim = rng.randint(0, 4)
+        B = GradedSet([(f"e{i}", at) for i in range(dim)])
+        rows = [[_rand_value(rng, field) for _ in range(dim)]
+                for _ in range(rng.randint(0, 3))]
+        for _ in range(rng.randint(0, 2)):
+            rows.insert(rng.randint(0, len(rows)),
+                        rng.choice(rows) if rows and rng.random() < 0.6
+                        else [field.coerce(0)] * dim)
+        vectors = [_combination(rng, field, rows, dim)
+                   for _ in range(rng.choice([0, 1, 2, 6]))]
+        outsider = [_rand_value(rng, field) for _ in range(dim)]
+        if rng.random() < 0.5:
+            vectors.insert(rng.randint(0, len(vectors)), outsider)
+        W = [make_element(B, at, row, field) for row in rows]
+        inside = [span_membership(make_element(B, at, v, field), W)[0]
+                  for v in vectors]
+        assert _spanned(rows, vectors, field.p) == all(inside), (
+            field, rows, vectors)
+        kind = ("no rows" if not rows else "no vectors" if not vectors
+                else "one outside" if inside.count(False) == 1 < len(inside)
+                else "all inside" if all(inside) else "several outside")
+        seen.add((field.p, kind))
+        if len({tuple(r) for r in rows}) < len(rows):
+            seen.add((field.p, "repeated or zero rows"))
+    assert seen == {(p, kind) for p in (2, 3, 5, None)
+                    for kind in ("no rows", "no vectors", "one outside",
+                                 "all inside", "several outside",
+                                 "repeated or zero rows")}, seen
+    for field in (F5, RATIONALS):
+        zero, one = field.coerce(0), field.coerce(1)
+        assert _spanned([], [], field.p)
+        assert _spanned([], [[zero, zero]], field.p)
+        assert not _spanned([], [[zero, one]], field.p)
+        assert _spanned([[one, zero]], [], field.p)
+        assert _spanned([[zero, zero], [one, one], [one, one]],
+                        [[zero, zero], [one, one]], field.p)
+        assert not _spanned([[one, one], [zero, zero]],
+                            [[one, one]] * 5 + [[one, zero]], field.p)

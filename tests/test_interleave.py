@@ -13,8 +13,9 @@ import pmod
 from pmod import (BasisMismatch, BudgetExceeded, DimensionMismatch,
                   FieldMismatch, FieldSpec, InterleavingProblem,
                   MorphismMatrix, UnsupportedField, apply, box_interval,
-                  check_closure, export_quadratic_system, is_interleaved,
-                  minimize, parse, serialize, span_membership)
+                  check_closure, export_quadratic_system, grade_leq,
+                  grade_shift, is_interleaved, make_element, minimize, parse,
+                  serialize, span_membership)
 from pmod.freemod import nullspace
 from pmod.interleave import (_Side, _annihilator, _complement,
                              _condition_rows, _patterns)
@@ -170,6 +171,115 @@ def test_check_closure_box_against_zero():
         B = _zero(Z.generators, box.generators, F2, e)
         assert check_closure(A, B, prob) is want
 
+
+
+def _closure_by_columns(A, B, prob):
+    """Conditions 3 and 4 one column at a time: each column of BA - I
+    (and AB - I) as an element at its generator's grade + 2e, built by
+    make_element and tested by span_membership."""
+    field, p = prob.field, prob.field.p
+    for P, first, second in ((prob.P_M, A, B), (prob.P_N, B, A)):
+        for j, g in enumerate(P.generators.grades):
+            col = [row[j] for row in first.entries]
+            coeffs = [sum(x * y for x, y in zip(row, col)) % p
+                      for row in second.entries]
+            coeffs[j] = (coeffs[j] - 1) % p
+            v = make_element(P.generators, grade_shift(g, 2 * prob.e),
+                             coeffs, field)
+            if not span_membership(v, P.relations)[0]:
+                return False
+    return True
+
+
+def _patterned(rng, domain, codomain, e, field, entry):
+    """A MorphismMatrix <domain> -> <codomain(e)> whose free entries are
+    entry(rng, i, j) and whose other entries are 0."""
+    rows = [[entry(rng, i, j)
+             if grade_leq(cg, grade_shift(dg, e)) else 0
+             for j, dg in enumerate(domain.grades)]
+            for i, cg in enumerate(codomain.grades)]
+    return MorphismMatrix(domain, codomain, rows, e, field)
+
+
+def _flips(rng, X, count):
+    """Up to count copies of X with one free entry changed."""
+    p, e = X.field.p, X.shift
+    free = [(i, j) for i, cg in enumerate(X.codomain.grades)
+            for j, dg in enumerate(X.domain.grades)
+            if grade_leq(cg, grade_shift(dg, e))]
+    out = []
+    for i, j in rng.sample(free, min(count, len(free))):
+        def entry(rng, a, b):
+            x = X.entries[a][b]
+            return (x + rng.randrange(1, p)) % p if (a, b) == (i, j) else x
+        out.append(_patterned(rng, X.domain, X.codomain, e, X.field, entry))
+    return out
+
+
+def test_check_closure_matches_the_column_by_column_check():
+    # search witnesses, copies with one entry flipped inside the pattern
+    # and random patterned pairs, over F2, F3 and F5 on one and two
+    # parameters; half the pairs have grades on the integers or halves
+    # and e = 1/3 or 2/3, where 2e * P.L is no int and rounds down
+    rng = rng_for(2525)
+    seen = set()
+    for trial in range(160):
+        field = rng.choice([F2, F3, F5])
+        n = rng.choice([1, 2])
+        off = trial % 2 == 1
+        denom = 1 if off else 4
+        P = random_presentation(rng, field, n, 3, 4, 1, 1, denom=denom)
+        Q = random_presentation(rng, field, n, 3, 4, 1, 1, name="N",
+                                denom=denom)
+        if off:
+            e = Fraction(rng.choice([1, 2]), 3)
+        else:
+            e = rng.choice(pmod.candidate_set(P, Q).finite())
+        prob = InterleavingProblem(P, Q, e)
+        G_M, G_N = P.generators, Q.generators
+        pairs = []
+        try:
+            w = is_interleaved(prob, 2000)
+        except BudgetExceeded:
+            w = None
+        if w is not None:
+            pairs.append(("witness", w.A, w.B))
+            pairs += [("flip", A, w.B) for A in _flips(rng, w.A, 3)]
+            pairs += [("flip", w.A, B) for B in _flips(rng, w.B, 3)]
+
+        def random_entry(rng, i, j):
+            return rng.randrange(field.p)
+        for _ in range(2):
+            pairs.append(("random",
+                          _patterned(rng, G_M, G_N, e, field, random_entry),
+                          _patterned(rng, G_N, G_M, e, field, random_entry)))
+        for kind, A, B in pairs:
+            got = check_closure(A, B, prob)
+            assert got == _closure_by_columns(A, B, prob), (trial, kind)
+            seen.add((off, kind, got))
+    for off in (False, True):
+        assert {(off, "witness", True), (off, "flip", False),
+                (off, "random", False)} <= seen, seen
+    assert (False, "flip", True) in seen
+
+
+def test_check_closure_rounds_twice_e_down_on_the_lattice():
+    # [0, 1) against itself at e = 1/3 on integer grades: 2e * P.L is
+    # 2/3, so the relation at 1 is not admissible at 0 + 2e and the zero
+    # maps fail; at e = 1/2 it is, and they pass
+    M = parse("module M\nfield F3\nparams 1\ngen a @ 0\nrel r @ 1 = 1*a\n")
+    N = parse("module N\nfield F3\nparams 1\ngen x @ 0\nrel s @ 1 = 1*x\n")
+    assert (M.L, N.L) == (1, 1)
+    for e, want in ((Fraction(1, 3), False), (Fraction(2, 3), True),
+                    (Fraction(1, 2), True)):
+        prob = InterleavingProblem(M, N, e)
+        A = _zero(M.generators, N.generators, F3, e)
+        B = _zero(N.generators, M.generators, F3, e)
+        assert check_closure(A, B, prob) is want
+        assert _closure_by_columns(A, B, prob) is want
+        one = (MorphismMatrix(M.generators, N.generators, [[1]], e, F3),
+               MorphismMatrix(N.generators, M.generators, [[1]], e, F3))
+        assert check_closure(*one, prob)
 
 def test_is_interleaved_offset_intervals():
     w = is_interleaved(_pair(1))

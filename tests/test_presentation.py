@@ -13,7 +13,7 @@ from pmod import (INF, RATIONALS, BasisMismatch, FieldMismatch, FieldSpec,
                   PatternViolation, Presentation, apply, barcode,
                   box_interval, compatible_presentations, diagram_of,
                   grade_leq, induced_presentations, is_interleaved,
-                  make_element, minimize, parse, serialize)
+                  make_element, minimize, parse, serialize, span_membership)
 from pmod.presentation import _grade_of_text
 
 from conftest import (F2, F3, F5, inject_redundancy, local_rank,
@@ -591,6 +591,88 @@ def test_minimize_unit_pivots_in_one_forward_pass(seed, field, n):
     want = minimize(_unit_pivots_by_restart_scan(P))
     assert serialize(minimize(P)) == serialize(want)
 
+
+
+def _redundant_by_span_membership(P):
+    """minimize's step 2 on P, one relation at a time: in stored order,
+    a relation in the graded span of the others still kept, as
+    span_membership decides it, is dropped."""
+    pairs = P.rel_pairs()
+    kept = list(range(len(pairs)))
+    i = 0
+    while i < len(kept):
+        idx = kept[i]
+        others = [pairs[j][1] for j in kept if j != idx]
+        if span_membership(pairs[idx][1], others)[0]:
+            kept.pop(i)
+        else:
+            i += 1
+    return Presentation(P.field, P.n, P.generators,
+                        [pairs[j] for j in kept], P.name)
+
+
+def _with_redundant_relations(rng, P):
+    """P with redundant relations added: copies of a relation at its
+    grade, placed before or after it so that either comes first in the
+    stored order, multiples, copies raised to a higher grade, sums of
+    two relations at the join of their grades, and zero relations."""
+    field, gens = P.field, P.generators
+    pairs = P.rel_pairs()
+    if not pairs:
+        return P
+    for t in range(rng.randint(1, 4)):
+        kind = rng.choice(["copy", "copy", "multiple", "raised", "sum",
+                           "zero"])
+        k = rng.randrange(len(pairs))
+        el = pairs[k][1]
+        grade, coeffs = el.grade, list(el.coeffs)
+        if kind == "multiple":
+            c = rand_coeff(rng, field) or field.coerce(1)
+            coeffs = [field.coerce(c * x) for x in coeffs]
+        elif kind == "raised":
+            grade = Grade([x + rng.choice([Fraction(1, 2), 1])
+                           for x in grade.coords])
+        elif kind == "sum":
+            other = rng.choice(pairs)[1]
+            grade = Grade([max(x, y) for x, y in
+                           zip(grade.coords, other.grade.coords)])
+            coeffs = [field.coerce(x + y)
+                      for x, y in zip(coeffs, other.coeffs)]
+        elif kind == "zero":
+            coeffs = [field.coerce(0)] * len(coeffs)
+        new = (f"d{t}_{pairs[k][0]}", make_element(gens, grade, coeffs,
+                                                   field))
+        pairs.insert(k + rng.randint(0, 1), new)
+    return Presentation(field, P.n, gens, pairs, P.name)
+
+
+def test_minimize_matches_a_per_relation_step_two():
+    # minimize against its unit pivots eliminated by the restart scan
+    # above and its step 2 run one span_membership at a time, on random
+    # presentations with redundant relations added; a relation and its
+    # copy at one grade keep the later of the two in stored order
+    rng = rng_for(2727)
+    seen = set()
+    for trial in range(200):
+        field = rng.choice([F2, F3, F5, RATIONALS])
+        P = random_presentation(rng, field, rng.choice([1, 2, 3]),
+                                max_gens=4, max_rels=4, span=2, denom=2)
+        if field.p and rng.random() < 0.5:
+            P = inject_redundancy(rng, P, 1)
+        P = _with_redundant_relations(rng, P)
+        got = minimize(P)
+        want = _redundant_by_span_membership(_unit_pivots_by_restart_scan(P))
+        assert serialize(got) == serialize(want), trial
+        assert got.rel_names == want.rel_names
+        for nm in P.rel_names:
+            twin = next((m for m in P.rel_names
+                         if m.startswith("d") and m.endswith("_" + nm)), None)
+            if twin is not None and (nm in got.rel_names) != (
+                    twin in got.rel_names):
+                seen.add("copy kept" if twin in got.rel_names
+                         else "original kept")
+        seen.add(field.p)
+    assert seen == {2, 3, 5, None, "copy kept", "original kept"}, seen
 
 def _grade_multisets(P):
     return (sorted(g.coords for g in P.generators.grades),
