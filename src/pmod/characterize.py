@@ -15,16 +15,23 @@ Mixed relations are stored over the plain combined basis W1 ++ W2; the
 shift lives in the element's grade (a W2 coefficient in Y1 is only
 legitimate when gr(w) + e <= gr(element), since w exists in W2(-e)
 only from grade gr(w) + e onward).
+
+The witness is checked with the one span test that check_closure runs
+(interleave._spanned_at), on the lattice of the presentation whose
+relations span. Each Y element is made once, by make_element, and the
+induced presentations build their relations on those elements' values
+and terms, so Presentation(...) is their one pattern check.
 """
 
 from operator import itemgetter
 
-from .grading import grade_leq, grade_shift, check_epsilon, sorted_by_grade
+from .grading import grade_shift, check_epsilon, sorted_by_grade
 from .scalars import FieldMismatch
-from .freemod import (GradedSet, BasisMismatch, PatternViolation,
-                      make_element, _dot, _spanned)
+from .freemod import (GradedSet, HomogeneousElement, BasisMismatch,
+                      PatternViolation, make_element, _dot)
 from .presentation import Presentation
-from .interleave import InterleavingProblem, check_closure, DEFAULT_BUDGET
+from .interleave import (InterleavingProblem, check_closure, DEFAULT_BUDGET,
+                         _spanned_at)
 from .distance import is_isomorphic
 
 
@@ -91,11 +98,12 @@ def compatible_presentations(P_M, P_N, witness, e):
     InterleavingProblem checks the pair (n, then the field) and then e.
     The witness is revalidated from scratch; InvalidWitness names the
     first failure among its type (check_closure's refusal), conditions
-    1 and 2, and the round trips. For condition 1, the relations w of M
-    are grouped by which relations of N are admissible at gr(w) + e,
-    compared as Grades, and each group's images under A are tested with
-    one elimination (freemod._spanned); condition 2 likewise, with B.
-    Returns (pair, induced_M, induced_N).
+    1 and 2, and the round trips. For condition 1, the image under A of
+    each relation w of M goes to interleave._spanned_at on N, at gr(w) +
+    e rounded down onto N's lattice, which is exact: N's relation grades
+    are multiples of 1/N.L. Condition 2 likewise, with B. Returns (pair,
+    induced_M, induced_N); the pair's elements are made here, one
+    make_element each, and the induced presentations reuse them.
     """
     prob = InterleavingProblem(P_M, P_N, e)
     e = prob.e
@@ -106,20 +114,16 @@ def compatible_presentations(P_M, P_N, witness, e):
         raise InvalidWitness(str(exc)) from exc
     field = prob.field
     for name, X, P, Q in (("A", A, P_M, P_N), ("B", B, P_N, P_M)):
-        # X.w lies at gr(w) + e; P's and Q's grades lie on two lattices
-        groups = {}  # admissible relations of Q -> the images needing them
-        for w in P.relations:
-            u = grade_shift(w.grade, e)
-            ks = tuple([k for k, r in enumerate(Q.relations)
-                        if grade_leq(r.grade, u)])
-            groups.setdefault(ks, []).append(
-                [_dot(row, w.coeffs, field) for row in X.entries])
-        for ks, images in groups.items():
-            rows = [Q.relations[k].coeffs for k in ks]
-            if not _spanned(rows, images, field.p):
-                raise InvalidWitness(
-                    f"{name} carries a relation of {P.name} outside the "
-                    f"relations of {Q.name}")
+        # X.w lies at gr(w) + e, taken down onto Q's lattice: Q's grades
+        # are multiples of 1/Q.L, so r <= x iff r * Q.L <= floor(x * Q.L)
+        num, den = e.numerator * P.L * Q.L, e.denominator * P.L
+        at = [(tuple([(x * Q.L * e.denominator + num) // den for x in u]),
+               [_dot(row, w.coeffs, field) for row in X.entries])
+              for u, w in zip(P.rel_ints, P.relations)]
+        if not _spanned_at(Q, at):
+            raise InvalidWitness(
+                f"{name} carries a relation of {P.name} outside the "
+                f"relations of {Q.name}")
     if not closed:
         raise InvalidWitness("round trips are not identity up to relations")
 
@@ -138,9 +142,8 @@ def compatible_presentations(P_M, P_N, witness, e):
                  for j, (yname, ygrade) in enumerate(W)]
         used = set()
         for nm, g, own, other in vecs:
-            coeffs = own + other if Y is Y1 else other + own
-            el = make_element(basis, g, coeffs, field)
-            Y.append((_unique(nm, used), el))
+            vec = own + other if Y is Y1 else other + own
+            Y.append((_unique(nm, used), make_element(basis, g, vec, field)))
 
     pair = CompatiblePair(field, P_M.n, W1, W2, Y1, Y2, e)
     ind_M, ind_N = induced_presentations(pair, (P_M.name, P_N.name))
@@ -153,7 +156,10 @@ def induced_presentations(pair, names=("M", "N")):
     For M: generators W1 at their own grades and W2 raised by e;
     relations Y1 at their own grades and Y2 raised by e. For N the
     roles swap. Relations are renamed r1..rk in grade order. Both are
-    over the pair's field and number of parameters.
+    over the pair's field and number of parameters. Each relation holds
+    the values and terms of its Y element, which were checked when it
+    was made, and Presentation(...) tests the grade pattern at its new
+    grade, raising make_element's PatternViolation.
     """
     e, field, n = pair.e, pair.field, pair.n
     w1_items = list(pair.W1)
@@ -162,16 +168,17 @@ def induced_presentations(pair, names=("M", "N")):
     def build(gens_items, rel_data, name):
         gens = GradedSet(gens_items)
         rel_data = sorted_by_grade(rel_data, itemgetter(0))
-        pairs = [(f"r{k + 1}", make_element(gens, grade, coeffs, field))
-                 for k, (grade, coeffs) in enumerate(rel_data)]
+        pairs = [(f"r{k + 1}", HomogeneousElement(gens, grade, el.coeffs,
+                                                  field, el.terms))
+                 for k, (grade, el) in enumerate(rel_data)]
         return Presentation(field, n, gens, pairs, name)
 
     gens_M = w1_items + [(nm, grade_shift(g, e)) for nm, g in w2_items]
-    rels_M = [(el.grade, el.coeffs) for _, el in pair.Y1] \
-        + [(grade_shift(el.grade, e), el.coeffs) for _, el in pair.Y2]
+    rels_M = [(el.grade, el) for _, el in pair.Y1] \
+        + [(grade_shift(el.grade, e), el) for _, el in pair.Y2]
     gens_N = [(nm, grade_shift(g, e)) for nm, g in w1_items] + w2_items
-    rels_N = [(el.grade, el.coeffs) for _, el in pair.Y2] \
-        + [(grade_shift(el.grade, e), el.coeffs) for _, el in pair.Y1]
+    rels_N = [(el.grade, el) for _, el in pair.Y2] \
+        + [(grade_shift(el.grade, e), el) for _, el in pair.Y1]
     return (build(gens_M, rels_M, names[0]),
             build(gens_N, rels_N, names[1]))
 

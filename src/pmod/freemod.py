@@ -23,7 +23,7 @@ Coefficients and matrix entries are raw values of the field the
 element or matrix holds: int residues in [0, p) over F_p, Fractions over
 Q. An element holds its nonzero coefficients as its terms, which is all
 that parse and onedim.barcode read; its dense coefficient tuple is
-built from them on first read, unless make_element already has it.
+built from them on first read, unless its builder already has it.
 The bottom of the file is the one exact Gaussian elimination kernel
 (first-nonzero pivoting, no numerical concerns), on the same raw values.
 """
@@ -102,9 +102,12 @@ class HomogeneousElement:
 
     Do not construct directly; use make_element, which checks the values
     and enforces the grade pattern, and passes the tuple it has built.
-    parse, whose values are made by FieldSpec.coerce, builds its
-    elements from their terms alone, and Presentation(...) checks their
-    pattern.
+    Three builders whose values are already checked build from terms,
+    and Presentation(...) checks the pattern of what they build: parse,
+    whose values are made by FieldSpec.coerce, from the terms alone;
+    presentation.minimize, from the values its eliminations leave; and
+    characterize.induced_presentations, from the values and terms of the
+    pair's elements, at a new grade.
     """
 
     __slots__ = ("basis", "grade", "_coeffs", "field", "terms")

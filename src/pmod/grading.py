@@ -9,15 +9,16 @@ A Grade holds its coordinates as int numerators over one positive
 common denominator, reduced so that the denominator is the least one.
 Equality, hashing, grade_leq and grade_shift run on those ints, and
 coords is the Fraction view, built on first use. The zero-pattern
-re-checks (MorphismMatrix's and freemod._check_terms's) and the span
-checks of conditions 1 and 2 in characterize.compatible_presentations
-compare grades this way. A Presentation goes one step further when it
-is built: it puts its generator and relation grades on one integer
-lattice, with scaled (here) giving each grade as an int tuple in units
-of 1/L for L the lcm of their denominators, and tests its relations'
-patterns and orders them there. interleave.check_closure compares
-grades on each presentation's own lattice, with 2e * L rounded down,
-and minimize's redundancy step compares relation grades there.
+re-checks (MorphismMatrix's and freemod._check_terms's) compare grades
+this way. A Presentation goes one step further when it is built: it
+puts its generator and relation grades on one integer lattice, with
+scaled (here) giving each grade as an int tuple in units of 1/L for L
+the lcm of their denominators, and tests its relations' patterns and
+orders them there. Every span check of a witness compares grades on
+the lattice of the presentation whose relations span: check_closure
+at gr + 2e and characterize.compatible_presentations at gr(w) + e,
+each rounded down onto that lattice. minimize's redundancy step
+compares relation grades there too.
 onedim.barcode reads its grades off that lattice, and the interleaving
 search, its candidate set and its diagonal lower bound put both
 presentations, and the shift, on one common multiple of their lattices

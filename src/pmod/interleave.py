@@ -64,11 +64,14 @@ Values are lifted back only at the boundary: the problem's public e is
 Fraction(k, L), and the witness is two MorphismMatrix objects on the
 caller's presentations. check_closure and MorphismMatrix's own
 pattern check stay independent re-checks, and never read the problem's
-lattice or the search's rows: check_closure compares grades on each
-presentation's own lattice (P.gen_ints and P.rel_ints, with 2e * P.L
-rounded down) and tests each set of columns with one elimination
-(freemod._spanned), and MorphismMatrix compares the Grades
-(grading.Grade).
+lattice or the search's rows: MorphismMatrix compares the Grades
+(grading.Grade), and check_closure asks _spanned_at, for each column
+of BA - I and of AB - I, whether it lies in span[R_P at u], with u
+on P's own lattice (P.gen_ints, and 2e * P.L rounded down).
+_spanned_at groups the vectors by the relations admissible at their
+grades (P.rel_ints) and tests each group with one elimination
+(freemod._spanned); conditions 1 and 2 of
+characterize.compatible_presentations ask it the same question.
 """
 
 import math
@@ -275,6 +278,23 @@ def _condition_rows(src, tgt, k, free):
     return rows
 
 
+def _spanned_at(P, at):
+    """Does each vector v lie in span[R_P at u], for the (u, v) in at?
+
+    u is an int grade on P's own lattice (units of 1/P.L, as
+    P.rel_ints) and v a raw vector over P's generators. The zero
+    vectors are skipped, the others grouped by the relations admissible
+    at u (grade <= u), and each group is one _spanned elimination.
+    """
+    groups = {}  # admissible relations -> the vectors needing them
+    for u, v in at:
+        if any(v):
+            ks = tuple([k for k, r in enumerate(P.rel_ints) if _leq(r, u)])
+            groups.setdefault(ks, []).append(v)
+    return all(_spanned([P.relations[k].coeffs for k in ks], vs, P.field.p)
+               for ks, vs in groups.items())
+
+
 def check_closure(A, B, prob):
     """Conditions 3 and 4: BA and AB are identities up to relations.
 
@@ -286,10 +306,10 @@ def check_closure(A, B, prob):
 
     The grades are compared on each presentation's own lattice (P.L,
     P.gen_ints, P.rel_ints), where 2e rounds down to an int, never on
-    the search's. The nonzero columns are grouped by their admissible
-    relations, and each group is one _spanned elimination. A and B are
-    patterned, so a column of BA - I obeys the grade pattern at its
-    shifted grade, and none needs checking as an element.
+    the search's: column j goes to _spanned_at at P.gen_ints[j] +
+    floor(2e * P.L). A and B are patterned, so a column of BA - I obeys
+    the grade pattern at its shifted grade, and none needs checking as
+    an element.
     """
     G_M, G_N = prob.P_M.generators, prob.P_N.generators
     e, e2, field = prob.e, 2 * prob.e, prob.field
@@ -304,21 +324,15 @@ def check_closure(A, B, prob):
                             f"{B.field}, problem over {field}")
     for P, first, second in ((prob.P_M, A, B), (prob.P_N, B, A)):
         reach = e2.numerator * P.L // e2.denominator  # 2e * P.L, floored
-        rels = P.rel_ints
-        groups = {}  # admissible relations -> the columns needing them
+        at = []
         # first has no rows when the other module has no generators
         cols = list(zip(*first.entries)) or [()] * len(P.gen_ints)
         for j, (g, col) in enumerate(zip(P.gen_ints, cols)):
             v = [_dot(row, col, field) for row in second.entries]
             v[j] = field.coerce(v[j] - 1)
-            if any(v):
-                u = _up(g, reach)
-                ks = tuple([k for k, r in enumerate(rels) if _leq(r, u)])
-                groups.setdefault(ks, []).append(v)
-        for ks, vectors in groups.items():
-            rows = [P.relations[k].coeffs for k in ks]
-            if not _spanned(rows, vectors, field.p):
-                return False
+            at.append((_up(g, reach), v))
+        if not _spanned_at(P, at):
+            return False
     return True
 
 

@@ -322,7 +322,8 @@ def minimize(P):
     still kept whose grades are <= its own, compared on P's lattice
     (P.rel_ints, which step 1 leaves as they are), with one
     elimination (freemod._spanned). Only the kept relations are built
-    as elements.
+    as elements, from their values and nonzero terms, and
+    Presentation(...) checks their pattern.
     """
     gen_items = [(nm, g) for nm, g in P.generators]
     rels = [[nm, el.grade, list(el.coeffs), u]
@@ -367,7 +368,8 @@ def minimize(P):
             i += 1
 
     gens = GradedSet(gen_items)
-    elems = [(nm, make_element(gens, grade, coeffs, field))
+    elems = [(nm, HomogeneousElement(gens, grade, coeffs, field, tuple(
+                 [(j, c) for j, c in enumerate(coeffs) if c])))
              for nm, grade, coeffs, _ in (rels[j] for j in kept)]
     return Presentation(field, P.n, gens, elems, P.name)
 

@@ -10,6 +10,7 @@ from pmod import (BudgetExceeded, CompatiblePair, FieldMismatch, Grade,
                   make_element, parse, serialize, serialize_pair,
                   span_membership, verify_compatible)
 
+from pmod import characterize
 from conftest import F2, F3, F5, random_presentation, rng_for
 
 M_TEXT = "module M\nfield F5\nparams 1\ngen a @ 0\nrel r1 @ 3 = 1*a\n"
@@ -210,10 +211,14 @@ def test_conditions_one_and_two_match_the_per_relation_check():
     # the same message
     rng = rng_for(2626)
     seen = set()
-    for trial in range(60):
+    off = 0  # relations w of P with gr(w) + e off Q's lattice
+    for trial in range(100):
+        # from trial 60 on, P's grades lie on thirds and Q's on halves
+        dp, dq = (4, 4) if trial < 60 else (3, 2)
         field = rng.choice([F2, F3, F5])
-        P = random_presentation(rng, field, 2, 3, 4, 1, 1)
-        Q = random_presentation(rng, field, 2, 3, 4, 1, 1, name="N")
+        P = random_presentation(rng, field, 2, 3, 4, 1, 1, denom=dp)
+        Q = random_presentation(rng, field, 2, 3, 4, 1, 1, name="N",
+                                denom=dq)
         e = rng.choice(candidate_set(P, Q).finite())
         try:
             w = is_interleaved(InterleavingProblem(P, Q, e), 2000)
@@ -221,6 +226,9 @@ def test_conditions_one_and_two_match_the_per_relation_check():
             continue
         if w is None:
             continue
+        off += sum(any((x * Q.L).denominator != 1
+                       for x in grade_shift(r.grade, e).coords)
+                   for r in P.relations)
         witnesses = [w]
         for side in ("A", "B"):
             X = getattr(w, side)
@@ -244,6 +252,50 @@ def test_conditions_one_and_two_match_the_per_relation_check():
             assert got == want, (trial, got, want)
             seen.add(want and want[:2])
     assert seen == {None, "A ", "B ", "ro"}, seen
+    assert off >= 20, off
+
+
+def test_induced_relations_reuse_the_pairs_elements(monkeypatch):
+    # over F2 and F3 on one and two parameters: compatible_presentations
+    # makes each Y element once, with make_element, and every relation
+    # of the induced presentations holds the terms of its Y element
+    calls = []
+    real = characterize.make_element
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(characterize, "make_element", counted)
+    rng = rng_for(2727)
+    done = {}
+    while min(done.values(), default=0) < 6 or len(done) < 4:
+        field, n = rng.choice([F2, F3]), rng.choice([1, 2])
+        P = random_presentation(rng, field, n, 3, 3, 1, 1)
+        Q = random_presentation(rng, field, n, 3, 3, 1, 1, name="N")
+        e = rng.choice(candidate_set(P, Q).finite())
+        try:
+            w = is_interleaved(InterleavingProblem(P, Q, e), 2000)
+        except BudgetExceeded:
+            continue
+        if w is None:
+            continue
+        calls.clear()
+        pair, ind_M, ind_N = compatible_presentations(P, Q, w, e)
+        assert len(calls) == (len(P.relations) + len(Q.generators)
+                              + len(Q.relations) + len(P.generators))
+        for ind, own, raised in ((ind_M, pair.Y1, pair.Y2),
+                                 (ind_N, pair.Y2, pair.Y1)):
+            # the induced relations in grade order, stable within ties
+            want = sorted([(el.grade, el) for _, el in own]
+                          + [(grade_shift(el.grade, e), el)
+                             for _, el in raised],
+                          key=lambda t: t[0].coords)
+            assert [r.grade for r in ind.relations] == [g for g, _ in want]
+            for r, (_, el) in zip(ind.relations, want):
+                assert r.terms is el.terms
+        done[field, n] = done.get((field, n), 0) + 1
+
 
 def test_verify_rejects_foreign_generators():
     M, N, w = _offset_pair()
