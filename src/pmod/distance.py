@@ -148,7 +148,8 @@ def interleaving_distance(P_M, P_N, budget=DEFAULT_BUDGET):
     the answer when the bound is tight (always for n = 1); after a No
     it binary-searches the candidates above for the least feasible one,
     and the distance is inf if none is. When LB is inf or above every
-    finite candidate the answer is inf without any probe. At most
+    finite candidate the answer is inf without any probe; when LB is
+    inf the candidates are not even built. At most
     ceil(log2(#finite candidates)) + 1 probes are made, and the witness
     is the one is_interleaved finds at the distance. Every probe is on
     one lattice, and d_I is the e of the probe that found the witness
@@ -165,12 +166,14 @@ def interleaving_distance(P_M, P_N, budget=DEFAULT_BUDGET):
     Pm = minimize(P_M)
     Pn = minimize(P_N)
     lat = _Lattice(Pm, Pn)
+    lb = _diagonal_bound(lat)
+    if lb == INF:
+        return INF, None
     finite = _candidates(lat)
 
     # d_I is in finite[lo:hi], or else it is finite[hi] (answered Yes),
     # or inf when hi == len(finite); every candidate below lo is below
     # the bound or answered No
-    lb = _diagonal_bound(lat)
     lo, hi = bisect_left(finite, lb * lat.L), len(finite)
     mid, d, witness = lo, INF, None
     while lo < hi:

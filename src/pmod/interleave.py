@@ -27,6 +27,15 @@ The search enumerates the side whose quotient V/Z is smaller. The
 number of candidates actually enumerated, p^dim(V/Z), is what the
 budget bounds.
 
+A side with dim V/Z = 0 needs no search. Its one candidate is F = 0,
+so conditions 3 and 4 ask BA - I = -I and AB - I = -I to lie in the
+spans, whatever the partner is: the probe is Yes iff every generator
+of M and of N lies in the span of its own module's relations at its
+grade + 2e (the modules are 2e-trivial), and then A = B = 0 is the
+least-index witness. is_interleaved answers such probes from the
+modules' annihilators at those grades, and builds the second side only
+when the first has dim > 0.
+
 The partner solve for a candidate F is the linear system
 [S; G(F)] y = [0; c]: S holds the partner's condition-2 rows and does
 not depend on F, G(F) holds the rows of conditions 3 and 4 and is linear
@@ -374,8 +383,9 @@ class _Side:
     residues, as in the witness matrices materialize builds; grades are
     int tuples.
 
-    pair_with, run only on the enumerated side, builds the basis U of
-    V/Z and the partner-solve data, and hits scans the candidates.
+    pair_with, run only on the enumerated side and only when its dim
+    is > 0, builds the basis U of V/Z and the partner-solve data, and
+    hits scans the candidates.
     """
 
     __slots__ = ("prob", "src", "tgt", "free", "dim", "U",
@@ -571,6 +581,16 @@ class _Side:
         return F_mat, Y_mat
 
 
+def _dies_within(S, k2):
+    """Does every generator of S lie in the span of S's relations at
+    its grade + 2e, for S on a lattice and k2 = 2e on it? Generator j
+    does iff each _annihilator functional there kills e_j, that is has
+    a zero j-th entry: these are the functionals pair_with reads as K2
+    and K3, and their j-th entries are its right-hand side c."""
+    return not any(kappa[j] for j, g in enumerate(S.gens)
+                   for kappa in _annihilator(S, _up(g, k2)))
+
+
 def is_interleaved(prob, budget=DEFAULT_BUDGET):
     """Search for an e-interleaving witness.
 
@@ -581,27 +601,47 @@ def is_interleaved(prob, budget=DEFAULT_BUDGET):
     check_closure to verify a supplied witness instead).
 
     Deterministic: candidates are scanned in lexicographic coordinate
-    order and the least-index witness wins.
+    order and the least-index witness wins. The M -> N side is built
+    first, and N -> M only when M -> N has dim > 0; ties go to M -> N.
+    A searched side of dim 0 has the one candidate F = 0, whose partner
+    system [S; 0] y = [0; c] is solvable iff c = 0, that is iff every
+    generator of M and of N dies within 2e (_dies_within), and then its
+    solution is y = 0. So such a probe is answered from the modules,
+    without the partner search, and its witness is A = B = 0, the one
+    the scan finds; it still counts p^0 = 1 against the budget.
     """
     _check_finite(prob.field)
     lat = prob._lat
-    side_a = _Side(prob, lat.M, lat.N)
-    side_b = _Side(prob, lat.N, lat.M)
-    side, other = ((side_a, side_b) if side_a.dim <= side_b.dim
-                   else (side_b, side_a))
+    side = _Side(prob, lat.M, lat.N)
+    other = None
+    if side.dim:
+        other = _Side(prob, lat.N, lat.M)
+        if other.dim < side.dim:
+            side, other = other, side
     total = prob.field.p ** side.dim
     if total > budget:
         raise BudgetExceeded(total, budget)
-    side.pair_with(other)
-    hit = next(side.hits(), None)
-    if hit is None:
-        return None
-    _, F, y = hit
-    F_mat, Y_mat = side.materialize(F, y)
-    if side is side_a:
-        w = InterleavingWitness(F_mat, Y_mat)
+    if not side.dim:
+        k2 = 2 * prob._k
+        if not (_dies_within(lat.M, k2) and _dies_within(lat.N, k2)):
+            return None
+        G_M, G_N = prob.P_M.generators, prob.P_N.generators
+        w = InterleavingWitness(
+            MorphismMatrix(G_M, G_N, [[0] * len(G_M) for _ in G_N],
+                           prob.e, prob.field),
+            MorphismMatrix(G_N, G_M, [[0] * len(G_N) for _ in G_M],
+                           prob.e, prob.field))
     else:
-        w = InterleavingWitness(Y_mat, F_mat)
+        side.pair_with(other)
+        hit = next(side.hits(), None)
+        if hit is None:
+            return None
+        _, F, y = hit
+        F_mat, Y_mat = side.materialize(F, y)
+        if side.src is lat.M:
+            w = InterleavingWitness(F_mat, Y_mat)
+        else:
+            w = InterleavingWitness(Y_mat, F_mat)
     if not check_closure(w.A, w.B, prob):
         raise AssertionError("found witness fails the closure check")
     return w

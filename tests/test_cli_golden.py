@@ -3,8 +3,9 @@
 cli_golden.json holds, for every command line in CASES, its exit code
 and its exact stdout and stderr. The inputs are the tests/test_cli.py
 pair, an F5 pair whose witness and mixed relations hold entries other
-than 0 and 1, two Q modules with negative and fractional coefficients,
-and files the commands must reject with exit code 2. An argument
+than 0 and 1, an F5 pair whose witness is zero, two Q modules with
+negative and fractional coefficients, and files the commands must
+reject with exit code 2. An argument
 written @name is the path name in the scratch directory, which the
 transcripts show as $TMP. After an intended change of output, re-record
 with
@@ -46,6 +47,11 @@ MODULES = {
            "rel r4 @ 3 = 2*a + 4*b\n"),
     "Q2": ("module Q2\nfield Q\nparams 1\ngen x @ 1/4\ngen y @ 1\n"
            "rel s1 @ 3/2 = -2/3*x + 5/7*y\nrel s2 @ 5/2 = -1*y\n"),
+    # a 2e-trivial pair at e = 1/2, far apart: each generator dies
+    # within 1, and the witness is A = B = 0
+    "M0": "module M0\nfield F5\nparams 1\ngen a @ 0\nrel r1 @ 1 = 1*a\n",
+    "N0": ("module N0\nfield F5\nparams 1\ngen b @ 5\n"
+           "rel s1 @ 11/2 = 1*b\n"),
     "bad": "module M\nfield F5\n",
     "latin1": b"module M\nfield F5\xff\n",
 }
@@ -101,6 +107,10 @@ CASES = [
     ["distance", "M", "N", "--budget", "0"],
     ["characterize", "M", "N", "--eps", "1", "--budget", "0"],
     ["isomorphic", "M", "N", "--budget", "0"],
+    # a probe answered Yes with zero maps
+    ["interleaved", "M0", "N0", "--eps", "1/2", "--witness"],
+    ["distance", "M0", "N0", "--witness"],
+    ["characterize", "M0", "N0", "--eps", "1/2"],
     # input errors: exit code 2
     ["barcode", "bad"],
     ["distance", "M", "bad"],

@@ -21,7 +21,7 @@ from pmod.interleave import (_Side, _annihilator, _complement,
                              _condition_rows, _patterns)
 
 from conftest import (F2, F3, F5, brute_system_solvable, local_solve,
-                      random_presentation, rng_for)
+                      rand_grade, random_presentation, rng_for)
 
 M_TEXT = "module M\nfield F5\nparams 1\ngen a @ 0\nrel r1 @ 3 = 1*a\n"
 N_TEXT = "module N\nfield F5\nparams 1\ngen b @ 1\nrel s1 @ 3 = 1*b\n"
@@ -428,10 +428,14 @@ def test_each_row_list_reduced_once(monkeypatch):
     # is len(U) as the complement of two nullspaces gives it, Z here the
     # nullspace of the annihilator rows of each column; one search
     # builds U for its searched side only, makes 3 rref calls and 1
-    # _echelon call from interleave, and hands no row list to rref twice
+    # _echelon call from interleave, and hands no row list to rref twice.
+    # A probe whose searched side has dim 0 builds no U: it reduces the
+    # M -> N side's rows, and the N -> M side's only when M -> N has
+    # dim > 0
     rng = rng_for(1818)
     searched = 0
     primes = set()
+    trivial = Counter()  # dim-0 probes, by whether M -> N has dim 0
     while searched < 30:
         field = rng.choice([F2, F3, F5])
         p = field.p
@@ -480,13 +484,72 @@ def test_each_row_list_reduced_once(monkeypatch):
                        from_interleave("_echelon", pmod.freemod._echelon))
             mp.setattr(pmod.interleave, "_complement", counting)
             is_interleaved(prob)
+        assert len({id(rows) for rows in reduced}) == len(reduced)
+        if not min(dims):
+            assert complements == []
+            assert calls == {"rref": 1 if dims[0] == 0 else 2}
+            trivial[dims[0] == 0] += 1
+            continue
         assert len(complements) == 1
         assert len(_complement(*complements[0])) == min(dims)
         assert calls == {"rref": 3, "_echelon": 1}
-        assert len({id(rows) for rows in reduced}) == len(reduced)
         searched += 1
         primes.add(p)
     assert primes == {2, 3, 5}
+    assert trivial[True] >= 10 and trivial[False] >= 10, trivial
+
+
+def _box(rng, field, lower, name):
+    """The interval module on a box at lower whose sides are 1/4 to 1
+    long, so it dies within 2e for every e >= 1/2."""
+    uppers = [[c + Fraction(rng.randint(1, 4), 4) if t == s else c
+               for t, c in enumerate(lower)] for s in range(len(lower))]
+    return box_interval(field, lower, uppers, name=name)
+
+
+def test_dimension_zero_probes_match_the_scan():
+    # random probes whose searched side has dim 0, from random pairs and
+    # from pairs of short boxes 6 apart (2e-trivial for e >= 1/2): the
+    # answer and the witness entries are those of the scan run by hand,
+    # both sides, pair_with, the first hit and materialize, and the
+    # probe still counts 1 against the budget
+    rng = rng_for(2626)
+    seen = Counter()  # (p, n, answered Yes) -> probes
+    n_to_m = 0  # probes whose searched side is N -> M
+    while sum(seen.values()) < 300:
+        field = rng.choice([F2, F3, F5])
+        n = rng.choice([1, 2])
+        if rng.random() < 0.3:
+            lower = rand_grade(rng, n).coords
+            P = _box(rng, field, lower, "M")
+            Q = _box(rng, field, [c + 6 for c in lower], "N")
+        else:
+            P = random_presentation(rng, field, n)
+            Q = random_presentation(rng, field, n, name="N")
+        e = rng.choice(pmod.candidate_set(P, Q).finite())
+        prob = InterleavingProblem(P, Q, e)
+        lat = prob._lat
+        a, b = _Side(prob, lat.M, lat.N), _Side(prob, lat.N, lat.M)
+        if min(a.dim, b.dim):
+            continue
+        side, other = (a, b) if a.dim <= b.dim else (b, a)
+        side.pair_with(other)
+        hit = next(side.hits(), None)
+        w = is_interleaved(prob)
+        if hit is None:
+            assert w is None
+        else:
+            F_mat, Y_mat = side.materialize(*hit[1:])
+            A, B = (F_mat, Y_mat) if side is a else (Y_mat, F_mat)
+            assert (w.A.entries, w.B.entries) == (A.entries, B.entries)
+        with pytest.raises(BudgetExceeded) as exc:
+            is_interleaved(prob, 0)
+        assert exc.value.required == 1
+        seen[field.p, n, w is not None] += 1
+        n_to_m += side is b
+    assert all(seen[p, n, yes] >= 3 for p in (2, 3, 5) for n in (1, 2)
+               for yes in (True, False)), seen
+    assert n_to_m >= 10, n_to_m
 
 
 def _with_extra_relation(rng, P):
