@@ -490,7 +490,9 @@ def nullspace(rows, width, p):
 
 def _kernel(red, pivots, width, p):
     """Nullspace basis of rows reduced by rref: per free column, in
-    ascending order, 1 there and minus its reduced entries on pivots."""
+    ascending order, 1 there and minus its reduced entries on pivots.
+    The search writes each partner map in this basis (interleave._Side),
+    so its coordinates, and with them its witnesses, follow this order."""
     zero, one = (0, 1) if p else (Fraction(0), Fraction(1))
     pivot_set = set(pivots)
     basis = []

@@ -36,25 +36,26 @@ least-index witness. is_interleaved answers such probes from the
 modules' annihilators at those grades, and builds the second side only
 when the first has dim > 0.
 
-The partner solve for a candidate F is the linear system
-[S; G(F)] y = [0; c]: S holds the partner's condition-2 rows and does
-not depend on F, G(F) holds the rows of conditions 3 and 4 and is linear
-in F, and c (entries of the annihilating functionals) does not depend
-on F either. Each side reduces one row list, its condition-1 rows, and
-reads its free entries and dim Z straight off the grades: dim Z is the
-sum, over src generators j, of the rank of tgt's relations at
-gr(G_src, j) + e. Only the searched side builds Z, from its definition
-(the relations admissible at each column's shifted grade, placed in
-that column), reads V off its reduction and takes U as the complement;
-its S is the other side's condition-1 reduction, as it is. Each basis
-vector U_k of V/Z gets one block H_k,
-the rows of G(U_k) reduced against S (built on first use), and the
-candidates are scanned by an odometer that adds one block per digit it
-moves. A candidate then costs one elimination of the small block
-[H(F) | c] on the columns that are not pivots of S; over F_2 its rows
-are ints, added and eliminated by XOR. The solution is read back
-through S only on a hit, and it is the one a solve of the whole system
-gives, so the least-index witness is the same.
+The partner solve for a candidate F: the partner's condition 2 is the
+other side's condition 1, linear in the partner alone, so the partner
+lies in the other side's V, and its reduction gives a basis Y of that
+V (freemod._kernel, one vector per column that is not a pivot). The
+partner is y = z.Y, and conditions 3 and 4 are the linear system
+G(F) Y^T z = c: G(F) holds their rows over the partner's free entries
+and is linear in F, and c (entries of the annihilating functionals)
+does not depend on F. Each side reduces one row list, its condition-1
+rows, and reads its free entries and dim Z straight off the grades:
+dim Z is the sum, over src generators j, of the rank of tgt's
+relations at gr(G_src, j) + e. Only the searched side builds Z, from
+its definition (the relations admissible at each column's shifted
+grade, placed in that column), reads V off its reduction and takes U
+as the complement. Each basis vector U_k of V/Z gets one block
+H_k = G(U_k) Y^T (built on first use), and the candidates are scanned
+by an odometer that adds one block per digit it moves. A candidate
+then costs one elimination of the small block [H(F) | c]; over F_2
+its rows are ints, added and eliminated by XOR. A hit's solution z
+gives y = z.Y, the one a solve of the whole system gives, so the
+least-index witness is the same.
 
 Everything here works with a presentation as given; the answer only
 depends on the presented module, which is checked as a property test
@@ -368,13 +369,32 @@ def _complement(V, Z, width, p):
     return [row for row, c in zip(red, pivots) if c not in zpiv]
 
 
+def _entries(free, coords, nrows, ncols):
+    """The nrows x ncols int entry matrix with coords on its free
+    entries (i, j), in order, and 0 elsewhere."""
+    entries = [[0] * ncols for _ in range(nrows)]
+    for (i, j), c in zip(free, coords):
+        entries[i][j] = c
+    return entries
+
+
+def _combine(weights, basis, width, p):
+    """sum_k weights[k] * basis[k] over F_p, a vector of the given
+    width (all zero when the basis is empty)."""
+    v = [0] * width
+    for d, u in zip(weights, basis):
+        if d:
+            v = [(a + d * b) % p for a, b in zip(v, u)]
+    return v
+
+
 class _Side:
     """Everything the search needs to enumerate one direction.
 
     src, tgt: the two presentations on the problem's lattice; the fixed
     matrix F maps <G_src> -> <G_tgt(e)> on its free entries, the (i, j)
     with gr(G_tgt, i) <= gr(G_src, j) + e in row-major order, and the
-    partner Y solved per candidate maps back. One row list is reduced:
+    partner y solved per candidate maps back. One row list is reduced:
     the condition-1 rows over F's free entries, whose nullspace is V.
     dim Z is the sum over j of the rank of tgt's relations at
     gr(G_src, j) + e, read off the memoized annihilators, so dim =
@@ -384,13 +404,13 @@ class _Side:
     int tuples.
 
     pair_with, run only on the enumerated side and only when its dim
-    is > 0, builds the basis U of V/Z and the partner-solve data, and
-    hits scans the candidates.
+    is > 0, builds the basis U of V/Z and the basis Y of the other
+    side's V, in which the partner is solved as y = z.Y, and hits scans
+    the candidates.
     """
 
-    __slots__ = ("prob", "src", "tgt", "free", "dim", "U",
-                 "yfree", "K2", "K3", "_nsrc", "_ntgt", "_cond",
-                 "_S", "_pivots", "_cols", "_img", "_rhs", "_blocks")
+    __slots__ = ("prob", "src", "tgt", "free", "dim", "U", "Y",
+                 "yfree", "K2", "K3", "_cond", "_img", "_rhs", "_blocks")
 
     def __init__(self, prob, src, tgt):
         self.prob = prob
@@ -400,14 +420,12 @@ class _Side:
         shifted = [_up(g, k) for g in src.gens]
         self.free = free = [(i, j) for i, t in enumerate(tgt.gens)
                             for j, s in enumerate(shifted) if _leq(t, s)]
-        self._nsrc = len(src.gens)
-        self._ntgt = len(tgt.gens)
         width = len(free)
         self._cond = rref(_condition_rows(src, tgt, k, free), width, p)
         # column j of Z ranges over span[R_tgt at g_j + e], whose rank is
         # len(G_tgt) less the number of functionals that annihilate it
         self.dim = width - len(self._cond[1]) - sum(
-            self._ntgt - len(_annihilator(tgt, s)) for s in shifted)
+            len(tgt.gens) - len(_annihilator(tgt, s)) for s in shifted)
 
     def pair_with(self, other):
         """U and the static data for the partner solve; other is the
@@ -418,11 +436,15 @@ class _Side:
         j and each tgt relation w admissible at gr(G_src, j) + e, the
         row holding w's coefficients on the entries (i, j); each such
         entry is free, as w's generators lie below w's grade. The
-        partner's condition 2 is the opposite side's condition 1, so S
-        is that side's reduction, as it is. The rows of conditions 3 and
-        4 are G(F) with right-hand side c: one row per functional in K2
-        and in K3, and c holds the functionals' own entries, so it does
-        not depend on F.
+        partner's condition 2 is the opposite side's condition 1, so
+        the partner lies in that side's V, and Y is the basis of it read
+        off that side's reduction: y = z.Y for a coordinate vector z.
+        The rows of conditions 3 and 4 are G(F) with right-hand side c:
+        one row per functional in K2 and in K3, and c holds the
+        functionals' own entries, so it does not depend on F. A row g
+        over the partner's free entries becomes the row g.Y^T over z,
+        summed from _img, the rows of Y^T (over F_2 an int each, bit q
+        is coordinate q).
         """
         p, k = self.prob.field.p, self.prob._k
         width = len(self.free)
@@ -432,47 +454,28 @@ class _Side:
              if _leq(r, _up(g, k))]
         self.U = _complement(_kernel(*self._cond, width, p), Z, width, p)
         self.yfree = other.free
+        self.Y = Y = _kernel(*other._cond, len(other.free), p)
         k2 = 2 * k
         self.K2 = [_annihilator(self.src, _up(g, k2)) for g in self.src.gens]
         self.K3 = [_annihilator(self.tgt, _up(g, k2)) for g in self.tgt.gens]
-        self._S, self._pivots = other._cond
-        pivots = dict(zip(self._pivots, self._S))
-        self._cols = cols = [t for t in range(len(other.free))
-                             if t not in pivots]
-        # reducing a row against the reduced S leaves its entries on the
-        # columns cols, and takes f times row r of S off for its entry f
-        # on pivot r; so the t-th unit vector reduces to its column, or
-        # to minus row r of S there (as an int over F_2: bit q is
-        # column cols[q])
-        self._img = img = []
-        for t in range(len(other.free)):
-            if t in pivots:
-                img.append([-pivots[t][c] % p for c in cols])
-            else:
-                img.append([int(c == t) for c in cols])
+        self._img = list(zip(*Y)) or [()] * len(other.free)
         if p == 2:
-            self._img = [sum(a << q for q, a in enumerate(im)) for im in img]
+            self._img = [sum(a << q for q, a in enumerate(im))
+                         for im in self._img]
         self._rhs = ([kappa[j] for j, ks in enumerate(self.K2)
                       for kappa in ks]
                      + [kappa[i] for i, ks in enumerate(self.K3)
                         for kappa in ks])
         self._blocks = [None] * len(self.U)
 
-    def _entries(self, coords):
-        """F as an int entry matrix (rows over tgt generators), from its
-        coordinates over the free entries."""
-        entries = [[0] * self._nsrc for _ in range(self._ntgt)]
-        for (i, j), c in zip(self.free, coords):
-            entries[i][j] = c
-        return entries
-
     def _block(self, k):
-        """H_k: the rows of G(U_k) reduced against the reduced S, on the
-        columns that are not pivots of S and a zero right-hand side, as
-        (row index, row) for the rows that are not zero; packed into
-        ints over F_2 (bit q is column q)."""
+        """H_k: the rows of G(U_k) over the coordinates z of y = z.Y,
+        with a zero right-hand side, as (row index, row) for the rows
+        that are not zero; packed into ints over F_2 (bit q is
+        coordinate q)."""
         yfree = self.yfree
-        Fcols = list(zip(*self._entries(self.U[k])))
+        Fcols = list(zip(*_entries(self.free, self.U[k], len(self.tgt.gens),
+                                   len(self.src.gens))))
         rows = []
         for j, ks in enumerate(self.K2):
             col = Fcols[j]
@@ -481,16 +484,16 @@ class _Side:
             for kappa in ks:
                 kF = [sum(map(mul, kappa, c)) for c in Fcols]
                 rows.append([kF[t] if jj == i else 0 for (t, jj) in yfree])
-        zero = 0 if self.prob.field.p == 2 else [0] * (len(self._cols) + 1)
+        zero = 0 if self.prob.field.p == 2 else [0] * (len(self.Y) + 1)
         block = self._blocks[k] = [
             (i, h) for i, h in enumerate(map(self._reduced, rows))
             if h != zero]
         return block
 
     def _reduced(self, g):
-        """The raw row g over the partner's free entries, reduced
-        against the reduced S: the sum of g[t] times the image of the
-        t-th unit vector (see pair_with), then 0 over F_p (see hits)."""
+        """The raw row g over the partner's free entries as the row
+        g.Y^T over the coordinates z of y = z.Y: the sum of g[t] times
+        row t of Y^T, then 0 over F_p (see hits)."""
         p = self.prob.field.p
         if p == 2:
             h = 0
@@ -498,31 +501,28 @@ class _Side:
                 if a & 1:
                     h ^= im
             return h
-        h = [0] * len(self._cols)
-        for a, im in zip(g, self._img):
-            if a:
-                h = [x + a * y for x, y in zip(h, im)]
-        return [x % p for x in h] + [0]
+        return _combine(g, self._img, len(self.Y), p) + [0]
 
     def hits(self):
         """Yield (index, F, y) for every candidate F whose partner
-        system is solvable, in index order; y is its solution with the
-        free variables zero, over the partner's free entries.
+        system is solvable, in index order; y = z.Y for the solution z
+        with the free variables zero, over the partner's free entries.
 
         Candidates run lexicographically over U coordinates, big-endian,
-        so index 0 is the zero matrix. G is linear in F, so the reduced
-        block H(F) of a candidate is the sum of its digits times H_k;
-        the odometer adds H_k for each digit it advances, and also for
-        one that wraps from p - 1 to 0, since -(p - 1) H_k = H_k. Block
-        k is built when digit k first moves, at index p^(m-1-k). The
-        rows of [S; G(F)] and of [S; H(F)] span the same space, so their
-        pivots, and the solution with the free variables zero, agree:
-        that solution is the reduced block's, with the pivots of S read
-        back from S.
+        so index 0 is the zero matrix. G is linear in F, so the block
+        H(F) of a candidate is the sum of its digits times H_k; the
+        odometer adds H_k for each digit it advances, and also for one
+        that wraps from p - 1 to 0, since -(p - 1) H_k = H_k. Block k is
+        built when digit k first moves, at index p^(m-1-k). Y_q is 1 at
+        the q-th column that is not a pivot of the other side's
+        reduction and 0 at the others, so z is y on those columns: the
+        solution of H(F) z = c with the free variables zero gives the y
+        that a solve of the whole system, condition 2 together with
+        G(F) y = c, gives with its free variables zero.
         """
         p = self.prob.field.p
         m = len(self.U)
-        width = len(self._cols)
+        width = len(self.Y)
         blocks = self._blocks
         digits = [0] * m
         # the right-hand side rides in column (bit) width, blocks hold 0
@@ -555,28 +555,19 @@ class _Side:
                 yield (index, *self._hit(digits, z))
 
     def _hit(self, digits, z):
-        """F at the given digits, and the partner solution y whose
-        values on the non-pivot columns of S are z."""
+        """F = sum_k d_k U_k at the given digits, as its entry matrix,
+        and the partner y = z.Y over the partner's free entries."""
         p = self.prob.field.p
-        coords = [0] * len(self.free)
-        for d, u in zip(digits, self.U):
-            if d:
-                coords = [(a + d * b) % p for a, b in zip(coords, u)]
-        y = [0] * len(self.yfree)
-        for t, v in zip(self._cols, z):
-            y[t] = v
-        for srow, c in zip(self._S, self._pivots):
-            y[c] = -sum(srow[t] * y[t] for t in self._cols) % p
-        return self._entries(coords), y
+        coords = _combine(digits, self.U, len(self.free), p)
+        F = _entries(self.free, coords, len(self.tgt.gens), len(self.src.gens))
+        return F, _combine(z, self.Y, len(self.yfree), p)
 
     def materialize(self, F, y):
         """The (F, y) hit as the two morphism matrices."""
         field = self.prob.field
         gsrc, gtgt = self.src.P.generators, self.tgt.P.generators
         F_mat = MorphismMatrix(gsrc, gtgt, F, self.prob.e, field)
-        y_entries = [[0] * self._ntgt for _ in range(self._nsrc)]
-        for (i, j), c in zip(self.yfree, y):
-            y_entries[i][j] = c
+        y_entries = _entries(self.yfree, y, len(gsrc), len(gtgt))
         Y_mat = MorphismMatrix(gtgt, gsrc, y_entries, self.prob.e, field)
         return F_mat, Y_mat
 
@@ -604,9 +595,9 @@ def is_interleaved(prob, budget=DEFAULT_BUDGET):
     order and the least-index witness wins. The M -> N side is built
     first, and N -> M only when M -> N has dim > 0; ties go to M -> N.
     A searched side of dim 0 has the one candidate F = 0, whose partner
-    system [S; 0] y = [0; c] is solvable iff c = 0, that is iff every
-    generator of M and of N dies within 2e (_dies_within), and then its
-    solution is y = 0. So such a probe is answered from the modules,
+    system 0 z = c is solvable iff c = 0, that is iff every generator
+    of M and of N dies within 2e (_dies_within), and then its solution
+    is z = 0, so y = 0. So such a probe is answered from the modules,
     without the partner search, and its witness is A = B = 0, the one
     the scan finds; it still counts p^0 = 1 against the budget.
     """

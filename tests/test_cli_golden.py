@@ -4,8 +4,9 @@ cli_golden.json holds, for every command line in CASES, its exit code
 and its exact stdout and stderr. The inputs are the tests/test_cli.py
 pair, an F5 pair whose witness and mixed relations hold entries other
 than 0 and 1, an F5 pair whose witness is zero, two Q modules with
-negative and fractional coefficients, and files the commands must
-reject with exit code 2. An argument
+negative and fractional coefficients, an F2 pair whose search runs
+the packed F_2 partner solve, and files the commands must reject with
+exit code 2. An argument
 written @name is the path name in the scratch directory, which the
 transcripts show as $TMP. After an intended change of output, re-record
 with
@@ -52,6 +53,15 @@ MODULES = {
     "M0": "module M0\nfield F5\nparams 1\ngen a @ 0\nrel r1 @ 1 = 1*a\n",
     "N0": ("module N0\nfield F5\nparams 1\ngen b @ 5\n"
            "rel s1 @ 11/2 = 1*b\n"),
+    # tests/conftest.random_presentation(rng_for(146), F2, 2, 3, 3, 2, 2),
+    # M then N; d_I = 2, and B has an entry on a pivot column of the
+    # partner's condition-2 reduction
+    "M2": ("module M\nfield F2\nparams 2\n"
+           "gen g1 @ (5/2, 1)\ngen g2 @ (1/3, 4)\n"
+           "rel r1 @ (5/6, 9/2) = 1*g2\nrel r2 @ (5/6, 9/2) = 0\n"),
+    "N2": ("module N\nfield F2\nparams 2\n"
+           "gen g1 @ (3, 3)\ngen g2 @ (7/2, 7/2)\n"
+           "rel r2 @ (4, 4) = 0\nrel r1 @ (9/2, 9/2) = 1*g1 + 1*g2\n"),
     "bad": "module M\nfield F5\n",
     "latin1": b"module M\nfield F5\xff\n",
 }
@@ -111,6 +121,10 @@ CASES = [
     ["interleaved", "M0", "N0", "--eps", "1/2", "--witness"],
     ["distance", "M0", "N0", "--witness"],
     ["characterize", "M0", "N0", "--eps", "1/2"],
+    # an F2 search
+    ["distance", "M2", "N2", "--witness"],
+    ["interleaved", "M2", "N2", "--eps", "7/4"],
+    ["interleaved", "N2", "M2", "--eps", "2", "--witness"],
     # input errors: exit code 2
     ["barcode", "bad"],
     ["distance", "M", "bad"],

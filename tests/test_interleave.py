@@ -427,11 +427,12 @@ def test_each_row_list_reduced_once(monkeypatch):
     # a side's dim, from its one reduction and the annihilator counts,
     # is len(U) as the complement of two nullspaces gives it, Z here the
     # nullspace of the annihilator rows of each column; one search
-    # builds U for its searched side only, makes 3 rref calls and 1
-    # _echelon call from interleave, and hands no row list to rref twice.
-    # A probe whose searched side has dim 0 builds no U: it reduces the
-    # M -> N side's rows, and the N -> M side's only when M -> N has
-    # dim > 0
+    # builds U for its searched side only, makes 3 rref calls, 1
+    # _echelon call and 2 _kernel calls (its own V and the partner
+    # basis Y) from interleave, and hands no row list to rref twice.
+    # A probe whose searched side has dim 0 builds no U and no Y: it
+    # reduces the M -> N side's rows, and the N -> M side's only when
+    # M -> N has dim > 0
     rng = rng_for(1818)
     searched = 0
     primes = set()
@@ -483,6 +484,8 @@ def test_each_row_list_reduced_once(monkeypatch):
             mp.setattr(pmod.interleave, "_echelon",
                        from_interleave("_echelon", pmod.freemod._echelon))
             mp.setattr(pmod.interleave, "_complement", counting)
+            mp.setattr(pmod.interleave, "_kernel",
+                       from_interleave("_kernel", pmod.freemod._kernel))
             is_interleaved(prob)
         assert len({id(rows) for rows in reduced}) == len(reduced)
         if not min(dims):
@@ -492,7 +495,7 @@ def test_each_row_list_reduced_once(monkeypatch):
             continue
         assert len(complements) == 1
         assert len(_complement(*complements[0])) == min(dims)
-        assert calls == {"rref": 3, "_echelon": 1}
+        assert calls == {"rref": 3, "_echelon": 1, "_kernel": 2}
         searched += 1
         primes.add(p)
     assert primes == {2, 3, 5}
@@ -625,9 +628,11 @@ def test_complement_takes_any_spanning_set():
 def test_partner_kernel_matches_full_solve():
     # every candidate index of random sides, both ways round: the
     # kernel's verdict, F and y against conftest's solve of the whole
-    # system, with F decoded here from the index's big-endian digits
+    # system, with F decoded here from the index's big-endian digits;
+    # some sides have an empty partner basis Y, and some a partner with
+    # no free entry at all
     rng = rng_for(909)
-    sides = hits = misses = wraps = 0
+    sides = hits = misses = wraps = empty_basis = no_partner = 0
     primes = set()
     while sides < 40:
         field = rng.choice([F2, F2, F3, F5])
@@ -648,6 +653,8 @@ def test_partner_kernel_matches_full_solve():
             sides += 1
             primes.add(p)
             wraps += p ** m > p
+            empty_basis += not side.Y
+            no_partner += not other.free
             for index in range(p ** m):
                 digits = [index // p ** (m - 1 - k) % p for k in range(m)]
                 coords = [sum(d * u[t] for d, u in zip(digits, side.U)) % p
@@ -667,6 +674,7 @@ def test_partner_kernel_matches_full_solve():
     assert hits >= 100 and misses >= 200 and wraps >= 10, (hits, misses,
                                                            wraps)
     assert primes == {2, 3, 5}
+    assert empty_basis >= 2 and no_partner >= 1, (empty_basis, no_partner)
 
 
 # Run under python -O, where assert statements are stripped: every
