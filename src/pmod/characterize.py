@@ -17,15 +17,19 @@ legitimate when gr(w) + e <= gr(element), since w exists in W2(-e)
 only from grade gr(w) + e onward).
 
 The witness is checked with the one span test that check_closure runs
-(interleave._spanned_at), on the lattice of the presentation whose
-relations span. Each Y element is made once, by make_element, and the
-induced presentations build their relations on those elements' values
-and terms, so Presentation(...) is their one pattern check.
+(interleave._spanned_at), which takes each relation's grade on its own
+presentation's lattice with the shift e and rounds it down onto the
+lattice of the presentation whose relations span. Each Y element is
+made once, by make_element. The induced presentations are built only
+on request (compatible_presentations, verify_compatible; `pmod
+characterize` prints the pair alone), on those elements' values and
+terms, so Presentation(...) is their one pattern check.
 """
 
 from operator import itemgetter
 
-from .grading import grade_shift, check_epsilon, sorted_by_grade
+from .grading import (grade_shift, check_epsilon, format_grade,
+                      sorted_by_grade)
 from .scalars import FieldMismatch
 from .freemod import (GradedSet, HomogeneousElement, BasisMismatch,
                       PatternViolation, make_element, _dot)
@@ -99,12 +103,21 @@ def compatible_presentations(P_M, P_N, witness, e):
     The witness is revalidated from scratch; InvalidWitness names the
     first failure among its type (check_closure's refusal), conditions
     1 and 2, and the round trips. For condition 1, the image under A of
-    each relation w of M goes to interleave._spanned_at on N, at gr(w) +
-    e rounded down onto N's lattice, which is exact: N's relation grades
-    are multiples of 1/N.L. Condition 2 likewise, with B. Returns (pair,
-    induced_M, induced_N); the pair's elements are made here, one
-    make_element each, and the induced presentations reuse them.
+    each relation w of M goes to interleave._spanned_at on N, at gr(w)
+    (M's P.rel_ints) shifted by e. Condition 2 likewise, with B.
+    Returns (pair, induced_M, induced_N); the pair's elements are made
+    once, one make_element each, and the induced presentations reuse
+    them. `pmod characterize` prints the pair alone and builds it with
+    _compatible_pair, the same checks and pair without the induced
+    presentations.
     """
+    pair = _compatible_pair(P_M, P_N, witness, e)
+    return (pair, *induced_presentations(pair, (P_M.name, P_N.name)))
+
+
+def _compatible_pair(P_M, P_N, witness, e):
+    """compatible_presentations' checks and pair, with no induced
+    presentation."""
     prob = InterleavingProblem(P_M, P_N, e)
     e = prob.e
     A, B = witness.A, witness.B
@@ -114,13 +127,9 @@ def compatible_presentations(P_M, P_N, witness, e):
         raise InvalidWitness(str(exc)) from exc
     field = prob.field
     for name, X, P, Q in (("A", A, P_M, P_N), ("B", B, P_N, P_M)):
-        # X.w lies at gr(w) + e, taken down onto Q's lattice: Q's grades
-        # are multiples of 1/Q.L, so r <= x iff r * Q.L <= floor(x * Q.L)
-        num, den = e.numerator * P.L * Q.L, e.denominator * P.L
-        at = [(tuple([(x * Q.L * e.denominator + num) // den for x in u]),
-               [_dot(row, w.coeffs, field) for row in X.entries])
-              for u, w in zip(P.rel_ints, P.relations)]
-        if not _spanned_at(Q, at):
+        images = [[_dot(row, w.coeffs, field) for row in X.entries]
+                  for w in P.relations]
+        if not _spanned_at(Q, zip(P.rel_ints, images), P.L, e):
             raise InvalidWitness(
                 f"{name} carries a relation of {P.name} outside the "
                 f"relations of {Q.name}")
@@ -144,10 +153,7 @@ def compatible_presentations(P_M, P_N, witness, e):
         for nm, g, own, other in vecs:
             vec = own + other if Y is Y1 else other + own
             Y.append((_unique(nm, used), make_element(basis, g, vec, field)))
-
-    pair = CompatiblePair(field, P_M.n, W1, W2, Y1, Y2, e)
-    ind_M, ind_N = induced_presentations(pair, (P_M.name, P_N.name))
-    return pair, ind_M, ind_N
+    return CompatiblePair(field, P_M.n, W1, W2, Y1, Y2, e)
 
 
 def induced_presentations(pair, names=("M", "N")):
@@ -155,32 +161,28 @@ def induced_presentations(pair, names=("M", "N")):
 
     For M: generators W1 at their own grades and W2 raised by e;
     relations Y1 at their own grades and Y2 raised by e. For N the
-    roles swap. Relations are renamed r1..rk in grade order. Both are
+    roles swap. Relations are renamed r1..rk in grade order, a
+    presentation's own relations first among equal grades. Both are
     over the pair's field and number of parameters. Each relation holds
     the values and terms of its Y element, which were checked when it
     was made, and Presentation(...) tests the grade pattern at its new
     grade, raising make_element's PatternViolation.
     """
     e, field, n = pair.e, pair.field, pair.n
-    w1_items = list(pair.W1)
-    w2_items = [(nm, g) for nm, (_, g) in zip(pair.w2_names, pair.W2)]
-
-    def build(gens_items, rel_data, name):
-        gens = GradedSet(gens_items)
-        rel_data = sorted_by_grade(rel_data, itemgetter(0))
-        pairs = [(f"r{k + 1}", HomogeneousElement(gens, grade, el.coeffs,
-                                                  field, el.terms))
-                 for k, (grade, el) in enumerate(rel_data)]
-        return Presentation(field, n, gens, pairs, name)
-
-    gens_M = w1_items + [(nm, grade_shift(g, e)) for nm, g in w2_items]
-    rels_M = [(el.grade, el) for _, el in pair.Y1] \
-        + [(grade_shift(el.grade, e), el) for _, el in pair.Y2]
-    gens_N = [(nm, grade_shift(g, e)) for nm, g in w1_items] + w2_items
-    rels_N = [(el.grade, el) for _, el in pair.Y2] \
-        + [(grade_shift(el.grade, e), el) for _, el in pair.Y1]
-    return (build(gens_M, rels_M, names[0]),
-            build(gens_N, rels_N, names[1]))
+    n1, Ys = len(pair.W1), (pair.Y1, pair.Y2)
+    out = []
+    for own, name in enumerate(names):
+        # generator k is on side 1 (W2) iff k >= n1; the other side rises
+        gens = GradedSet([(nm, g if (k >= n1) == own else grade_shift(g, e))
+                          for k, (nm, g) in enumerate(pair.basis)])
+        rels = [(el.grade, el) for _, el in Ys[own]] \
+            + [(grade_shift(el.grade, e), el) for _, el in Ys[1 - own]]
+        rels = [(f"r{k + 1}", HomogeneousElement(gens, g, el.coeffs, field,
+                                                 el.terms))
+                for k, (g, el) in enumerate(
+                    sorted_by_grade(rels, itemgetter(0)))]
+        out.append(Presentation(field, n, gens, rels, name))
+    return tuple(out)
 
 
 def verify_compatible(pair, P_M, P_N, budget=DEFAULT_BUDGET):
@@ -206,7 +208,6 @@ def verify_compatible(pair, P_M, P_N, budget=DEFAULT_BUDGET):
 
 def serialize_pair(pair):
     """Text form: presentation-format lines tagged W1/W2 and Y1/Y2."""
-    from .grading import format_grade
     out = [f"field {pair.field}", f"params {pair.n}", f"eps {pair.e}"]
     for nm, g in pair.W1:
         out.append(f"gen W1 {nm} @ {format_grade(g)}")

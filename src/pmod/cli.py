@@ -26,7 +26,7 @@ from .interleave import (InterleavingProblem, is_interleaved,
                          export_quadratic_system, BudgetExceeded,
                          UnsupportedField, DEFAULT_BUDGET, _check_pair)
 from .distance import candidate_set, interleaving_distance, is_isomorphic
-from .characterize import compatible_presentations, serialize_pair
+from .characterize import _compatible_pair, serialize_pair
 
 INPUT_ERRORS = (ParseError, PatternViolation, BasisMismatch, FieldMismatch,
                 DimensionMismatch, NotOneParameter, GradeOrderViolation,
@@ -203,7 +203,7 @@ def characterize(file_m, file_n, eps, budget, show_witness, as_json):
     w = _run(is_interleaved, _run(InterleavingProblem, P, Q, eps), budget)
     if w is None:
         return _emit(as_json, {"answer": "No"}, "No\n")
-    text = serialize_pair(_run(compatible_presentations, P, Q, w, eps)[0])
+    text = serialize_pair(_run(_compatible_pair, P, Q, w, eps))
     _emit(as_json, {"answer": "Yes", "pair": text}, text,
           w if show_witness else None)
 

@@ -107,7 +107,8 @@ class HomogeneousElement:
     whose values are made by FieldSpec.coerce, from the terms alone;
     presentation.minimize, from the values its eliminations leave; and
     characterize.induced_presentations, from the values and terms of the
-    pair's elements, at a new grade.
+    pair's elements, at their own grade or one raised by e (built only
+    on request: `pmod characterize` prints the pair without them).
     """
 
     __slots__ = ("basis", "grade", "_coeffs", "field", "terms")

@@ -17,7 +17,8 @@ the lcm of their denominators, and tests its relations' patterns and
 orders them there. Every span check of a witness compares grades on
 the lattice of the presentation whose relations span: check_closure
 at gr + 2e and characterize.compatible_presentations at gr(w) + e,
-each rounded down onto that lattice. minimize's redundancy step
+each handed with its shift to interleave._spanned_at, the one place
+that rounds it down onto that lattice. minimize's redundancy step
 compares relation grades there too.
 onedim.barcode reads its grades off that lattice, and the interleaving
 search, its candidate set and its diagonal lower bound put both

@@ -76,12 +76,14 @@ caller's presentations. check_closure and MorphismMatrix's own
 pattern check stay independent re-checks, and never read the problem's
 lattice or the search's rows: MorphismMatrix compares the Grades
 (grading.Grade), and check_closure asks _spanned_at, for each column
-of BA - I and of AB - I, whether it lies in span[R_P at u], with u
-on P's own lattice (P.gen_ints, and 2e * P.L rounded down).
-_spanned_at groups the vectors by the relations admissible at their
-grades (P.rel_ints) and tests each group with one elimination
-(freemod._spanned); conditions 1 and 2 of
-characterize.compatible_presentations ask it the same question.
+of BA - I and of AB - I, whether it lies in span[R_P at u + 2e], with
+u the column's generator grade (P.gen_ints). Conditions 1 and 2 of
+characterize.compatible_presentations ask it the same question of
+each relation's image, at its grade (the source's P.rel_ints) + e.
+_spanned_at holds the one rounding of such a shifted grade down onto
+P's own lattice, groups the vectors by the relations admissible there
+(P.rel_ints) and tests each group with one elimination
+(freemod._spanned).
 """
 
 import math
@@ -288,18 +290,26 @@ def _condition_rows(src, tgt, k, free):
     return rows
 
 
-def _spanned_at(P, at):
-    """Does each vector v lie in span[R_P at u], for the (u, v) in at?
+def _spanned_at(P, at, L, s):
+    """Does each vector v lie in span[R_P at u / L + s], for the (u, v)
+    in at?
 
-    u is an int grade on P's own lattice (units of 1/P.L, as
-    P.rel_ints) and v a raw vector over P's generators. The zero
-    vectors are skipped, the others grouped by the relations admissible
-    at u (grade <= u), and each group is one _spanned elimination.
+    u is an int grade on a lattice of step 1/L (P.gen_ints or
+    P.rel_ints, with L their presentation's L), s a Fraction shift and
+    v a raw vector over P's generators. The shifted grade is rounded
+    down onto P's own lattice, which is exact: P's relation grades are
+    multiples of 1/P.L, so r <= x iff r * P.L <= floor(x * P.L). The
+    zero vectors are skipped, the others grouped by the relations
+    admissible at the grade (grade <= it), and each group is one
+    _spanned elimination.
     """
+    scale, den = P.L * s.denominator, L * s.denominator
+    off = s.numerator * L * P.L
     groups = {}  # admissible relations -> the vectors needing them
     for u, v in at:
         if any(v):
-            ks = tuple([k for k, r in enumerate(P.rel_ints) if _leq(r, u)])
+            x = [(a * scale + off) // den for a in u]
+            ks = tuple([k for k, r in enumerate(P.rel_ints) if _leq(r, x)])
             groups.setdefault(ks, []).append(v)
     return all(_spanned([P.relations[k].coeffs for k in ks], vs, P.field.p)
                for ks, vs in groups.items())
@@ -315,9 +325,9 @@ def check_closure(A, B, prob):
     (the round trip shifts twice), and likewise AB - I over N.
 
     The grades are compared on each presentation's own lattice (P.L,
-    P.gen_ints, P.rel_ints), where 2e rounds down to an int, never on
-    the search's: column j goes to _spanned_at at P.gen_ints[j] +
-    floor(2e * P.L). A and B are patterned, so a column of BA - I obeys
+    P.gen_ints, P.rel_ints), never on the search's: column j goes to
+    _spanned_at at P.gen_ints[j] shifted by 2e, which rounds it down
+    onto that lattice. A and B are patterned, so a column of BA - I obeys
     the grade pattern at its shifted grade, and none needs checking as
     an element.
     """
@@ -333,15 +343,14 @@ def check_closure(A, B, prob):
         raise FieldMismatch(f"witness over the wrong field: {A.field} and "
                             f"{B.field}, problem over {field}")
     for P, first, second in ((prob.P_M, A, B), (prob.P_N, B, A)):
-        reach = e2.numerator * P.L // e2.denominator  # 2e * P.L, floored
         at = []
         # first has no rows when the other module has no generators
         cols = list(zip(*first.entries)) or [()] * len(P.gen_ints)
         for j, (g, col) in enumerate(zip(P.gen_ints, cols)):
             v = [_dot(row, col, field) for row in second.entries]
             v[j] = field.coerce(v[j] - 1)
-            at.append((_up(g, reach), v))
-        if not _spanned_at(P, at):
+            at.append((g, v))
+        if not _spanned_at(P, at, P.L, e2):
             return False
     return True
 

@@ -162,12 +162,25 @@ def _run(tmp_path):
     return out
 
 
-def test_cli_transcripts_byte_identical(tmp_path):
+def _check_transcripts(tmp_path):
     golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
     got = _run(tmp_path)
     assert sorted(got) == sorted(golden)
     changed = [key for key in got if got[key] != golden[key]]
     assert not changed, changed
+
+
+def test_cli_transcripts_byte_identical(tmp_path):
+    _check_transcripts(tmp_path)
+
+
+def test_characterize_builds_no_induced_presentation(tmp_path, monkeypatch):
+    # pmod characterize prints the pair alone: with the induced
+    # presentations refused, every transcript is still the recorded one
+    def refuse(*args, **kwargs):
+        raise AssertionError("induced_presentations called")
+    monkeypatch.setattr("pmod.characterize.induced_presentations", refuse)
+    _check_transcripts(tmp_path)
 
 
 if __name__ == "__main__":

@@ -10,18 +10,19 @@ from fractions import Fraction
 
 import pmod
 
-from pmod import (BasisMismatch, BudgetExceeded, DimensionMismatch,
-                  FieldMismatch, FieldSpec, InterleavingProblem,
-                  MorphismMatrix, UnsupportedField, apply, box_interval,
-                  check_closure, export_quadratic_system, grade_leq,
-                  grade_shift, is_interleaved, make_element, minimize, parse,
-                  serialize, span_membership)
+from pmod import (RATIONALS, BasisMismatch, BudgetExceeded,
+                  DimensionMismatch, FieldMismatch, FieldSpec, Grade,
+                  InterleavingProblem, MorphismMatrix, UnsupportedField,
+                  apply, box_interval, check_closure,
+                  export_quadratic_system, grade_leq, grade_shift,
+                  is_interleaved, make_element, minimize, parse, serialize,
+                  span_membership)
 from pmod.freemod import nullspace
 from pmod.interleave import (_Side, _annihilator, _complement,
-                             _condition_rows, _patterns)
+                             _condition_rows, _patterns, _spanned_at)
 
 from conftest import (F2, F3, F5, brute_system_solvable, local_solve,
-                      rand_grade, random_presentation, rng_for)
+                      rand_coeff, rand_grade, random_presentation, rng_for)
 
 M_TEXT = "module M\nfield F5\nparams 1\ngen a @ 0\nrel r1 @ 3 = 1*a\n"
 N_TEXT = "module N\nfield F5\nparams 1\ngen b @ 1\nrel s1 @ 3 = 1*b\n"
@@ -280,6 +281,53 @@ def test_check_closure_rounds_twice_e_down_on_the_lattice():
         one = (MorphismMatrix(M.generators, N.generators, [[1]], e, F3),
                MorphismMatrix(N.generators, M.generators, [[1]], e, F3))
         assert check_closure(*one, prob)
+
+
+def test_spanned_at_rounds_a_shifted_grade_as_the_exact_span_test():
+    # _spanned_at(P, at, L, s) against span_membership at the exact
+    # grade u / L + s, for u on a lattice L other than P.L and shifts s
+    # with denominators 2, 3 and 4 off P's lattice, over F2, F3, F5 and
+    # Q on one and two parameters. Each u sits next to a relation grade
+    # minus s, so the floor onto P's lattice decides admissibility; each
+    # v is a combination of the relations admissible at the exact grade,
+    # half of them plus a random vector that obeys the pattern there
+    rng = rng_for(2828)
+    seen, dens = Counter(), set()
+    for trial in range(320):
+        field = (F2, F3, F5, RATIONALS)[trial % 4]
+        n = 1 + trial // 4 % 2
+        P = random_presentation(rng, field, n, 3, 4, 1, 1, denom=2)
+        L = rng.choice([k for k in (1, 2, 3, 4, 6) if k != P.L])
+        s = rng.choice([Fraction(k, d) for d in (2, 3, 4)
+                        for k in range(1, 2 * d)
+                        if (Fraction(k, d) * P.L).denominator != 1])
+        dens.add(s.denominator)
+        at, want = [], []
+        for _ in range(3):
+            r = rng.choice(P.relations).grade.coords
+            u = tuple(math.floor((c - s) * L) + rng.choice((-1, 0, 0, 1))
+                      for c in r)
+            exact = Grade([Fraction(a, L) + s for a in u])
+            v = [field.coerce(0)] * len(P.generators)
+            for w in P.relations:
+                if grade_leq(w.grade, exact):
+                    c = rand_coeff(rng, field)
+                    v = [field.coerce(x + c * y) for x, y in zip(v, w.coeffs)]
+            if rng.random() < 0.5:
+                v = [field.coerce(x + rand_coeff(rng, field))
+                     if grade_leq(g, exact) else x
+                     for x, g in zip(v, P.generators.grades)]
+            el = make_element(P.generators, exact, v, field)
+            ok = span_membership(el, list(P.relations))[0]
+            assert _spanned_at(P, [(u, v)], L, s) is ok, (trial, u, s)
+            off = any((x * P.L).denominator != 1 for x in exact.coords)
+            seen[ok, off] += 1
+            at.append((u, v))
+            want.append(ok)
+        assert _spanned_at(P, at, L, s) is all(want), trial
+    assert dens == {2, 3, 4}
+    assert min(seen[ok, True] for ok in (False, True)) >= 20, seen
+
 
 def test_is_interleaved_offset_intervals():
     w = is_interleaved(_pair(1))

@@ -11,8 +11,11 @@ whose search scans 50 or more candidates over its probes: F2 7x7 seeds
 12 (8209) and 15 (130), F3 n=2 4x4 seed 28 (170), F3 n=2 5x5 seeds 15
 (82) and 25 (840), F5 n=2 4x4 seeds 9 (3164), 11 (60), 15 (126) and 26
 (254), F3 n=3 4x4 seeds 3 (142) and 9 (82), F2 n=3 5x5 seed 18 (148),
-and F2 n=2 5x5 seeds 6 (245), 7 (208) and 10 (110). After an intended
-change of answers, re-record with
+and F2 n=2 5x5 seeds 6 (245), 7 (208) and 10 (110). For each finite
+witness it also holds the characterize output on the minimized pair at
+d_I: serialize_pair of the compatible pair and serialize of both
+induced presentations, whose relation names r1..rk follow the order of
+their sort. After an intended change of answers, re-record with
 
     PYTHONPATH=src python tests/test_witness_golden.py
 """
@@ -20,7 +23,8 @@ change of answers, re-record with
 import json
 from pathlib import Path
 
-from pmod import interleaving_distance
+from pmod import (interleaving_distance, compatible_presentations, minimize,
+                  serialize, serialize_pair)
 
 from conftest import F2, F3, F5, random_presentation, rng_for
 
@@ -50,12 +54,18 @@ def _answers():
                                         size, size, name=name)
                     for name in "MN")
             d, w = interleaving_distance(M, N)
-            out[f"F{p} n={n} {size}x{size} seed {seed}"] = {
+            entry = out[f"F{p} n={n} {size}x{size} seed {seed}"] = {
                 "d": f"{type(d).__name__} {d}",
                 "witness": None if w is None else {
                     name: [" ".join(map(str, row)) for row in mat.entries]
                     for name, mat in (("A", w.A), ("B", w.B))},
             }
+            if w is not None:
+                pair, ind_M, ind_N = compatible_presentations(
+                    minimize(M), minimize(N), w, d)
+                entry["pair"] = serialize_pair(pair).splitlines()
+                entry["induced"] = [serialize(P).splitlines()
+                                    for P in (ind_M, ind_N)]
     return out
 
 
