@@ -50,12 +50,15 @@ relations at gr(G_src, j) + e. Only the searched side builds Z, from
 its definition (the relations admissible at each column's shifted
 grade, placed in that column), reads V off its reduction and takes U
 as the complement. Each basis vector U_k of V/Z gets one block
-H_k = G(U_k) Y^T (built on first use), and the candidates are scanned
-by an odometer that adds one block per digit it moves. A candidate
-then costs one elimination of the small block [H(F) | c]; over F_2
-its rows are ints, added and eliminated by XOR. A hit's solution z
-gives y = z.Y, the one a solve of the whole system gives, so the
-least-index witness is the same.
+H_k = G(U_k) Y^T, built on first use from U_k's nonzero entries and
+straight over z: an entry at (t, j) reaches the round-trip rows on
+src at column j through the partner's entries in its column t, and
+those on tgt through the partner's entries in its row j. The
+candidates are scanned by an odometer that adds one block per digit
+it moves. A candidate then costs one elimination of the small block
+[H(F) | c]; over F_2 its rows are ints, added and eliminated by XOR.
+A hit's solution z gives y = z.Y, the one a solve of the whole system
+gives, so the least-index witness is the same.
 
 Everything here works with a presentation as given; the answer only
 depends on the presented module, which is checked as a property test
@@ -88,7 +91,8 @@ P's own lattice, groups the vectors by the relations admissible there
 
 import math
 from fractions import Fraction
-from operator import le, mul
+from itertools import accumulate
+from operator import le
 
 from .scalars import FieldMismatch
 from .grading import check_epsilon, DimensionMismatch
@@ -413,13 +417,15 @@ class _Side:
     int tuples.
 
     pair_with, run only on the enumerated side and only when its dim
-    is > 0, builds the basis U of V/Z and the basis Y of the other
-    side's V, in which the partner is solved as y = z.Y, and hits scans
+    is > 0, builds the basis U of V/Z, the basis Y of the other side's
+    V, in which the partner is solved as y = z.Y, and the index of the
+    partner's entries and of the rows that _block reads; hits scans
     the candidates.
     """
 
     __slots__ = ("prob", "src", "tgt", "free", "dim", "U", "Y",
-                 "yfree", "K2", "K3", "_cond", "_img", "_rhs", "_blocks")
+                 "yfree", "K2", "K3", "_cond", "_ycol", "_yrow", "_off2",
+                 "_off3", "_rhs", "_blocks")
 
     def __init__(self, prob, src, tgt):
         self.prob = prob
@@ -449,11 +455,13 @@ class _Side:
         the partner lies in that side's V, and Y is the basis of it read
         off that side's reduction: y = z.Y for a coordinate vector z.
         The rows of conditions 3 and 4 are G(F) with right-hand side c:
-        one row per functional in K2 and in K3, and c holds the
-        functionals' own entries, so it does not depend on F. A row g
-        over the partner's free entries becomes the row g.Y^T over z,
-        summed from _img, the rows of Y^T (over F_2 an int each, bit q
-        is coordinate q).
+        one row per functional in K2 and in K3, the K2 rows first, and
+        c holds the functionals' own entries, so it does not depend on
+        F. For _block, which builds the rows of G(U_k) straight over z,
+        this keeps row (s, t) of Y^T (over F_2 an int, bit q is
+        coordinate q) under column t of the partner (_ycol[t]) and
+        under its row s (_yrow[s]), and the index of the first row of
+        each K2[j] (_off2[j]) and each K3[i] (_off3[i]).
         """
         p, k = self.prob.field.p, self.prob._k
         width = len(self.free)
@@ -467,10 +475,17 @@ class _Side:
         k2 = 2 * k
         self.K2 = [_annihilator(self.src, _up(g, k2)) for g in self.src.gens]
         self.K3 = [_annihilator(self.tgt, _up(g, k2)) for g in self.tgt.gens]
-        self._img = list(zip(*Y)) or [()] * len(other.free)
+        img = list(zip(*Y)) or [()] * len(other.free)
         if p == 2:
-            self._img = [sum(a << q for q, a in enumerate(im))
-                         for im in self._img]
+            img = [sum(a << q for q, a in enumerate(im)) for im in img]
+        self._ycol = [[] for _ in self.tgt.gens]
+        self._yrow = [[] for _ in self.src.gens]
+        for (s, t), im in zip(other.free, img):
+            self._ycol[t].append((s, im))
+            self._yrow[s].append((t, im))
+        starts = list(accumulate(map(len, self.K2 + self.K3), initial=0))
+        self._off2 = starts[:len(self.K2)]
+        self._off3 = starts[len(self.K2):-1]
         self._rhs = ([kappa[j] for j, ks in enumerate(self.K2)
                       for kappa in ks]
                      + [kappa[i] for i, ks in enumerate(self.K3)
@@ -480,37 +495,45 @@ class _Side:
     def _block(self, k):
         """H_k: the rows of G(U_k) over the coordinates z of y = z.Y,
         with a zero right-hand side, as (row index, row) for the rows
-        that are not zero; packed into ints over F_2 (bit q is
-        coordinate q)."""
-        yfree = self.yfree
-        Fcols = list(zip(*_entries(self.free, self.U[k], len(self.tgt.gens),
-                                   len(self.src.gens))))
-        rows = []
-        for j, ks in enumerate(self.K2):
-            col = Fcols[j]
-            rows += ([kappa[i] * col[t] for (i, t) in yfree] for kappa in ks)
-        for i, ks in enumerate(self.K3):
-            for kappa in ks:
-                kF = [sum(map(mul, kappa, c)) for c in Fcols]
-                rows.append([kF[t] if jj == i else 0 for (t, jj) in yfree])
-        zero = 0 if self.prob.field.p == 2 else [0] * (len(self.Y) + 1)
-        block = self._blocks[k] = [
-            (i, h) for i, h in enumerate(map(self._reduced, rows))
-            if h != zero]
-        return block
+        that are not zero, in row order; packed into ints over F_2 (bit
+        q is coordinate q).
 
-    def _reduced(self, g):
-        """The raw row g over the partner's free entries as the row
-        g.Y^T over the coordinates z of y = z.Y: the sum of g[t] times
-        row t of Y^T, then 0 over F_p (see hits)."""
+        Built from U_k's nonzero entries alone, with img(s, t) the row
+        of Y^T at the partner's entry (s, t). An entry f at (t, j) adds
+        f kappa[s] img(s, t) to the row of each kappa in K2[j], for each
+        partner entry (s, t) in column t, and f kappa[t] img(j, i) to
+        the row of each kappa in K3[i] with kappa[t] != 0, for each
+        partner entry (j, i) in row j. A row is the sum of its terms:
+        one XOR each over F_2, where every weight is 1, else one
+        _combine.
+        """
         p = self.prob.field.p
-        if p == 2:
-            h = 0
-            for a, im in zip(g, self._img):
-                if a & 1:
+        K2, K3, ycol, yrow = self.K2, self.K3, self._ycol, self._yrow
+        terms = {}  # row index -> [(weight, img)]
+        for (t, j), f in zip(self.free, self.U[k]):
+            if not f:
+                continue
+            for r, kappa in enumerate(K2[j], self._off2[j]):
+                for s, im in ycol[t]:
+                    if kappa[s]:
+                        terms.setdefault(r, []).append((f * kappa[s], im))
+            for i, im in yrow[j]:
+                for r, kappa in enumerate(K3[i], self._off3[i]):
+                    if kappa[t]:
+                        terms.setdefault(r, []).append((f * kappa[t], im))
+        zero = 0 if p == 2 else [0] * (len(self.Y) + 1)
+        block = []
+        for r, ts in sorted(terms.items()):
+            if p == 2:
+                h = 0
+                for _, im in ts:
                     h ^= im
-            return h
-        return _combine(g, self._img, len(self.Y), p) + [0]
+            else:
+                h = _combine(*zip(*ts), len(self.Y), p) + [0]
+            if h != zero:
+                block.append((r, h))
+        self._blocks[k] = block
+        return block
 
     def hits(self):
         """Yield (index, F, y) for every candidate F whose partner

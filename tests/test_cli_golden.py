@@ -5,11 +5,11 @@ and its exact stdout and stderr. The inputs are the tests/test_cli.py
 pair, an F5 pair whose witness and mixed relations hold entries other
 than 0 and 1, an F5 pair whose witness is zero, two Q modules with
 negative and fractional coefficients, an F2 pair whose search runs
-the packed F_2 partner solve, and files the commands must reject with
-exit code 2. An argument
-written @name is the path name in the scratch directory, which the
-transcripts show as $TMP. After an intended change of output, re-record
-with
+the packed F_2 partner solve, an F3 pair whose first hit is a sum of
+two blocks, and files the commands must reject with exit code 2. An
+argument written @name is the path name in the scratch directory,
+which the transcripts show as $TMP. After an intended change of
+output, re-record with
 
     PYTHONPATH=src python tests/test_cli_golden.py
 """
@@ -62,6 +62,16 @@ MODULES = {
     "N2": ("module N\nfield F2\nparams 2\n"
            "gen g1 @ (3, 3)\ngen g2 @ (7/2, 7/2)\n"
            "rel r2 @ (4, 4) = 0\nrel r1 @ (9/2, 9/2) = 1*g1 + 1*g2\n"),
+    # tests/conftest.random_presentation(rng_for(2250), F3, 2, 3, 3, 2, 2),
+    # M then N, both minimized; d_I = 5/4, and at e = 5/4 the first hit
+    # of the M -> N scan is candidate 4, digits (1, 1), the sum of two
+    # blocks
+    "M3": ("module M\nfield F3\nparams 2\n"
+           "gen g2 @ (7/3, 1)\ngen g3 @ (7/3, 1/2)\n"
+           "rel r2 @ (3, 11/3) = 2*g2\n"),
+    "N3": ("module N\nfield F3\nparams 2\n"
+           "gen g1 @ (10/3, 9/4)\ngen g2 @ (13/4, 4/3)\n"
+           "rel r3 @ (23/6, 11/4) = 2*g1 + 2*g2\n"),
     "bad": "module M\nfield F5\n",
     "latin1": b"module M\nfield F5\xff\n",
 }
@@ -125,6 +135,8 @@ CASES = [
     ["distance", "M2", "N2", "--witness"],
     ["interleaved", "M2", "N2", "--eps", "7/4"],
     ["interleaved", "N2", "M2", "--eps", "2", "--witness"],
+    # an F3 search whose first hit adds the blocks of two digits
+    ["interleaved", "M3", "N3", "--eps", "5/4", "--witness"],
     # input errors: exit code 2
     ["barcode", "bad"],
     ["distance", "M", "bad"],

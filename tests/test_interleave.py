@@ -673,6 +673,14 @@ def test_complement_takes_any_spanning_set():
         _complement([[1, 0]], [[1, 1], [0, 0], [1, 1]], 2, 2)
 
 
+def _as_matrix(side, coords):
+    """The tgt x src entry matrix with coords on side's free entries."""
+    F = [[0] * len(side.src.gens) for _ in side.tgt.gens]
+    for (i, j), c in zip(side.free, coords):
+        F[i][j] = c
+    return F
+
+
 def test_partner_kernel_matches_full_solve():
     # every candidate index of random sides, both ways round: the
     # kernel's verdict, F and y against conftest's solve of the whole
@@ -707,9 +715,7 @@ def test_partner_kernel_matches_full_solve():
                 digits = [index // p ** (m - 1 - k) % p for k in range(m)]
                 coords = [sum(d * u[t] for d, u in zip(digits, side.U)) % p
                           for t in range(len(side.free))]
-                F = [[0] * len(side.src.gens) for _ in side.tgt.gens]
-                for (i, j), c in zip(side.free, coords):
-                    F[i][j] = c
+                F = _as_matrix(side, coords)
                 rows, rhs = _partner_system(side, other, F)
                 y = local_solve(rows, len(other.free), rhs, p)
                 if y is None:
@@ -723,6 +729,57 @@ def test_partner_kernel_matches_full_solve():
                                                            wraps)
     assert primes == {2, 3, 5}
     assert empty_basis >= 2 and no_partner >= 1, (empty_basis, no_partner)
+
+
+def test_blocks_match_the_dense_partner_rows():
+    # every block H_k of random sides, both ways round, is G(U_k).Y^T:
+    # the G rows of the whole partner system at F = U_k, each projected
+    # onto the coordinates z of y = z.Y, with the right-hand side column
+    # 0 over F_p, and only the rows that are not zero kept, in order
+    rng = rng_for(2929)
+    blocks = empty_basis = no_partner = 0
+    multi = 0  # blocks with two or more entries of U_k that give rows
+    seen = set()
+    while blocks < 300:
+        field = rng.choice([F2, F3, F5])
+        p, n = field.p, rng.choice([1, 2])
+        P = random_presentation(rng, field, n, 4, 4, 1, 1)
+        Q = random_presentation(rng, field, n, 4, 4, 1, 1, name="N")
+        finite = pmod.candidate_set(P, Q).finite()
+        prob = InterleavingProblem(P, Q, rng.choice(finite))
+        lat = prob._lat
+        pair = [_Side(prob, lat.M, lat.N), _Side(prob, lat.N, lat.M)]
+        for side, other in (pair, pair[::-1]):
+            if not side.dim:
+                continue
+            side.pair_with(other)
+            nS = len(_condition_rows(other.src, other.tgt, prob._k,
+                                     other.free))
+            empty_basis += not side.Y
+            no_partner += not other.free
+            for k, u in enumerate(side.U):
+                rows = _partner_system(side, other, _as_matrix(side, u))[0]
+                want = []
+                for r, g in enumerate(rows[nS:]):
+                    h = [sum(a * b for a, b in zip(g, y)) % p
+                         for y in side.Y]
+                    if any(h):
+                        want.append((r, sum(a << q for q, a in enumerate(h))
+                                     if p == 2 else h + [0]))
+                assert side._block(k) == want, (k, u)
+                givers = 0
+                for t, c in enumerate(u):
+                    single = [0] * len(u)
+                    single[t] = c
+                    rows = _partner_system(side, other,
+                                           _as_matrix(side, single))[0]
+                    givers += any(map(any, rows[nS:]))
+                multi += givers >= 2
+                blocks += 1
+                seen.add((p, n))
+    assert seen == {(p, n) for p in (2, 3, 5) for n in (1, 2)}, seen
+    assert empty_basis >= 5 and no_partner >= 3, (empty_basis, no_partner)
+    assert multi >= 30, multi
 
 
 # Run under python -O, where assert statements are stripped: every
